@@ -32,7 +32,6 @@ from .errors import (
     InvalidRewrite,
     NotAFunction,
     NotAPair,
-    NonlinearPattern,
     RewriteHeadIsDefinition,
     RewriteTypeMismatch,
     Span,
@@ -47,7 +46,6 @@ from .terms import (
     App,
     Const,
     Context,
-    ContextEntry,
     EMPTY_CONTEXT,
     Fst,
     Lambda,
@@ -60,10 +58,10 @@ from .terms import (
     Term,
     Universe,
     Var,
-    alpha_eq,
     ctx_extend,
     ctx_lookup,
     free_meta_ids,
+    map_term,
     scope_ok,
     shift,
     subst,
@@ -145,20 +143,15 @@ class Signature:
         self.entries: dict[str, SignatureEntry] = {}
         self.rules_by_head: dict[str, list[RewriteRule]] = {}
 
-    def rule_count(self) -> int:
-        return sum(len(rs) for rs in self.rules_by_head.values())
-
     def snapshot(self):
-        return (
-            list(self.entries.keys()),
-            {head: len(rs) for head, rs in self.rules_by_head.items()},
-        )
+        """Sizes to roll back to. Entries and rules are only ever appended,
+        so the sizes identify what was added since."""
+        return len(self.entries), {head: len(rs) for head, rs in self.rules_by_head.items()}
 
     def restore(self, snap) -> None:
-        names, rule_lens = snap
-        keep = set(names)
-        for name in [n for n in self.entries if n not in keep]:
-            del self.entries[name]
+        n_entries, rule_lens = snap
+        while len(self.entries) > n_entries:
+            self.entries.popitem()
         for head in list(self.rules_by_head):
             n = rule_lens.get(head, 0)
             if n == 0:
@@ -199,65 +192,28 @@ class MetaStore:
     def unsolved(self) -> list[MetaEntry]:
         return [e for e in self._entries if e.solution is None]
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def _inst_solution(sol: Term, spine: tuple[Term, ...]) -> Term:
     n = len(spine)
     return subst_many(sol, [spine[n - 1 - j] for j in range(n)])
 
 
-def _rename_into(t: Term, rename: dict[int, int], depth: int, hole_id: int) -> Term:
+def _rename_into(t: Term, rename: dict[int, int], hole_id: int) -> Term:
     """Transport a candidate solution from the ambient context into the hole's
     creation context, inverting the spine. Ambient variables outside the spine
     have no preimage and abort the solve."""
-    match t:
-        case Var(index=i):
-            if i < depth:
-                return t
-            j = i - depth
-            if j not in rename:
-                raise UnsolvedMeta(
-                    f"solution for hole ?{hole_id} mentions a variable the hole "
-                    f"cannot see"
-                )
-            return Var(depth + rename[j])
-        case Universe() | NatLit():
-            return t
-        case Const(name=n, args=args):
-            return Const(n, tuple(_rename_into(a, rename, depth, hole_id) for a in args))
-        case Pi(domain=d, codomain=c, hint=h):
-            return Pi(
-                _rename_into(d, rename, depth, hole_id),
-                _rename_into(c, rename, depth + 1, hole_id),
-                h,
+
+    def var(i: int, d: int) -> Term:
+        if i < d:
+            return Var(i)
+        if i - d not in rename:
+            raise UnsolvedMeta(
+                f"solution for hole ?{hole_id} mentions a variable the hole "
+                f"cannot see"
             )
-        case Lambda(body=b, hint=h):
-            return Lambda(_rename_into(b, rename, depth + 1, hole_id), h)
-        case App(fn=f, arg=a):
-            return App(
-                _rename_into(f, rename, depth, hole_id),
-                _rename_into(a, rename, depth, hole_id),
-            )
-        case Sigma(first=a, second=b, hint=h):
-            return Sigma(
-                _rename_into(a, rename, depth, hole_id),
-                _rename_into(b, rename, depth + 1, hole_id),
-                h,
-            )
-        case Pair(first=a, second=b):
-            return Pair(
-                _rename_into(a, rename, depth, hole_id),
-                _rename_into(b, rename, depth, hole_id),
-            )
-        case Fst(pair=p):
-            return Fst(_rename_into(p, rename, depth, hole_id))
-        case Snd(pair=p):
-            return Snd(_rename_into(p, rename, depth, hole_id))
-        case Meta(id=m, spine=sp):
-            return Meta(m, tuple(_rename_into(s, rename, depth, hole_id) for s in sp))
-    raise AssertionError(f"rename: unhandled term {t!r}")
+        return Var(d + rename[i - d])
+
+    return map_term(t, var)
 
 
 def _apply_args(t: Term, args) -> Term:
@@ -452,9 +408,8 @@ class Kernel:
 
     # - conversion / unification -
 
-    def convertible(self, t1: Term, t2: Term, at_type: Term | None = None) -> bool:
-        """Definitional equality; ``at_type`` is informational (eta is checked
-        structurally, which coincides with type-directed eta here)."""
+    def convertible(self, t1: Term, t2: Term) -> bool:
+        """Definitional equality, with eta for Pi and Sigma checked structurally."""
         return self._unify(t1, t2)
 
     def _unify(self, t1: Term, t2: Term) -> bool:
@@ -525,16 +480,10 @@ class Kernel:
             case _:
                 return False
 
-    def _solve_spine(self, hole: Meta, extras: tuple[Term, ...], rhs: Term) -> bool:
-        """Solve ``hole e1 .. ek = rhs`` by storing a ``k``-fold lambda.
-
-        ``extras`` are the application arguments left of ``rhs``; together
-        with the hole's own spine they must form distinct variables for the
-        solution to be unique.
-        """
-        entry = self.metas.entry(hole.id)
+    def _invert_spine(self, hole: Meta, offset: int) -> dict[int, int]:
+        """Map each ambient variable of the hole's spine to its index in the
+        hole's creation context, shifted up by ``offset``."""
         length = len(hole.spine)
-        k = len(extras)
         rename: dict[int, int] = {}
         for j, s in enumerate(hole.spine):
             sw = self.whnf(s)
@@ -543,7 +492,26 @@ class Kernel:
                     f"hole ?{hole.id} is applied to a non-variable spine; the "
                     f"solution is not first-order"
                 )
-            rename[sw.index] = k + (length - 1 - j)
+            rename[sw.index] = offset + (length - 1 - j)
+        return rename
+
+    def _solution(self, hole: Meta, candidate: Term, rename: dict[int, int]) -> Term:
+        """Zonk ``candidate``, occurs-check it and rename it into the hole's
+        creation context; UnsolvedMeta when it cannot be the solution."""
+        candidate = self.zonk(candidate)
+        if hole.id in free_meta_ids(candidate):
+            raise UnsolvedMeta(f"hole ?{hole.id} occurs in its own candidate solution")
+        return _rename_into(candidate, rename, hole.id)
+
+    def _solve_spine(self, hole: Meta, extras: tuple[Term, ...], rhs: Term) -> bool:
+        """Solve ``hole e1 .. ek = rhs`` by storing a ``k``-fold lambda.
+
+        ``extras`` are the application arguments left of ``rhs``; together
+        with the hole's own spine they must form distinct variables for the
+        solution to be unique.
+        """
+        k = len(extras)
+        rename = self._invert_spine(hole, k)
         for i, e in enumerate(extras):
             ew = self.whnf(e)
             if not isinstance(ew, Var) or ew.index in rename:
@@ -552,13 +520,10 @@ class Kernel:
                     f"arguments; the solution is not unique"
                 )
             rename[ew.index] = k - 1 - i
-        rhs = self.zonk(rhs)
-        if hole.id in free_meta_ids(rhs):
-            raise UnsolvedMeta(f"hole ?{hole.id} occurs in its own candidate solution")
-        sol = _rename_into(rhs, rename, 0, hole.id)
+        sol = self._solution(hole, rhs, rename)
         for _ in range(k):
             sol = Lambda(sol, None)
-        entry.solution = sol
+        self.metas.entry(hole.id).solution = sol
         return True
 
     def _solve(self, hole: Meta, rhs: Term, preferred: Term | None = None) -> bool:
@@ -570,63 +535,24 @@ class Kernel:
         are in scope of the hole.
         """
         entry = self.metas.entry(hole.id)
-        length = len(hole.spine)
-        rename: dict[int, int] = {}
-        for k, s in enumerate(hole.spine):
-            sw = self.whnf(s)
-            if not isinstance(sw, Var) or sw.index in rename:
-                raise UnsolvedMeta(
-                    f"hole ?{hole.id} is applied to a non-variable spine; the "
-                    f"solution is not first-order"
-                )
-            rename[sw.index] = length - 1 - k
-        candidates = [rhs] if preferred is None else [preferred, rhs]
-        failure: UnsolvedMeta | None = None
-        for candidate in candidates:
-            candidate = self.zonk(candidate)
-            if hole.id in free_meta_ids(candidate):
-                failure = UnsolvedMeta(
-                    f"hole ?{hole.id} occurs in its own candidate solution"
-                )
-                continue
+        rename = self._invert_spine(hole, 0)
+        if preferred is not None:
             try:
-                sol = _rename_into(candidate, rename, 0, hole.id)
-            except UnsolvedMeta as err:
-                failure = err
-                continue
-            entry.solution = sol
-            return True
-        assert failure is not None
-        raise failure
+                entry.solution = self._solution(hole, preferred, rename)
+                return True
+            except UnsolvedMeta:
+                pass
+        entry.solution = self._solution(hole, rhs, rename)
+        return True
 
     def zonk(self, t: Term) -> Term:
         """Replace solved metavariables by their solutions, recursively."""
-        match t:
-            case Meta(id=m, spine=sp):
-                sol = self.metas.solution(m)
-                zsp = tuple(self.zonk(s) for s in sp)
-                if sol is None:
-                    return Meta(m, zsp)
-                return self.zonk(_inst_solution(sol, zsp))
-            case Var() | Universe() | NatLit():
-                return t
-            case Const(name=n, args=args):
-                return Const(n, tuple(self.zonk(a) for a in args))
-            case Pi(domain=d, codomain=c, hint=h):
-                return Pi(self.zonk(d), self.zonk(c), h)
-            case Lambda(body=b, hint=h):
-                return Lambda(self.zonk(b), h)
-            case App(fn=f, arg=a):
-                return App(self.zonk(f), self.zonk(a))
-            case Sigma(first=a, second=b, hint=h):
-                return Sigma(self.zonk(a), self.zonk(b), h)
-            case Pair(first=a, second=b):
-                return Pair(self.zonk(a), self.zonk(b))
-            case Fst(pair=p):
-                return Fst(self.zonk(p))
-            case Snd(pair=p):
-                return Snd(self.zonk(p))
-        raise AssertionError(f"zonk: unhandled term {t!r}")
+
+        def meta(m: int, spine: tuple[Term, ...]) -> Term:
+            sol = self.metas.solution(m)
+            return Meta(m, spine) if sol is None else self.zonk(_inst_solution(sol, spine))
+
+        return map_term(t, lambda i, d: Var(i), meta=meta)
 
     def require_solved(self, span: Span | None = None) -> None:
         pending = self.metas.unsolved()
@@ -668,12 +594,12 @@ class Kernel:
             case Universe():
                 raise UniverseMismatch("Type1 itself has no type")
             case Pi(domain=d, codomain=c, hint=h):
-                l1 = self._type_level(ctx, d)
-                l2 = self._type_level(ctx_extend(ctx, h or "x", d), c)
+                l1 = self.check_is_type(ctx, d)
+                l2 = self.check_is_type(ctx_extend(ctx, h or "x", d), c)
                 return Universe(max(l1, l2))
             case Sigma(first=a, second=b, hint=h):
-                l1 = self._type_level(ctx, a)
-                l2 = self._type_level(ctx_extend(ctx, h or "p", a), b)
+                l1 = self.check_is_type(ctx, a)
+                l2 = self.check_is_type(ctx_extend(ctx, h or "p", a), b)
                 return Universe(max(l1, l2))
             case Lambda():
                 raise CannotInfer("cannot infer the type of an unannotated function")
@@ -777,15 +703,15 @@ class Kernel:
                     )
 
     def check_is_type(self, ctx: Context, t: Term) -> int:
-        return self._type_level(ctx, t)
-
-    def _type_level(self, ctx: Context, t: Term) -> int:
+        """The universe level of ``t``, which must be a type."""
         tw = self.whnf(t)
         if isinstance(tw, Meta) and self.metas.entry(tw.id).type is None:
             # a hole standing where a type is needed defaults to Type
             self.check(ctx, tw, Universe(0))
             return 0
-        ty = self.whnf(self.infer(ctx, tw))
+        # Infer from `t`, not `tw`: head reduction can fire a rule that drops
+        # forced arguments (SigmaNP's `{b}`), leaving their holes unconstrained.
+        ty = self.whnf(self.infer(ctx, t))
         if isinstance(ty, Universe):
             return ty.level
         if isinstance(ty, Meta) and self._unify(ty, Universe(0)):

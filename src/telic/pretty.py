@@ -22,6 +22,7 @@ from .terms import (
     Term,
     Universe,
     Var,
+    subterms,
 )
 
 # precedence levels, loosest first
@@ -130,26 +131,5 @@ def _wrap(s: str, required: int, actual: int) -> str:
     return f"({s})" if actual < required else s
 
 
-def _uses_var0(t: Term, depth: int = 0) -> bool:
-    match t:
-        case Var(index=i):
-            return i == depth
-        case Const(args=args):
-            return any(_uses_var0(a, depth) for a in args)
-        case Universe() | NatLit():
-            return False
-        case Pi(domain=d, codomain=c):
-            return _uses_var0(d, depth) or _uses_var0(c, depth + 1)
-        case Lambda(body=b):
-            return _uses_var0(b, depth + 1)
-        case App(fn=f, arg=a):
-            return _uses_var0(f, depth) or _uses_var0(a, depth)
-        case Sigma(first=a, second=b):
-            return _uses_var0(a, depth) or _uses_var0(b, depth + 1)
-        case Pair(first=a, second=b):
-            return _uses_var0(a, depth) or _uses_var0(b, depth)
-        case Fst(pair=p) | Snd(pair=p):
-            return _uses_var0(p, depth)
-        case Meta(spine=sp):
-            return any(_uses_var0(s, depth) for s in sp)
-    raise AssertionError(f"_uses_var0: unhandled term {t!r}")
+def _uses_var0(t: Term) -> bool:
+    return any(isinstance(s, Var) and s.index == d for s, d in subterms(t))

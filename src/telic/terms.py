@@ -6,10 +6,17 @@ so ``==`` on terms is alpha-equivalence. Constants are kept in head-spine form:
 ``Const(name, args)`` rather than nested App nodes, which makes rewrite
 matching a first-order walk over ``(name, args)``. App nodes only ever have a
 non-constant head once a term has been through whnf.
+
+``map_term`` (rebuild) and ``subterms`` (walk) are the only structural
+recursions over Term. Shifting, substitution, scope and occurrence checks,
+the kernel's zonking and renaming, and the printer's binder test are
+callbacks to the first or comprehensions over the second; only reduction,
+conversion, typing and printing inspect terms by hand.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 
@@ -116,66 +123,96 @@ def ctx_lookup(ctx: Context, index: int) -> Term:
     return shift(entry.type, index + 1)
 
 
+# --- traversals -------------------------------------------------------------
+
+def map_term(
+    t: Term,
+    var: Callable[[int, int], Term],
+    depth: int = 0,
+    meta: Callable[[int, tuple[Term, ...]], Term] | None = None,
+) -> Term:
+    """Rebuild ``t`` bottom-up.
+
+    Every ``Var(i)`` becomes ``var(i, d)``, where ``d`` is ``depth`` plus the
+    binders passed on the way down. With ``meta`` given, every ``Meta``
+    becomes ``meta(id, spine)`` once its spine has been mapped.
+    """
+
+    # Dispatch on the exact class: on this hot path it is markedly cheaper
+    # than `match` class patterns, which test isinstance case by case.
+    def go(t: Term, d: int) -> Term:
+        cls = type(t)
+        if cls is Var:
+            return var(t.index, d)
+        if cls is Const:
+            return Const(t.name, tuple([go(a, d) for a in t.args])) if t.args else t
+        if cls is App:
+            return App(go(t.fn, d), go(t.arg, d))
+        if cls is Pi:
+            return Pi(go(t.domain, d), go(t.codomain, d + 1), t.hint)
+        if cls is Lambda:
+            return Lambda(go(t.body, d + 1), t.hint)
+        if cls is Sigma:
+            return Sigma(go(t.first, d), go(t.second, d + 1), t.hint)
+        if cls is Pair:
+            return Pair(go(t.first, d), go(t.second, d))
+        if cls is Fst:
+            return Fst(go(t.pair, d))
+        if cls is Snd:
+            return Snd(go(t.pair, d))
+        if cls is Meta:
+            spine = tuple([go(s, d) for s in t.spine])
+            return Meta(t.id, spine) if meta is None else meta(t.id, spine)
+        if cls is Universe or cls is NatLit:
+            return t
+        raise AssertionError(f"map_term: unhandled term {t!r}")
+
+    return go(t, depth)
+
+
+def subterms(t: Term, depth: int = 0) -> Iterator[tuple[Term, int]]:
+    """Yield every node of ``t``, ``t`` first, with ``depth`` plus the number
+    of binders above it. Iterative, so any nesting depth is fine."""
+    stack = [(t, depth)]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        yield node
+        t, d = node
+        cls = type(t)
+        if cls is Const or cls is Meta:
+            for a in reversed(t.args if cls is Const else t.spine):
+                push((a, d))
+        elif cls is App:
+            push((t.arg, d))
+            push((t.fn, d))
+        elif cls is Pi:
+            push((t.codomain, d + 1))
+            push((t.domain, d))
+        elif cls is Lambda:
+            push((t.body, d + 1))
+        elif cls is Sigma:
+            push((t.second, d + 1))
+            push((t.first, d))
+        elif cls is Pair:
+            push((t.second, d))
+            push((t.first, d))
+        elif cls is Fst or cls is Snd:
+            push((t.pair, d))
+
+
 # --- de Bruijn operations ----------------------------------------------------
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add ``by`` to every variable index >= cutoff."""
     if by == 0:
         return t
-    match t:
-        case Var(index=i):
-            return Var(i + by) if i >= cutoff else t
-        case Const(name=n, args=args):
-            return Const(n, tuple(shift(a, by, cutoff) for a in args))
-        case Universe() | NatLit():
-            return t
-        case Pi(domain=d, codomain=c, hint=h):
-            return Pi(shift(d, by, cutoff), shift(c, by, cutoff + 1), h)
-        case Lambda(body=b, hint=h):
-            return Lambda(shift(b, by, cutoff + 1), h)
-        case App(fn=f, arg=a):
-            return App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case Sigma(first=a, second=b, hint=h):
-            return Sigma(shift(a, by, cutoff), shift(b, by, cutoff + 1), h)
-        case Pair(first=a, second=b):
-            return Pair(shift(a, by, cutoff), shift(b, by, cutoff))
-        case Fst(pair=p):
-            return Fst(shift(p, by, cutoff))
-        case Snd(pair=p):
-            return Snd(shift(p, by, cutoff))
-        case Meta(id=m, spine=sp):
-            return Meta(m, tuple(shift(s, by, cutoff) for s in sp))
-    raise AssertionError(f"shift: unhandled term {t!r}")
+    return map_term(t, lambda i, d: Var(i + by) if i >= d else Var(i), cutoff)
 
 
 def subst(t: Term, replacement: Term, index: int = 0) -> Term:
     """Substitute ``replacement`` for Var(index); higher indices drop by one."""
-    match t:
-        case Var(index=i):
-            if i == index:
-                return shift(replacement, index)
-            return Var(i - 1) if i > index else t
-        case Const(name=n, args=args):
-            return Const(n, tuple(subst(a, replacement, index) for a in args))
-        case Universe() | NatLit():
-            return t
-        case Pi(domain=d, codomain=c, hint=h):
-            return Pi(subst(d, replacement, index), subst(c, replacement, index + 1), h)
-        case Lambda(body=b, hint=h):
-            return Lambda(subst(b, replacement, index + 1), h)
-        case App(fn=f, arg=a):
-            return App(subst(f, replacement, index), subst(a, replacement, index))
-        case Sigma(first=a, second=b, hint=h):
-            return Sigma(subst(a, replacement, index), subst(b, replacement, index + 1), h)
-        case Pair(first=a, second=b):
-            return Pair(subst(a, replacement, index), subst(b, replacement, index))
-        case Fst(pair=p):
-            return Fst(subst(p, replacement, index))
-        case Snd(pair=p):
-            return Snd(subst(p, replacement, index))
-        case Meta(id=m, spine=sp):
-            return Meta(m, tuple(subst(s, replacement, index) for s in sp))
-    raise AssertionError(f"subst: unhandled term {t!r}")
+    return subst_many(t, (replacement,), index)
 
 
 def subst_many(t: Term, env: list[Term] | tuple[Term, ...], depth: int = 0) -> Term:
@@ -186,34 +223,15 @@ def subst_many(t: Term, env: list[Term] | tuple[Term, ...], depth: int = 0) -> T
     free variables are exactly 0..len(env)-1 at depth 0.
     """
     n = len(env)
-    match t:
-        case Var(index=i):
-            if i < depth:
-                return t
-            if i < depth + n:
-                return shift(env[i - depth], depth)
-            return Var(i - n)
-        case Const(name=nm, args=args):
-            return Const(nm, tuple(subst_many(a, env, depth) for a in args))
-        case Universe() | NatLit():
-            return t
-        case Pi(domain=d, codomain=c, hint=h):
-            return Pi(subst_many(d, env, depth), subst_many(c, env, depth + 1), h)
-        case Lambda(body=b, hint=h):
-            return Lambda(subst_many(b, env, depth + 1), h)
-        case App(fn=f, arg=a):
-            return App(subst_many(f, env, depth), subst_many(a, env, depth))
-        case Sigma(first=a, second=b, hint=h):
-            return Sigma(subst_many(a, env, depth), subst_many(b, env, depth + 1), h)
-        case Pair(first=a, second=b):
-            return Pair(subst_many(a, env, depth), subst_many(b, env, depth))
-        case Fst(pair=p):
-            return Fst(subst_many(p, env, depth))
-        case Snd(pair=p):
-            return Snd(subst_many(p, env, depth))
-        case Meta(id=m, spine=sp):
-            return Meta(m, tuple(subst_many(s, env, depth) for s in sp))
-    raise AssertionError(f"subst_many: unhandled term {t!r}")
+
+    def var(i: int, d: int) -> Term:
+        if i < d:
+            return Var(i)
+        if i < d + n:
+            return shift(env[i - d], d)
+        return Var(i - n)
+
+    return map_term(t, var, depth)
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
@@ -223,91 +241,14 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
 
 def scope_ok(t: Term, depth: int = 0) -> bool:
     """True when every free variable index is below ``depth``."""
-    match t:
-        case Var(index=i):
-            return i < depth
-        case Const(args=args):
-            return all(scope_ok(a, depth) for a in args)
-        case Universe() | NatLit():
-            return True
-        case Pi(domain=d, codomain=c):
-            return scope_ok(d, depth) and scope_ok(c, depth + 1)
-        case Lambda(body=b):
-            return scope_ok(b, depth + 1)
-        case App(fn=f, arg=a):
-            return scope_ok(f, depth) and scope_ok(a, depth)
-        case Sigma(first=a, second=b):
-            return scope_ok(a, depth) and scope_ok(b, depth + 1)
-        case Pair(first=a, second=b):
-            return scope_ok(a, depth) and scope_ok(b, depth)
-        case Fst(pair=p) | Snd(pair=p):
-            return scope_ok(p, depth)
-        case Meta(spine=sp):
-            return all(scope_ok(s, depth) for s in sp)
-    raise AssertionError(f"scope_ok: unhandled term {t!r}")
+    return all(s.index < d for s, d in subterms(t, depth) if isinstance(s, Var))
 
 
-def free_meta_ids(t: Term, acc: set[int] | None = None) -> set[int]:
+def free_meta_ids(t: Term) -> set[int]:
     """Collect ids of metavariable occurrences."""
-    if acc is None:
-        acc = set()
-    match t:
-        case Meta(id=m, spine=sp):
-            acc.add(m)
-            for s in sp:
-                free_meta_ids(s, acc)
-        case Var() | Universe() | NatLit():
-            pass
-        case Const(args=args):
-            for a in args:
-                free_meta_ids(a, acc)
-        case Pi(domain=d, codomain=c):
-            free_meta_ids(d, acc)
-            free_meta_ids(c, acc)
-        case Lambda(body=b):
-            free_meta_ids(b, acc)
-        case App(fn=f, arg=a):
-            free_meta_ids(f, acc)
-            free_meta_ids(a, acc)
-        case Sigma(first=a, second=b):
-            free_meta_ids(a, acc)
-            free_meta_ids(b, acc)
-        case Pair(first=a, second=b):
-            free_meta_ids(a, acc)
-            free_meta_ids(b, acc)
-        case Fst(pair=p) | Snd(pair=p):
-            free_meta_ids(p, acc)
-    return acc
+    return {s.id for s, _ in subterms(t) if isinstance(s, Meta)}
 
 
-def const_names(t: Term, acc: set[str] | None = None) -> set[str]:
+def const_names(t: Term) -> set[str]:
     """Collect every constant name occurring in a term."""
-    if acc is None:
-        acc = set()
-    match t:
-        case Const(name=n, args=args):
-            acc.add(n)
-            for a in args:
-                const_names(a, acc)
-        case Var() | Universe() | NatLit():
-            pass
-        case Pi(domain=d, codomain=c):
-            const_names(d, acc)
-            const_names(c, acc)
-        case Lambda(body=b):
-            const_names(b, acc)
-        case App(fn=f, arg=a):
-            const_names(f, acc)
-            const_names(a, acc)
-        case Sigma(first=a, second=b):
-            const_names(a, acc)
-            const_names(b, acc)
-        case Pair(first=a, second=b):
-            const_names(a, acc)
-            const_names(b, acc)
-        case Fst(pair=p) | Snd(pair=p):
-            const_names(p, acc)
-        case Meta(spine=sp):
-            for s in sp:
-                const_names(s, acc)
-    return acc
+    return {s.name for s, _ in subterms(t) if isinstance(s, Const)}
