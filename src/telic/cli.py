@@ -67,16 +67,18 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    # Loaded once; the audit and every case run on forks of it.
+    prelude = load_prelude()
     if args.regen_golden:
         for case in CASES:
-            path = write_golden(case)
+            path = write_golden(case, prelude)
             print(f"wrote {path.name}")
         return 0
 
     structured = args.format == "structured"
     failures = 0
 
-    audits = prelude_self_check()
+    audits = prelude_self_check(prelude)
     broken_audits = [c for c in audits if not c.ok]
     failures += len(broken_audits)
     if structured:
@@ -98,7 +100,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
     for case in CASES:
         try:
-            reports, problems = check_case(case)
+            reports, problems = check_case(case, prelude)
         except RuntimeError as err:
             reports, problems = [], [f"{case.name}: {err}"]
         failures += len(problems)
@@ -120,7 +122,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             for line in problems:
                 print(f"     {line}")
 
-    leftover = uncovered_names()
+    leftover = uncovered_names(prelude)
     if leftover:
         failures += 1
     if structured:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path, PurePath
 
-from .elaborate import Processor, Report
-from .kernel import Kernel
-from .prelude import load_prelude
+from .elaborate import Report
+from .prelude import LoadedPrelude, load_prelude
 from .surface import tokenize
 
 
@@ -79,14 +78,14 @@ def golden_path(case: CorpusCase) -> Path:
     return corpus_dir() / "golden" / f"{case.name}.json"
 
 
-def run_case(case: CorpusCase, fuel: int | None = None) -> list[Report]:
-    """Process one case on a fresh processor preloaded with the prelude."""
-    proc = Processor() if fuel is None else Processor(Kernel(fuel=fuel))
-    _, prelude_reports = load_prelude(proc)
+def run_case(case: CorpusCase, prelude: LoadedPrelude | None = None) -> list[Report]:
+    """Process one case on a fork of ``prelude``, a ``load_prelude()``
+    result (a fresh load by default), which stays as it was."""
+    proc, prelude_reports = prelude if prelude is not None else load_prelude()
     broken = [r for r in prelude_reports if not r.ok]
     if broken:
         raise RuntimeError(f"prelude failed to load: {broken[0].render()}")
-    return proc.process_path(corpus_dir() / case.entry)
+    return proc.fork().process_path(corpus_dir() / case.entry)
 
 
 def portable(report: Report) -> dict[str, object]:
@@ -96,13 +95,15 @@ def portable(report: Report) -> dict[str, object]:
     return data
 
 
-def check_case(case: CorpusCase) -> tuple[list[Report], list[str]]:
-    """Run a case and diff it against its golden file.
+def check_case(
+    case: CorpusCase, prelude: LoadedPrelude | None = None
+) -> tuple[list[Report], list[str]]:
+    """Run a case (see ``run_case``) and diff it against its golden file.
 
     Returns the reports and a list of human-readable mismatch lines,
     empty when the case matches its golden exactly.
     """
-    reports = run_case(case)
+    reports = run_case(case, prelude)
     got = [portable(r) for r in reports]
     path = golden_path(case)
     if not path.exists():
@@ -118,8 +119,8 @@ def check_case(case: CorpusCase) -> tuple[list[Report], list[str]]:
     return reports, problems
 
 
-def write_golden(case: CorpusCase) -> Path:
-    reports = run_case(case)
+def write_golden(case: CorpusCase, prelude: LoadedPrelude | None = None) -> Path:
+    reports = run_case(case, prelude)
     path = golden_path(case)
     path.parent.mkdir(parents=True, exist_ok=True)
     data = [portable(r) for r in reports]
@@ -127,8 +128,10 @@ def write_golden(case: CorpusCase) -> Path:
     return path
 
 
-def prelude_names() -> frozenset[str]:
-    proc, _ = load_prelude()
+def prelude_names(prelude: LoadedPrelude | None = None) -> frozenset[str]:
+    """The names ``prelude`` (a fresh load by default) declares. Reading
+    them needs no fork."""
+    proc, _ = prelude if prelude is not None else load_prelude()
     return frozenset(proc.kernel.sig.entries)
 
 
@@ -154,12 +157,12 @@ def case_mentions(case: CorpusCase) -> frozenset[str]:
     return frozenset(names)
 
 
-def coverage_map() -> dict[str, frozenset[str]]:
+def coverage_map(prelude: LoadedPrelude | None = None) -> dict[str, frozenset[str]]:
     """Per case, the prelude entries it mentions."""
-    sig = prelude_names()
+    sig = prelude_names(prelude)
     return {case.name: case_mentions(case) & sig for case in CASES}
 
 
-def uncovered_names() -> frozenset[str]:
+def uncovered_names(prelude: LoadedPrelude | None = None) -> frozenset[str]:
     """Prelude entries no corpus case mentions. Empty in a healthy tree."""
-    return prelude_names().difference(*(case_mentions(c) for c in CASES))
+    return prelude_names(prelude).difference(*(case_mentions(c) for c in CASES))

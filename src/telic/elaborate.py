@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
+    DepthExceeded,
     NonlinearPattern,
     ParseError,
     RewriteTypeMismatch,
@@ -289,6 +290,14 @@ class Processor:
         self.elab = Elaborator(self.kernel)
         self._loaded: set[str] = set()
 
+    def fork(self) -> Processor:
+        """A processor that starts from this one's signature and imports and
+        keeps its fuel; what either one processes later stays its own."""
+        twin = Processor(Kernel(fuel=self.kernel.fuel_limit))
+        twin.kernel.sig = self.kernel.sig.fork()
+        twin._loaded = set(self._loaded)
+        return twin
+
     # - entry points -
 
     def process_path(self, path: str | Path) -> list[Report]:
@@ -313,13 +322,18 @@ class Processor:
         sexpr = parse_expr(text, filename)
         self.kernel.metas = MetaStore()
         self.kernel.reset_fuel()
-        t = self.elab.elab(sexpr, [])
-        ty = self.kernel.infer(EMPTY_CONTEXT, t)
-        self.kernel.require_solved(sexpr.span)
-        t = self.kernel.assert_closed(self.kernel.zonk(t))
-        ty = self.kernel.assert_closed(self.kernel.zonk(ty))
-        sig = self.kernel.sig
-        return pretty(self.kernel.normalize(t), sig), pretty(ty, sig)
+        try:
+            t = self.elab.elab(sexpr, [])
+            ty = self.kernel.infer(EMPTY_CONTEXT, t)
+            self.kernel.require_solved(sexpr.span)
+            t = self.kernel.assert_closed(self.kernel.zonk(t))
+            ty = self.kernel.assert_closed(self.kernel.zonk(ty))
+            sig = self.kernel.sig
+            return pretty(self.kernel.normalize(t), sig), pretty(ty, sig)
+        except RecursionError:
+            raise DepthExceeded(
+                "expression nests too deeply to check", span=sexpr.span
+            ) from None
 
     def _load_file(self, path: Path, reports: list[Report], via: Span | None) -> bool:
         """Parse and process one file. Returns False when the file failed in a
@@ -392,6 +406,16 @@ class Processor:
             return report, isinstance(decl, self._BINDING)
 
     def _dispatch(self, decl: Declaration, reports: list[Report], base: Path) -> Report:
+        try:
+            return self._dispatch_unguarded(decl, reports, base)
+        except RecursionError:
+            raise DepthExceeded(
+                "declaration nests too deeply to check", span=decl.span
+            ) from None
+
+    def _dispatch_unguarded(
+        self, decl: Declaration, reports: list[Report], base: Path
+    ) -> Report:
         kind, name = _describe(decl)
         sp = decl.span
         match decl:

@@ -111,6 +111,12 @@ class InvalidRewrite(KernelError):
     code = "InvalidRewrite"
 
 
+class DepthExceeded(KernelError):
+    """A term nests deeper than the checker's recursion can follow."""
+
+    code = "DepthExceeded"
+
+
 ERROR_CODES: tuple[str, ...] = (
     "ParseError",
     "IllegalCharacter",
@@ -128,4 +134,5 @@ ERROR_CODES: tuple[str, ...] = (
     "NonlinearPattern",
     "RewriteTypeMismatch",
     "InvalidRewrite",
+    "DepthExceeded",
 )

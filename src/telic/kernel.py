@@ -143,6 +143,14 @@ class Signature:
         self.entries: dict[str, SignatureEntry] = {}
         self.rules_by_head: dict[str, list[RewriteRule]] = {}
 
+    def fork(self) -> Signature:
+        """An independent copy. Entries and rules are frozen, so only the
+        containers are copied; what either copy adds later stays its own."""
+        twin = Signature()
+        twin.entries = dict(self.entries)
+        twin.rules_by_head = {head: list(rs) for head, rs in self.rules_by_head.items()}
+        return twin
+
     def snapshot(self):
         """Sizes to roll back to. Entries and rules are only ever appended,
         so the sizes identify what was added since."""

@@ -34,7 +34,11 @@ def prelude_path() -> Path:
     return Path(str(resources.files("telic").joinpath("data/prelude.tel")))
 
 
-def load_prelude(processor: Processor | None = None) -> tuple[Processor, list[Report]]:
+# A processor with the prelude processed into it, and the load's reports.
+LoadedPrelude = tuple[Processor, list[Report]]
+
+
+def load_prelude(processor: Processor | None = None) -> LoadedPrelude:
     """Process the prelude into ``processor`` (a fresh one by default)."""
     proc = processor if processor is not None else Processor()
     reports = proc.process_path(str(prelude_path()))
@@ -88,21 +92,22 @@ def _check_rule(kernel: Kernel, rule: RewriteRule, index: int) -> CheckResult:
         kernel.sig.restore(snap)
 
 
-def prelude_self_check() -> list[CheckResult]:
+def prelude_self_check(prelude: LoadedPrelude | None = None) -> list[CheckResult]:
     """Audit the prelude, one result per entry and per rewrite rule.
 
+    ``prelude`` is a ``load_prelude()`` result to audit, a fresh load by
+    default; the audit runs on a fork of it and leaves it as it was.
     Always returns the full list; a broken entry is reported in place
     rather than aborting the audit.
     """
-    proc = Processor()
-    reports = proc.process_path(str(prelude_path()))
+    base, reports = prelude if prelude is not None else load_prelude()
     results: list[CheckResult] = []
     for r in reports:
         if r.status != "ok":
             results.append(CheckResult(f"load {r.name or r.kind}", False, r.message))
     if results:
         return results
-    kernel = proc.kernel
+    kernel = base.fork().kernel
     for name, entry in kernel.sig.entries.items():
         kernel.metas = MetaStore()
         kernel.reset_fuel()

@@ -340,10 +340,14 @@ class _Parser:
         decls: list[Declaration] = []
         errors: list[ParseError] = []
         while not self.at("EOF"):
+            start = self.peek().span
             try:
                 decls.append(self.declaration())
             except ParseError as e:
                 errors.append(e)
+                self.recover()
+            except RecursionError:
+                errors.append(ParseError("declaration nests too deeply to parse", span=start))
                 self.recover()
         return ParsedFile(self.filename, tuple(decls), tuple(errors))
 
@@ -586,7 +590,10 @@ def parse_file(text: str, filename: str = "<input>") -> ParsedFile:
 def parse_expr(text: str, filename: str = "<expr>") -> SExpr:
     tokens = tokenize(text, filename)
     parser = _Parser(tokens, filename)
-    out = parser.expr()
+    try:
+        out = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nests too deeply to parse", span=tokens[0].span) from None
     trailing = parser.peek()
     if trailing.kind != "EOF":
         raise ParseError(
