@@ -3,14 +3,18 @@
 Bidirectional checker over two predicative universes (Type : Type1, no
 cumulativity) with Pi, Sigma, built-in Nat literals, and definitional
 equality generated by beta, projections, eta (for Pi and Sigma), definition
-unfolding, and user-declared rewrite rules.
+unfolding, and user-declared rewrite rules. Conversion compares two terms
+before reducing them: equal terms are convertible without unfolding either
+side, which keeps nested definitions (a restriction of a restriction) from
+doubling the work at each level.
 
 Rewrite rules are directed, type-checked equations. Left-hand sides compile
 to first-order patterns over a constant head: the first occurrence of each
 pattern variable binds, later (elaboration-forced) occurrences match anything.
 Matching weak-head-normalizes exactly the subterms it needs to inspect, so
 rules fire through definitions. Rules for one head are tried in declaration
-order.
+order. Each firing costs one step of fuel; the reductions matching needs
+cost their own.
 
 Primitive computation (Bd elimination on B/U, J on refl, literal addition) is
 built into whnf rather than stored as rules.
@@ -132,10 +136,10 @@ class RewriteRule:
     telescope: tuple[tuple[str, Term], ...]  # (hint, type), outermost first
     lhs: Term | None = None  # the elaborated left-hand side, kept for display
     span: Span | None = None
+    nslots: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def nslots(self) -> int:
-        return len(self.telescope)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nslots", len(self.telescope))
 
 
 class Signature:
@@ -343,41 +347,47 @@ class Kernel:
         rules = self.sig.rules_by_head.get(head)
         if not rules:
             return None
+        matches = self._match
         for rule in rules:
-            n = len(rule.patterns)
+            pats = rule.patterns
+            n = len(pats)
             if len(args) < n:
                 continue
             bind: list[Term | None] = [None] * rule.nslots
-            if all(self._match(p, a, bind) for p, a in zip(rule.patterns, args[:n])):
-                env = [bind[rule.nslots - 1 - j] for j in range(rule.nslots)]
-                return _apply_args(subst_many(rule.rhs, env), args[n:])
+            for p, a in zip(pats, args):
+                if not matches(p, a, bind):
+                    break
+            else:
+                # bind is indexed by slot, outermost first; subst_many wants
+                # Var(0), the innermost slot, first.
+                bind.reverse()
+                out = subst_many(rule.rhs, bind)
+                return _apply_args(out, args[n:]) if len(args) > n else out
         return None
 
     def _match(self, pat: Pattern, target: Term, bind: list[Term | None]) -> bool:
-        match pat:
-            case PVar(slot=s):
-                bind[s] = target
-                return True
-            case PWild():
-                return True
-            case PRigid(name=n, args=pargs):
-                w = self.whnf(target)
-                return (
-                    isinstance(w, Const)
-                    and w.name == n
-                    and len(w.args) == len(pargs)
-                    and all(self._match(p, a, bind) for p, a in zip(pargs, w.args))
-                )
-            case PPair(first=p1, second=p2):
-                w = self.whnf(target)
-                return (
-                    isinstance(w, Pair)
-                    and self._match(p1, w.first, bind)
-                    and self._match(p2, w.second, bind)
-                )
-            case PLit(value=v):
-                w = self.whnf(target)
-                return isinstance(w, NatLit) and w.value == v
+        cls = type(pat)
+        if cls is PVar:
+            bind[pat.slot] = target
+            return True
+        if cls is PWild:
+            return True
+        w = self.whnf(target)
+        if cls is PRigid:
+            if type(w) is not Const or w.name != pat.name or len(w.args) != len(pat.args):
+                return False
+            for p, a in zip(pat.args, w.args):
+                if not self._match(p, a, bind):
+                    return False
+            return True
+        if cls is PPair:
+            return (
+                type(w) is Pair
+                and self._match(pat.first, w.first, bind)
+                and self._match(pat.second, w.second, bind)
+            )
+        if cls is PLit:
+            return type(w) is NatLit and w.value == pat.value
         raise AssertionError(f"unhandled pattern {pat!r}")
 
     def normalize(self, t: Term) -> Term:
@@ -421,6 +431,11 @@ class Kernel:
         return self._unify(t1, t2)
 
     def _unify(self, t1: Term, t2: Term) -> bool:
+        # Equal terms (`==` is alpha-equivalence) are convertible and solve
+        # no hole, so compare before reducing: unfolding both sides first
+        # doubles the work with each nested definition.
+        if t1 is t2 or t1 == t2:
+            return True
         w1 = self.whnf(t1)
         w2 = self.whnf(t2)
         if isinstance(w1, Meta) and isinstance(w2, Meta) and w1.id == w2.id:

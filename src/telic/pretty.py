@@ -41,7 +41,8 @@ def pretty(t: Term, sig=None, names: list[str] | None = None) -> str:
 class _Printer:
     def __init__(self, sig):
         self.sig = sig
-        self.avoid: set[str] = set(sig.entries) if sig is not None else set()
+        # binder names must not shadow a constant; only read, so no copy
+        self.avoid = sig.entries if sig is not None else {}
 
     def fresh(self, hint: str | None, env: list[str]) -> str:
         base = hint or "x"

@@ -9,7 +9,8 @@ of noun phrases, holes, and right-nested tuples.
 Parsing is recursive descent with token-position backtracking only for the
 binder-group lookahead. A parse error inside one declaration is recorded and
 parsing resumes at the next declaration keyword, so one bad declaration does
-not hide the rest of the file.
+not hide the rest of the file. A lexical error (an illegal character, an
+unterminated string) is the parse error of the declaration it falls in.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ DECL_KEYWORDS = frozenset(
     {"postulate", "primitive", "def", "rewrite", "check", "fail", "norm", "entail", "import"}
 )
 
+# token kinds the parser resumes at after an error
+_RESUME_KINDS = frozenset({k.upper() for k in DECL_KEYWORDS} | {"EOF"})
+
 
 @dataclass(frozen=True, slots=True)
 class Token:
@@ -59,7 +63,15 @@ def _is_ident_char(c: str) -> bool:
     return c.isascii() and (c.isalnum() or c in "_'")
 
 
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+def tokenize(
+    text: str, filename: str = "<input>", errors: dict[int, ParseError] | None = None
+) -> list[Token]:
+    """The tokens of ``text``, ending in EOF.
+
+    A lexical error is raised, unless ``errors`` is given: then it is stored
+    there, keyed by the index of an ERROR token standing in for the
+    offending text, and lexing goes on after it.
+    """
     tokens: list[Token] = []
     line = 1
     col = 1
@@ -73,6 +85,12 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
 
     def push(kind: str, text_: str, sp: Span) -> None:
         tokens.append(Token(kind, text_, sp))
+
+    def bad(err: ParseError, width: int) -> None:
+        if errors is None:
+            raise err
+        errors[len(tokens)] = err
+        push("ERROR", text[i : i + width], err.span)
 
     while i < n:
         c = text[i]
@@ -122,10 +140,9 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
         }
         if c in simple:
             if c == "_" and i + 1 < n and _is_ident_char(text[i + 1]):
-                raise IllegalCharacter(
-                    "names may not start with an underscore", span=span(1)
-                )
-            push(simple[c], c, span(1))
+                bad(IllegalCharacter("names may not start with an underscore", span=span(1)), 1)
+            else:
+                push(simple[c], c, span(1))
             i += 1
             col += 1
             continue
@@ -134,7 +151,10 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             while j < n and text[j] not in '"\n':
                 j += 1
             if j >= n or text[j] == "\n":
-                raise ParseError("unterminated string", span=span(j - i))
+                bad(ParseError("unterminated string", span=span(j - i)), j - i)
+                col += j - i
+                i = j
+                continue
             push("STRING", text[i + 1 : j], span(j - i + 1))
             col += j - i + 1
             i = j + 1
@@ -161,7 +181,9 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             col += j - i
             i = j
             continue
-        raise IllegalCharacter(f"illegal character {c!r}", span=span(1))
+        bad(IllegalCharacter(f"illegal character {c!r}", span=span(1)), 1)
+        i += 1
+        col += 1
     tokens.append(Token("EOF", "", Span(filename, line, col, line, col)))
     return tokens
 
@@ -304,10 +326,13 @@ class ParsedFile:
 # --- parser ------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
+    def __init__(
+        self, tokens: list[Token], filename: str, lex_errors: dict[int, ParseError] | None = None
+    ):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
+        self.lex_errors = lex_errors or {}
 
     def peek(self, offset: int = 0) -> Token:
         k = min(self.pos + offset, len(self.tokens) - 1)
@@ -340,21 +365,38 @@ class _Parser:
         decls: list[Declaration] = []
         errors: list[ParseError] = []
         while not self.at("EOF"):
-            start = self.peek().span
+            start = self.pos
+            decl: Declaration | None = None
             try:
-                decls.append(self.declaration())
+                decl = self.declaration()
             except ParseError as e:
-                errors.append(e)
-                self.recover()
+                error = e
             except RecursionError:
-                errors.append(ParseError("declaration nests too deeply to parse", span=start))
+                error = ParseError(
+                    "declaration nests too deeply to parse", span=self.tokens[start].span
+                )
+            if self.lex_errors:
+                lexical = self.lexical_error(start)
+                if lexical is not None:
+                    decl, error = None, lexical
+            if decl is None:
+                errors.append(error)
                 self.recover()
+            else:
+                decls.append(decl)
         return ParsedFile(self.filename, tuple(decls), tuple(errors))
 
+    def lexical_error(self, start: int) -> ParseError | None:
+        """The first lexical error from token ``start`` up to the next
+        declaration keyword. It spoils the declaration begun at ``start``,
+        whether or not the parser got as far as the bad token."""
+        end = self.pos
+        while self.tokens[end].kind not in _RESUME_KINDS:
+            end += 1
+        return next((e for k, e in self.lex_errors.items() if start <= k < end), None)
+
     def recover(self) -> None:
-        while not self.at("EOF") and self.peek().kind not in {
-            k.upper() for k in DECL_KEYWORDS
-        }:
+        while self.peek().kind not in _RESUME_KINDS:
             self.next()
 
     def declaration(self) -> Declaration:
@@ -580,11 +622,9 @@ class _Parser:
 
 
 def parse_file(text: str, filename: str = "<input>") -> ParsedFile:
-    try:
-        tokens = tokenize(text, filename)
-    except ParseError as e:
-        return ParsedFile(filename, (), (e,))
-    return _Parser(tokens, filename).parse_file()
+    lex_errors: dict[int, ParseError] = {}
+    tokens = tokenize(text, filename, lex_errors)
+    return _Parser(tokens, filename, lex_errors).parse_file()
 
 
 def parse_expr(text: str, filename: str = "<expr>") -> SExpr:

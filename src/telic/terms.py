@@ -228,7 +228,7 @@ def subst_many(t: Term, env: list[Term] | tuple[Term, ...], depth: int = 0) -> T
         if i < d:
             return Var(i)
         if i < d + n:
-            return shift(env[i - d], d)
+            return env[i] if d == 0 else shift(env[i - d], d)
         return Var(i - n)
 
     return map_term(t, var, depth)

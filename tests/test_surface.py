@@ -260,3 +260,33 @@ def test_tokenize_failure_becomes_parse_error_report():
     parsed = parse_file("postulate A : Type\n@", "bad.tel")
     assert parsed.declarations == ()
     assert len(parsed.errors) == 1
+
+
+@pytest.mark.parametrize(
+    "bad, code, col",
+    [
+        ("postulate b$ : Type", "IllegalCharacter", 12),
+        ("postulate _b : Type", "IllegalCharacter", 11),
+        ('import "b.tel', "ParseError", 8),
+        ("fail TypeMismatch check b : $", "IllegalCharacter", 29),
+    ],
+    ids=["illegal", "underscore", "unterminated-string", "inside-fail"],
+)
+def test_lexical_error_spoils_only_its_declaration(bad, code, col):
+    text = f"postulate a : Type\n{bad}\npostulate c : Type\n"
+    parsed = parse_file(text, "lex.tel")
+    assert [d.name for d in parsed.declarations] == ["a", "c"]
+    (err,) = parsed.errors
+    assert err.code == code
+    assert (err.span.line, err.span.col) == (2, col)
+    # direct callers of the lexer still get the exception
+    with pytest.raises(type(err)):
+        tokenize(text)
+
+
+def test_lexical_error_after_a_complete_declaration_spoils_it():
+    parsed = parse_file("postulate a : Type $\npostulate b : Type\n", "lex.tel")
+    assert [d.name for d in parsed.declarations] == ["b"]
+    assert [(e.code, e.span.line, e.span.col) for e in parsed.errors] == [
+        ("IllegalCharacter", 1, 20)
+    ]
