@@ -14,7 +14,10 @@ pattern variable binds, later (elaboration-forced) occurrences match anything.
 Matching weak-head-normalizes exactly the subterms it needs to inspect, so
 rules fire through definitions. Rules for one head are tried in declaration
 order. Each firing costs one step of fuel; the reductions matching needs
-cost their own.
+cost their own. A right-hand side is compiled once, when its rule is
+declared, into a builder that makes each instance from the environment of
+the match (``terms.compile_subst``) instead of substituting into it;
+subterms that mention no pattern variable are shared, not rebuilt.
 
 Primitive computation (Bd elimination on B/U, J on refl, literal addition) is
 built into whnf rather than stored as rules.
@@ -27,6 +30,7 @@ the declaration's results are stored, so the signature never contains metas.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -62,6 +66,7 @@ from .terms import (
     Term,
     Universe,
     Var,
+    compile_subst,
     ctx_extend,
     ctx_lookup,
     free_meta_ids,
@@ -137,9 +142,12 @@ class RewriteRule:
     lhs: Term | None = None  # the elaborated left-hand side, kept for display
     span: Span | None = None
     nslots: int = field(init=False, repr=False, compare=False)
+    # the instance of ``rhs`` for a match environment, Var(0)'s value first
+    instantiate: Callable[[Sequence[Term]], Term] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nslots", len(self.telescope))
+        object.__setattr__(self, "instantiate", compile_subst(self.rhs, self.nslots))
 
 
 class Signature:
@@ -215,15 +223,16 @@ def _rename_into(t: Term, rename: dict[int, int], hole_id: int) -> Term:
     creation context, inverting the spine. Ambient variables outside the spine
     have no preimage and abort the solve."""
 
-    def var(i: int, d: int) -> Term:
+    def var(i: int, d: int) -> Term | None:
         if i < d:
-            return Var(i)
+            return None
         if i - d not in rename:
             raise UnsolvedMeta(
                 f"solution for hole ?{hole_id} mentions a variable the hole "
                 f"cannot see"
             )
-        return Var(d + rename[i - d])
+        j = d + rename[i - d]
+        return None if j == i else Var(j)
 
     return map_term(t, var)
 
@@ -277,52 +286,52 @@ class Kernel:
         firing, and (when ``unfold``) unfolding of head definitions. Matching
         always unfolds, regardless of ``unfold``.
         """
+        entries = self.sig.entries
+        rules = self.sig.rules_by_head
         while True:
             self._tick()
-            match t:
-                case App(fn=f, arg=a):
-                    f2 = self.whnf(f, unfold)
-                    if isinstance(f2, Lambda):
-                        t = subst(f2.body, a)
-                        continue
-                    if isinstance(f2, Const):
-                        t = Const(f2.name, f2.args + (a,))
-                        continue
-                    return App(f2, a)
-                case Fst(pair=p):
-                    p2 = self.whnf(p, unfold)
-                    if isinstance(p2, Pair):
-                        t = p2.first
-                        continue
-                    return Fst(p2)
-                case Snd(pair=p):
-                    p2 = self.whnf(p, unfold)
-                    if isinstance(p2, Pair):
-                        t = p2.second
-                        continue
-                    return Snd(p2)
-                case Meta(id=m, spine=sp):
-                    sol = self.metas.solution(m)
-                    if sol is None:
-                        return t
-                    t = _inst_solution(sol, sp)
-                    continue
-                case Const(name=n, args=args):
-                    stepped = self._prim_step(n, args)
+            cls = type(t)
+            if cls is Const:
+                n = t.name
+                if n in _PRIM_HEADS:
+                    stepped = self._prim_step(n, t.args)
                     if stepped is not None:
                         t = stepped
                         continue
-                    fired = self._try_rules(n, args)
+                if n in rules:
+                    fired = self._try_rules(n, t.args)
                     if fired is not None:
                         t = fired
                         continue
-                    entry = self.sig.entries.get(n)
-                    if entry is not None and entry.kind == DEFINITION and unfold:
-                        t = _apply_args(entry.body, args)
+                if unfold:
+                    entry = entries.get(n)
+                    if entry is not None and entry.kind == DEFINITION:
+                        t = _apply_args(entry.body, t.args)
                         continue
+                return t
+            if cls is App:
+                a = t.arg
+                f = self.whnf(t.fn, unfold)
+                if type(f) is Lambda:
+                    t = subst(f.body, a)
+                    continue
+                if type(f) is Const:
+                    t = Const(f.name, f.args + (a,))
+                    continue
+                return t if f is t.fn else App(f, a)
+            if cls is Fst or cls is Snd:
+                p = self.whnf(t.pair, unfold)
+                if type(p) is Pair:
+                    t = p.first if cls is Fst else p.second
+                    continue
+                return t if p is t.pair else cls(p)
+            if cls is Meta:
+                sol = self.metas.solution(t.id)
+                if sol is None:
                     return t
-                case _:
-                    return t
+                t = _inst_solution(sol, t.spine)
+                continue
+            return t
 
     def _prim_step(self, name: str, args: tuple[Term, ...]) -> Term | None:
         if name == "plus" and len(args) >= 2:
@@ -358,10 +367,10 @@ class Kernel:
                 if not matches(p, a, bind):
                     break
             else:
-                # bind is indexed by slot, outermost first; subst_many wants
-                # Var(0), the innermost slot, first.
+                # bind is indexed by slot, outermost first; the instance
+                # wants Var(0), the innermost slot, first.
                 bind.reverse()
-                out = subst_many(rule.rhs, bind)
+                out = rule.instantiate(bind)
                 return _apply_args(out, args[n:]) if len(args) > n else out
         return None
 
@@ -438,7 +447,8 @@ class Kernel:
             return True
         w1 = self.whnf(t1)
         w2 = self.whnf(t2)
-        if isinstance(w1, Meta) and isinstance(w2, Meta) and w1.id == w2.id:
+        c1, c2 = type(w1), type(w2)
+        if c1 is Meta and c2 is Meta and w1.id == w2.id:
             if len(w1.spine) == len(w2.spine) and all(
                 self._unify(a, b) for a, b in zip(w1.spine, w2.spine)
             ):
@@ -447,61 +457,61 @@ class Kernel:
                 f"cannot reconcile two uses of hole ?{w1.id}; the solution is "
                 f"not first-order"
             )
-        if isinstance(w1, Meta):
+        if c1 is Meta:
             z2 = self.zonk(t2)
-            return self._solve(w1, w2, preferred=z2 if isinstance(z2, Const) else None)
-        if isinstance(w2, Meta):
+            return self._solve(w1, w2, preferred=z2 if type(z2) is Const else None)
+        if c2 is Meta:
             z1 = self.zonk(t1)
-            return self._solve(w2, w1, preferred=z1 if isinstance(z1, Const) else None)
-        h1, extras1 = _app_spine(w1)
-        if extras1 and isinstance(h1, Meta):
-            try:
-                return self._solve_spine(h1, extras1, w2)
-            except UnsolvedMeta:
-                pass
-        h2, extras2 = _app_spine(w2)
-        if extras2 and isinstance(h2, Meta):
-            try:
-                return self._solve_spine(h2, extras2, w1)
-            except UnsolvedMeta:
-                pass
-        match (w1, w2):
-            case (Var(index=i), Var(index=j)):
-                return i == j
-            case (Universe(level=l1), Universe(level=l2)):
-                return l1 == l2
-            case (NatLit(value=v1), NatLit(value=v2)):
-                return v1 == v2
-            case (Const(name=n1, args=a1), Const(name=n2, args=a2)):
+            return self._solve(w2, w1, preferred=z1 if type(z1) is Const else None)
+        if c1 is App:
+            h1, extras1 = _app_spine(w1)
+            if type(h1) is Meta:
+                try:
+                    return self._solve_spine(h1, extras1, w2)
+                except UnsolvedMeta:
+                    pass
+        if c2 is App:
+            h2, extras2 = _app_spine(w2)
+            if type(h2) is Meta:
+                try:
+                    return self._solve_spine(h2, extras2, w1)
+                except UnsolvedMeta:
+                    pass
+        unify = self._unify
+        if c1 is c2:
+            if c1 is Const:
+                a1, a2 = w1.args, w2.args
                 return (
-                    n1 == n2
+                    w1.name == w2.name
                     and len(a1) == len(a2)
-                    and all(self._unify(x, y) for x, y in zip(a1, a2))
+                    and all(unify(x, y) for x, y in zip(a1, a2))
                 )
-            case (Pi(domain=d1, codomain=c1), Pi(domain=d2, codomain=c2)):
-                return self._unify(d1, d2) and self._unify(c1, c2)
-            case (Sigma(first=f1, second=s1), Sigma(first=f2, second=s2)):
-                return self._unify(f1, f2) and self._unify(s1, s2)
-            case (Lambda(body=b1), Lambda(body=b2)):
-                return self._unify(b1, b2)
-            case (Lambda(body=b1), _):
-                return self._unify(b1, App(shift(w2, 1), Var(0)))
-            case (_, Lambda(body=b2)):
-                return self._unify(App(shift(w1, 1), Var(0)), b2)
-            case (Pair(first=f1, second=s1), Pair(first=f2, second=s2)):
-                return self._unify(f1, f2) and self._unify(s1, s2)
-            case (Pair(first=f1, second=s1), _):
-                return self._unify(f1, Fst(w2)) and self._unify(s1, Snd(w2))
-            case (_, Pair(first=f2, second=s2)):
-                return self._unify(Fst(w1), f2) and self._unify(Snd(w1), s2)
-            case (App(fn=f1, arg=a1), App(fn=f2, arg=a2)):
-                return self._unify(f1, f2) and self._unify(a1, a2)
-            case (Fst(pair=p1), Fst(pair=p2)):
-                return self._unify(p1, p2)
-            case (Snd(pair=p1), Snd(pair=p2)):
-                return self._unify(p1, p2)
-            case _:
-                return False
+            if c1 is Var:
+                return w1.index == w2.index
+            if c1 is Pi:
+                return unify(w1.domain, w2.domain) and unify(w1.codomain, w2.codomain)
+            if c1 is Sigma or c1 is Pair:
+                return unify(w1.first, w2.first) and unify(w1.second, w2.second)
+            if c1 is Lambda:
+                return unify(w1.body, w2.body)
+            if c1 is App:
+                return unify(w1.fn, w2.fn) and unify(w1.arg, w2.arg)
+            if c1 is Fst or c1 is Snd:
+                return unify(w1.pair, w2.pair)
+            if c1 is Universe:
+                return w1.level == w2.level
+            if c1 is NatLit:
+                return w1.value == w2.value
+        # eta for Pi, then for Sigma, on whichever side is the introduction
+        if c1 is Lambda:
+            return unify(w1.body, App(shift(w2, 1), Var(0)))
+        if c2 is Lambda:
+            return unify(App(shift(w1, 1), Var(0)), w2.body)
+        if c1 is Pair:
+            return unify(w1.first, Fst(w2)) and unify(w1.second, Snd(w2))
+        if c2 is Pair:
+            return unify(Fst(w1), w2.first) and unify(Snd(w1), w2.second)
+        return False
 
     def _invert_spine(self, hole: Meta, offset: int) -> dict[int, int]:
         """Map each ambient variable of the hole's spine to its index in the
@@ -571,11 +581,11 @@ class Kernel:
     def zonk(self, t: Term) -> Term:
         """Replace solved metavariables by their solutions, recursively."""
 
-        def meta(m: int, spine: tuple[Term, ...]) -> Term:
+        def meta(m: int, spine: tuple[Term, ...]) -> Term | None:
             sol = self.metas.solution(m)
-            return Meta(m, spine) if sol is None else self.zonk(_inst_solution(sol, spine))
+            return None if sol is None else self.zonk(_inst_solution(sol, spine))
 
-        return map_term(t, lambda i, d: Var(i), meta=meta)
+        return map_term(t, lambda i, d: None, meta=meta)
 
     def require_solved(self, span: Span | None = None) -> None:
         pending = self.metas.unsolved()

@@ -40,6 +40,24 @@ _KEYWORDS = frozenset(
     }
 )
 
+# one-character tokens
+_PUNCTUATION = {
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "{": "LBRACE",
+    "}": "RBRACE",
+    ":": "COLON",
+    ",": "COMMA",
+    ".": "DOT",
+    "=": "EQUALS",
+    "+": "PLUS",
+    "\\": "LAMBDA",
+    "λ": "LAMBDA",
+    "Σ": "SIGMA",
+    "⊕": "OPLUS",
+    "_": "HOLE",
+}
+
 DECL_KEYWORDS = frozenset(
     {"postulate", "primitive", "def", "rewrite", "check", "fail", "norm", "entail", "import"}
 )
@@ -122,27 +140,11 @@ def tokenize(
             i += 3
             col += 3
             continue
-        simple = {
-            "(": "LPAREN",
-            ")": "RPAREN",
-            "{": "LBRACE",
-            "}": "RBRACE",
-            ":": "COLON",
-            ",": "COMMA",
-            ".": "DOT",
-            "=": "EQUALS",
-            "+": "PLUS",
-            "\\": "LAMBDA",
-            "λ": "LAMBDA",
-            "Σ": "SIGMA",
-            "⊕": "OPLUS",
-            "_": "HOLE",
-        }
-        if c in simple:
+        if c in _PUNCTUATION:
             if c == "_" and i + 1 < n and _is_ident_char(text[i + 1]):
                 bad(IllegalCharacter("names may not start with an underscore", span=span(1)), 1)
             else:
-                push(simple[c], c, span(1))
+                push(_PUNCTUATION[c], c, span(1))
             i += 1
             col += 1
             continue

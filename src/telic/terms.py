@@ -11,13 +11,18 @@ non-constant head once a term has been through whnf.
 recursions over Term. Shifting, substitution, scope and occurrence checks,
 the kernel's zonking and renaming, and the printer's binder test are
 callbacks to the first or comprehensions over the second; only reduction,
-conversion, typing and printing inspect terms by hand.
+conversion, typing, printing and ``compile_subst`` inspect terms by hand.
+``map_term`` shares every node it leaves unchanged, and a callback result
+of ``None`` means "unchanged", so a shift or substitution allocates only
+along the paths to the variables it changes. ``compile_subst`` turns a
+rewrite rule's right-hand side into closures that build its instances.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import is_
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,15 +132,18 @@ def ctx_lookup(ctx: Context, index: int) -> Term:
 
 def map_term(
     t: Term,
-    var: Callable[[int, int], Term],
+    var: Callable[[int, int], Term | None],
     depth: int = 0,
-    meta: Callable[[int, tuple[Term, ...]], Term] | None = None,
+    meta: Callable[[int, tuple[Term, ...]], Term | None] | None = None,
 ) -> Term:
-    """Rebuild ``t`` bottom-up.
+    """Rebuild ``t`` bottom-up, sharing every node it leaves unchanged.
 
     Every ``Var(i)`` becomes ``var(i, d)``, where ``d`` is ``depth`` plus the
     binders passed on the way down. With ``meta`` given, every ``Meta``
-    becomes ``meta(id, spine)`` once its spine has been mapped.
+    becomes ``meta(id, spine)`` once its spine has been mapped. A callback
+    that returns ``None`` keeps the node (a ``Meta`` with its mapped spine).
+    A node whose children all come back as the same objects is returned
+    itself, so only the paths to changed variables are rebuilt.
     """
 
     # Dispatch on the exact class: on this hot path it is markedly cheaper
@@ -143,26 +151,44 @@ def map_term(
     def go(t: Term, d: int) -> Term:
         cls = type(t)
         if cls is Var:
-            return var(t.index, d)
+            out = var(t.index, d)
+            return t if out is None else out
         if cls is Const:
-            return Const(t.name, tuple([go(a, d) for a in t.args])) if t.args else t
+            args = t.args
+            if not args:
+                return t
+            new = [go(a, d) for a in args]
+            return t if all(map(is_, new, args)) else Const(t.name, tuple(new))
         if cls is App:
-            return App(go(t.fn, d), go(t.arg, d))
+            f, a = go(t.fn, d), go(t.arg, d)
+            return t if f is t.fn and a is t.arg else App(f, a)
         if cls is Pi:
-            return Pi(go(t.domain, d), go(t.codomain, d + 1), t.hint)
+            a, b = go(t.domain, d), go(t.codomain, d + 1)
+            return t if a is t.domain and b is t.codomain else Pi(a, b, t.hint)
         if cls is Lambda:
-            return Lambda(go(t.body, d + 1), t.hint)
+            b = go(t.body, d + 1)
+            return t if b is t.body else Lambda(b, t.hint)
         if cls is Sigma:
-            return Sigma(go(t.first, d), go(t.second, d + 1), t.hint)
+            a, b = go(t.first, d), go(t.second, d + 1)
+            return t if a is t.first and b is t.second else Sigma(a, b, t.hint)
         if cls is Pair:
-            return Pair(go(t.first, d), go(t.second, d))
+            a, b = go(t.first, d), go(t.second, d)
+            return t if a is t.first and b is t.second else Pair(a, b)
         if cls is Fst:
-            return Fst(go(t.pair, d))
+            p = go(t.pair, d)
+            return t if p is t.pair else Fst(p)
         if cls is Snd:
-            return Snd(go(t.pair, d))
+            p = go(t.pair, d)
+            return t if p is t.pair else Snd(p)
         if cls is Meta:
-            spine = tuple([go(s, d) for s in t.spine])
-            return Meta(t.id, spine) if meta is None else meta(t.id, spine)
+            spine = t.spine
+            new = [go(s, d) for s in spine]
+            if not all(map(is_, new, spine)):
+                spine = tuple(new)
+            out = None if meta is None else meta(t.id, spine)
+            if out is not None:
+                return out
+            return t if spine is t.spine else Meta(t.id, spine)
         if cls is Universe or cls is NatLit:
             return t
         raise AssertionError(f"map_term: unhandled term {t!r}")
@@ -207,7 +233,7 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add ``by`` to every variable index >= cutoff."""
     if by == 0:
         return t
-    return map_term(t, lambda i, d: Var(i + by) if i >= d else Var(i), cutoff)
+    return map_term(t, lambda i, d: Var(i + by) if i >= d else None, cutoff)
 
 
 def subst(t: Term, replacement: Term, index: int = 0) -> Term:
@@ -218,20 +244,77 @@ def subst(t: Term, replacement: Term, index: int = 0) -> Term:
 def subst_many(t: Term, env: list[Term] | tuple[Term, ...], depth: int = 0) -> Term:
     """Simultaneously substitute env[j] for Var(depth + j).
 
-    Variables above the substituted block drop by len(env). Used to
-    instantiate rewrite right-hand sides and metavariable solutions, whose
-    free variables are exactly 0..len(env)-1 at depth 0.
+    Variables above the substituted block drop by len(env). Used for beta,
+    codomain instantiation and metavariable solutions, whose free variables
+    are exactly 0..len(env)-1 at depth 0.
     """
     n = len(env)
+    if n == 0:
+        return t
 
-    def var(i: int, d: int) -> Term:
+    def var(i: int, d: int) -> Term | None:
         if i < d:
-            return Var(i)
+            return None
         if i < d + n:
             return env[i] if d == 0 else shift(env[i - d], d)
         return Var(i - n)
 
     return map_term(t, var, depth)
+
+
+def compile_subst(t: Term, n: int) -> Callable[[Sequence[Term]], Term]:
+    """``subst_many(t, env)`` for every ``env`` of length ``n``, compiled once.
+
+    The result is a tree of closures, one per node of ``t`` that mentions a
+    substituted or higher variable; a subterm that mentions neither is
+    returned as it is. Used for rewrite right-hand sides, which are built
+    from the environment of a match at every firing.
+    """
+
+    def comp(t: Term, d: int) -> Callable[[Sequence[Term]], Term]:
+        if scope_ok(t, d):
+            return lambda env: t
+        cls = type(t)
+        if cls is Var:
+            j = t.index - d
+            if j >= n:
+                lowered = Var(t.index - n)
+                return lambda env: lowered
+            if d == 0:
+                return lambda env: env[j]
+            return lambda env: shift(env[j], d)
+        if cls is Const:
+            name = t.name
+            args = [comp(a, d) for a in t.args]
+            return lambda env: Const(name, tuple([a(env) for a in args]))
+        if cls is App:
+            f, a = comp(t.fn, d), comp(t.arg, d)
+            return lambda env: App(f(env), a(env))
+        if cls is Pi:
+            a, b, hint = comp(t.domain, d), comp(t.codomain, d + 1), t.hint
+            return lambda env: Pi(a(env), b(env), hint)
+        if cls is Lambda:
+            b, hint = comp(t.body, d + 1), t.hint
+            return lambda env: Lambda(b(env), hint)
+        if cls is Sigma:
+            a, b, hint = comp(t.first, d), comp(t.second, d + 1), t.hint
+            return lambda env: Sigma(a(env), b(env), hint)
+        if cls is Pair:
+            a, b = comp(t.first, d), comp(t.second, d)
+            return lambda env: Pair(a(env), b(env))
+        if cls is Fst:
+            p = comp(t.pair, d)
+            return lambda env: Fst(p(env))
+        if cls is Snd:
+            p = comp(t.pair, d)
+            return lambda env: Snd(p(env))
+        if cls is Meta:
+            mid = t.id
+            spine = [comp(s, d) for s in t.spine]
+            return lambda env: Meta(mid, tuple([s(env) for s in spine]))
+        raise AssertionError(f"compile_subst: unhandled term {t!r}")
+
+    return comp(t, 0)
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
