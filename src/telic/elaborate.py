@@ -306,11 +306,11 @@ class Processor:
         return reports
 
     def process_text(
-        self, text: str, filename: str = "<input>", base: Path | None = None
+        self, text: str, filename: str = "<input>", base: str | Path | None = None
     ) -> list[Report]:
         reports: list[Report] = []
         parsed = parse_file(text, filename)
-        self._run_parsed(parsed, reports, base or Path.cwd())
+        self._run_parsed(parsed, reports, Path(base or Path.cwd()))
         return reports
 
     def normalize_expression(self, text: str, filename: str = "<expr>") -> tuple[str, str]:
@@ -424,7 +424,7 @@ class Processor:
                 ty_t = self.elab.elab(ty, [])
                 self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
                 self.kernel.require_solved(sp)
-                ty_t = self.kernel.assert_closed(self.kernel.zonk(ty_t))
+                ty_t = self.kernel.zonk(ty_t)
                 self.kernel.declare_axiom(
                     n, ty_t, mask, PRIMITIVE if prim else POSTULATE, decl.name_span
                 )
@@ -435,9 +435,9 @@ class Processor:
                 body_t = self.elab.elab(body, [])
                 self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
                 self.kernel.require_solved(sp)
-                ty_t = self.kernel.assert_closed(self.kernel.zonk(ty_t))
-                body_t = self.kernel.assert_closed(self.kernel.zonk(body_t))
-                self.kernel.declare_definition(n, ty_t, body_t, mask, decl.name_span)
+                self.kernel.declare_definition(
+                    n, self.kernel.zonk(ty_t), self.kernel.zonk(body_t), mask, decl.name_span
+                )
             case DEntail(name=n, hypothesis=hyp, conclusion=concl, witness=wit):
                 hyp_t = self.elab.elab(hyp, [])
                 self.kernel.check_is_type(EMPTY_CONTEXT, hyp_t)
@@ -447,9 +447,9 @@ class Processor:
                 wit_t = self.elab.elab(wit, [])
                 self.kernel.check(EMPTY_CONTEXT, wit_t, ty_t)
                 self.kernel.require_solved(sp)
-                ty_t = self.kernel.assert_closed(self.kernel.zonk(ty_t))
-                wit_t = self.kernel.assert_closed(self.kernel.zonk(wit_t))
-                self.kernel.declare_definition(n, ty_t, wit_t, (), decl.name_span)
+                self.kernel.declare_definition(
+                    n, self.kernel.zonk(ty_t), self.kernel.zonk(wit_t), (), decl.name_span
+                )
             case DCheck(term=tm, type=ty):
                 ty_t = self.elab.elab(ty, [])
                 self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)

@@ -26,6 +26,10 @@ Metavariables: holes inserted by the elaborator, solved by first-order
 pattern unification only; anything harder raises UnsolvedMeta. A fresh
 MetaStore is installed per declaration and every meta must be solved before
 the declaration's results are stored, so the signature never contains metas.
+
+``declare_*`` store what the elaborating ``Processor`` has already checked,
+enforcing only closed terms, fresh names and the shape of rule left-hand
+sides; ``prelude_self_check`` re-verifies a stored signature independently.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .errors import (
     NotAFunction,
     NotAPair,
     RewriteHeadIsDefinition,
-    RewriteTypeMismatch,
     Span,
     TypeMismatch,
     UnboundVariable,
@@ -54,7 +57,6 @@ from .terms import (
     App,
     Const,
     Context,
-    EMPTY_CONTEXT,
     Fst,
     Lambda,
     Meta,
@@ -774,8 +776,9 @@ class Kernel:
         kind: str = POSTULATE,
         span: Span | None = None,
     ) -> None:
+        """Store an already-checked axiom; ``ty`` must be closed."""
+        self.assert_closed(ty)
         self._require_fresh(name)
-        self.check_is_type(EMPTY_CONTEXT, ty)
         self.sig.entries[name] = SignatureEntry(name, kind, ty, None, mask, span)
 
     def declare_definition(
@@ -786,9 +789,10 @@ class Kernel:
         mask: tuple[bool, ...] = (),
         span: Span | None = None,
     ) -> None:
+        """Store an already-checked definition; both terms must be closed."""
+        self.assert_closed(ty)
+        self.assert_closed(body)
         self._require_fresh(name)
-        self.check_is_type(EMPTY_CONTEXT, ty)
-        self.check(EMPTY_CONTEXT, body, ty)
         self.sig.entries[name] = SignatureEntry(name, DEFINITION, ty, body, mask, span)
 
     def declare_rewrite(
@@ -798,8 +802,10 @@ class Kernel:
         rhs: Term,
         span: Span | None = None,
     ) -> RewriteRule:
-        """Add a directed equation. The caller has already elaborated both
-        sides under the telescope and checked surface linearity."""
+        """Store an already-checked directed equation. The caller has
+        elaborated both sides under the telescope, checked that the
+        right-hand side has the left-hand side's type, and checked surface
+        linearity; this compiles the left-hand side to patterns."""
         lw = lhs if isinstance(lhs, Const) else None
         if lw is None or not lw.args:
             raise InvalidRewrite(
@@ -812,19 +818,6 @@ class Kernel:
             raise RewriteHeadIsDefinition(
                 f"rewrite head `{lw.name}` is a definition; unfold it instead"
             )
-        ctx: Context = EMPTY_CONTEXT
-        for hint, ty in telescope:
-            self.check_is_type(ctx, ty)
-            ctx = ctx_extend(ctx, hint, ty)
-        lhs_ty = self.infer(ctx, lhs)
-        try:
-            self.check(ctx, rhs, lhs_ty)
-        except TypeMismatch as e:
-            raise RewriteTypeMismatch(
-                f"right-hand side does not preserve the left-hand side's type: "
-                f"{e.message}",
-                span=e.span,
-            ) from None
         nslots = len(telescope)
         bound: set[int] = set()
         patterns = tuple(self._compile_pattern(a, bound, nslots) for a in lw.args)

@@ -2,9 +2,12 @@
 
 The distributed signature lives in ``data/prelude.tel`` and is processed
 like any other source file. ``prelude_self_check`` re-verifies the loaded
-signature from the kernel side: every entry must still be well typed, and
-every rewrite rule must fire on a synthetic instance of its left-hand side
-and produce something convertible with its right-hand side.
+signature from the kernel side: every entry must still be well typed; every
+rewrite rule's telescope must consist of types, and the rule must fire on a
+synthetic instance of its left-hand side and produce something convertible
+with its right-hand side. ``Kernel.declare_*`` store declarations without
+re-checking them, so this audit is the one check independent of the
+elaborating ``Processor``; it applies to any loaded signature.
 """
 
 from __future__ import annotations
@@ -76,7 +79,9 @@ def _check_rule(kernel: Kernel, rule: RewriteRule, index: int) -> CheckResult:
         temps: list[str] = []
         for k, (hint, ty) in enumerate(rule.telescope):
             name = f"_probe_{hint}_{k}"
-            kernel.declare_axiom(name, _close_over(temps, ty), kind=POSTULATE)
+            probe_ty = _close_over(temps, ty)
+            kernel.check_is_type(EMPTY_CONTEXT, probe_ty)
+            kernel.declare_axiom(name, probe_ty, kind=POSTULATE)
             temps.append(name)
         lhs = _close_over(temps, rule.lhs)
         rhs = _close_over(temps, rule.rhs)

@@ -18,6 +18,17 @@ from telic.corpus import (
     run_case,
     uncovered_names,
 )
+from telic.prelude import load_prelude, prelude_self_check
+
+
+# The audit's expected failures per case, as (label, code): case19 declares
+# `rewrite (n : Nat) : loop n = loop n` on purpose, and its probe never stops.
+AUDIT_FAILURES = {"case19_rejections": [("rule loop #0", "FuelExhausted")]}
+
+
+@pytest.fixture(scope="module")
+def prelude():
+    return load_prelude()
 
 
 def find(reports, **fields):
@@ -43,6 +54,19 @@ def test_case_matches_golden(case):
     reports, problems = check_case(case)
     assert not problems, "\n".join(problems)
     assert all(r.ok for r in reports), [r.render() for r in reports if not r.ok]
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_signature_after_case_passes_the_audit(prelude, case):
+    # Each declaration is checked once, before it is stored; the audit
+    # re-checks every entry and rule of the signature a case leaves behind.
+    proc = prelude[0].fork()
+    reports = proc.process_path(corpus_dir() / case.entry)
+    results = prelude_self_check((proc, reports))
+    sig = proc.kernel.sig
+    assert len(results) == len(sig.entries) + sum(map(len, sig.rules_by_head.values()))
+    failed = [(c.label, c.detail[1 : c.detail.index("]")]) for c in results if not c.ok]
+    assert failed == AUDIT_FAILURES.get(case.name, [])
 
 
 def test_goldens_are_portable():

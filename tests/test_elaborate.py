@@ -75,6 +75,37 @@ def test_holes_must_be_solved(bare_processor):
     assert reports[-1].code == "UnsolvedMeta"
 
 
+# --- error order ------------------------------------------------------------------
+
+ORDER_BASE = r"""
+postulate Nat : Type
+postulate f : Nat -> Nat
+def d : Nat -> Nat = \n. n
+"""
+
+
+@pytest.mark.parametrize(
+    "decl, code",
+    [
+        # A type error comes before the duplicate name.
+        ("def Nat : Type = 5", "TypeMismatch"),
+        ("postulate Nat : 5", "UniverseMismatch"),
+        # An unsolved hole comes before the duplicate name.
+        ("def Nat : Type = _", "UnsolvedMeta"),
+        # A bad type comes before the unknown name in the body.
+        ("def x : 5 = undefined", "UniverseMismatch"),
+        ("entail e : 5 => Nat = undefined", "UniverseMismatch"),
+        # A rewrite's typing comes before the checks on its head.
+        ("rewrite (n : Nat) : d n = Type", "RewriteTypeMismatch"),
+        ("rewrite (n : 5) : f n = undefined", "UniverseMismatch"),
+    ],
+)
+def test_first_fault_decides_the_error_code(bare_processor, decl, code):
+    reports = bare_processor.process_text(ORDER_BASE + decl, "order.tel")
+    assert statuses(reports) == ["ok"] * 3 + ["error"]
+    assert reports[-1].code == code
+
+
 # --- failure isolation -------------------------------------------------------------
 
 
@@ -164,6 +195,15 @@ def test_import_missing_file(tmp_path):
     assert "cannot read" in reports[0].message
     # The import declaration itself also reports the failure and halts.
     assert reports[-1].kind == "import" and reports[-1].status == "error"
+
+
+def test_process_text_accepts_a_str_base(tmp_path):
+    (tmp_path / "lib.tel").write_text("primitive Nat : Type\n")
+    proc = Processor()
+    reports = proc.process_text('import "lib.tel"\nimport "gone.tel"\n', "f", str(tmp_path))
+    assert [r.kind for r in reports] == ["primitive", "import", "import", "import"]
+    assert [r.status for r in reports] == ["ok", "ok", "error", "error"]
+    assert reports[-1].code == "ParseError"
 
 
 def test_import_of_broken_file_halts_importer(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from telic.elaborate import Processor
 from telic.kernel import DEFINITION, POSTULATE, PRIMITIVE
 from telic.prelude import load_prelude, prelude_path, prelude_self_check
+from telic.terms import Const, NatLit, Universe, Var
 
 # The full catalog, frozen. Adding, removing, or renaming an entry is a
 # deliberate act and must update this list.
@@ -53,6 +54,27 @@ def test_self_check_audits_every_entry_and_rule():
     assert len(results) == len(CATALOG) + sum(RULE_HEADS.values())
     bad = [c.render() for c in results if not c.ok]
     assert not bad, bad
+
+
+def test_self_check_catches_an_ill_typed_stored_definition():
+    # `declare_definition` stores what it is given; the audit re-checks it.
+    proc, reports = load_prelude()
+    proc.kernel.declare_definition("bad", Const("Nat"), Universe(0))
+    failed = [c.render() for c in prelude_self_check((proc, reports)) if not c.ok]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL entry bad: [TypeMismatch]")
+
+
+def test_self_check_catches_an_ill_formed_rule_telescope(bare_processor):
+    # A rule over a telescope slot whose type is not a type still fires and
+    # converts; only the audit's check of the telescope rejects it.
+    reports = bare_processor.process_text("primitive Nat : Type\npostulate f : Nat -> Nat\n")
+    bare_processor.kernel.declare_rewrite(
+        (("n", NatLit(5)),), Const("f", (Var(0),)), Var(0)
+    )
+    failed = [c.render() for c in prelude_self_check((bare_processor, reports)) if not c.ok]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL rule f #0: [UniverseMismatch]")
 
 
 def test_loading_twice_is_deterministic():
