@@ -36,7 +36,6 @@ from .terms import (
     Term,
     Universe,
     Var,
-    alpha_eq,
     shift,
     subst,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "Universe",
     "Var",
     "__version__",
-    "alpha_eq",
     "load_prelude",
     "parse_expr",
     "parse_file",

@@ -73,7 +73,6 @@ from .terms import (
     Term,
     Universe,
     Var,
-    alpha_eq,
     ctx_extend,
     shift,
 )
@@ -458,7 +457,7 @@ class Processor:
                 self.kernel.require_solved(sp)
             case DNorm(lhs=lhs, rhs=rhs):
                 got, want = self._run_norm(lhs, rhs, sp)
-                if not alpha_eq(got, want):
+                if got != want:
                     raise TypeMismatch(
                         f"normal form is `{pretty(got, self.kernel.sig)}` but the "
                         f"declaration claims `{pretty(want, self.kernel.sig)}`",

@@ -21,11 +21,6 @@ class Span:
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
 
-    def covers(self, other: "Span") -> bool:
-        if (other.line, other.col) < (self.line, self.col):
-            return False
-        return (other.end_line, other.end_col) <= (self.end_line, self.end_col)
-
 
 class TelicError(Exception):
     """Base for all checker errors; ``code`` is the fail-class name."""

@@ -8,16 +8,18 @@ before reducing them: equal terms are convertible without unfolding either
 side, which keeps nested definitions (a restriction of a restriction) from
 doubling the work at each level.
 
-Rewrite rules are directed, type-checked equations. Left-hand sides compile
-to first-order patterns over a constant head: the first occurrence of each
-pattern variable binds, later (elaboration-forced) occurrences match anything.
-Matching weak-head-normalizes exactly the subterms it needs to inspect, so
-rules fire through definitions. Rules for one head are tried in declaration
-order. Each firing costs one step of fuel; the reductions matching needs
-cost their own. A right-hand side is compiled once, when its rule is
-declared, into a builder that makes each instance from the environment of
-the match (``terms.compile_subst``) instead of substituting into it;
-subterms that mention no pattern variable are shared, not rebuilt.
+Rewrite rules are directed, type-checked equations. A rule matches the
+arguments of its elaborated left-hand side, a constant applied to
+first-order patterns (constants, telescope variables, pairs and literals):
+the first occurrence of each variable binds, later (elaboration-forced)
+occurrences match anything. Matching weak-head-normalizes exactly the
+subterms it needs to inspect, so rules fire through definitions. Rules for
+one head are tried in declaration order. Each firing costs one step of
+fuel; the reductions matching needs cost their own. A right-hand side is
+compiled once, when its rule is declared, into a builder that makes each
+instance from the environment of the match (``terms.compile_subst``)
+instead of substituting into it; subterms that mention no pattern variable
+are shared, not rebuilt.
 
 Primitive computation (Bd elimination on B/U, J on refl, literal addition) is
 built into whnf rather than stored as rules.
@@ -77,6 +79,7 @@ from .terms import (
     shift,
     subst,
     subst_many,
+    subterms,
 )
 
 DEFAULT_FUEL = 100_000
@@ -101,47 +104,14 @@ class SignatureEntry:
     span: Span | None = None
 
 
-# --- rewrite patterns --------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Pattern:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PVar(Pattern):
-    slot: int
-
-
-@dataclass(frozen=True, slots=True)
-class PWild(Pattern):
-    """Forced position: a repeat of an already-bound variable; matches anything."""
-
-
-@dataclass(frozen=True, slots=True)
-class PRigid(Pattern):
-    name: str
-    args: tuple[Pattern, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class PPair(Pattern):
-    first: Pattern
-    second: Pattern
-
-
-@dataclass(frozen=True, slots=True)
-class PLit(Pattern):
-    value: int
-
+# --- rewrite rules -----------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class RewriteRule:
     head: str
-    patterns: tuple[Pattern, ...]
+    lhs: Const  # over the telescope; its arguments are the patterns
     rhs: Term  # over the telescope: Var(0) is the innermost slot
     telescope: tuple[tuple[str, Term], ...]  # (hint, type), outermost first
-    lhs: Term | None = None  # the elaborated left-hand side, kept for display
     span: Span | None = None
     nslots: int = field(init=False, repr=False, compare=False)
     # the instance of ``rhs`` for a match environment, Var(0)'s value first
@@ -360,44 +330,44 @@ class Kernel:
             return None
         matches = self._match
         for rule in rules:
-            pats = rule.patterns
+            pats = rule.lhs.args
             n = len(pats)
             if len(args) < n:
                 continue
+            # indexed like the telescope's variables: Var(0)'s value first
             bind: list[Term | None] = [None] * rule.nslots
             for p, a in zip(pats, args):
                 if not matches(p, a, bind):
                     break
             else:
-                # bind is indexed by slot, outermost first; the instance
-                # wants Var(0), the innermost slot, first.
-                bind.reverse()
                 out = rule.instantiate(bind)
                 return _apply_args(out, args[n:]) if len(args) > n else out
         return None
 
-    def _match(self, pat: Pattern, target: Term, bind: list[Term | None]) -> bool:
+    def _match(self, pat: Term, target: Term, bind: list[Term | None]) -> bool:
+        """Match one argument of a rule's left-hand side. A variable binds at
+        its first occurrence; a repeat is forced by elaboration and matches
+        anything. Neither reduces its target."""
         cls = type(pat)
-        if cls is PVar:
-            bind[pat.slot] = target
-            return True
-        if cls is PWild:
+        if cls is Var:
+            if bind[pat.index] is None:
+                bind[pat.index] = target
             return True
         w = self.whnf(target)
-        if cls is PRigid:
+        if cls is Const:
             if type(w) is not Const or w.name != pat.name or len(w.args) != len(pat.args):
                 return False
             for p, a in zip(pat.args, w.args):
                 if not self._match(p, a, bind):
                     return False
             return True
-        if cls is PPair:
+        if cls is Pair:
             return (
                 type(w) is Pair
                 and self._match(pat.first, w.first, bind)
                 and self._match(pat.second, w.second, bind)
             )
-        if cls is PLit:
+        if cls is NatLit:
             return type(w) is NatLit and w.value == pat.value
         raise AssertionError(f"unhandled pattern {pat!r}")
 
@@ -805,56 +775,41 @@ class Kernel:
         """Store an already-checked directed equation. The caller has
         elaborated both sides under the telescope, checked that the
         right-hand side has the left-hand side's type, and checked surface
-        linearity; this compiles the left-hand side to patterns."""
-        lw = lhs if isinstance(lhs, Const) else None
-        if lw is None or not lw.args:
+        linearity; this checks the shape of the left-hand side, whose
+        arguments are matched as they are."""
+        if not isinstance(lhs, Const) or not lhs.args:
             raise InvalidRewrite(
                 "rewrite left-hand side must be a constant applied to patterns"
             )
-        entry = self.sig.entries.get(lw.name)
+        entry = self.sig.entries.get(lhs.name)
         if entry is None:
-            raise UnknownConstant(f"unknown constant `{lw.name}`")
+            raise UnknownConstant(f"unknown constant `{lhs.name}`")
         if entry.kind == DEFINITION:
             raise RewriteHeadIsDefinition(
-                f"rewrite head `{lw.name}` is a definition; unfold it instead"
+                f"rewrite head `{lhs.name}` is a definition; unfold it instead"
             )
         nslots = len(telescope)
         bound: set[int] = set()
-        patterns = tuple(self._compile_pattern(a, bound, nslots) for a in lw.args)
-        missing = [telescope[s][0] for s in range(nslots) if s not in bound]
+        for t, _ in subterms(lhs):
+            cls = type(t)
+            if cls is Var:
+                if not 0 <= t.index < nslots:
+                    raise InvalidRewrite("left-hand side mentions a foreign variable")
+                bound.add(t.index)
+            elif cls is not Const and cls is not Pair and cls is not NatLit:
+                raise InvalidRewrite(
+                    "left-hand side patterns may only contain constants, pattern "
+                    "variables, pairs, and numeric literals"
+                )
+        missing = [hint for i, (hint, _) in enumerate(telescope) if nslots - 1 - i not in bound]
         if missing:
             raise InvalidRewrite(
                 f"pattern variable(s) {', '.join(missing)} never occur on the "
                 f"left-hand side"
             )
-        rule = RewriteRule(lw.name, patterns, rhs, telescope, lhs, span)
-        self.sig.rules_by_head.setdefault(lw.name, []).append(rule)
+        rule = RewriteRule(lhs.name, lhs, rhs, telescope, span)
+        self.sig.rules_by_head.setdefault(lhs.name, []).append(rule)
         return rule
-
-    def _compile_pattern(self, t: Term, bound: set[int], nslots: int) -> Pattern:
-        match t:
-            case Var(index=i):
-                slot = nslots - 1 - i
-                if slot < 0 or slot >= nslots:
-                    raise InvalidRewrite("left-hand side mentions a foreign variable")
-                if slot in bound:
-                    return PWild()
-                bound.add(slot)
-                return PVar(slot)
-            case Const(name=n, args=args):
-                return PRigid(n, tuple(self._compile_pattern(a, bound, nslots) for a in args))
-            case Pair(first=a, second=b):
-                return PPair(
-                    self._compile_pattern(a, bound, nslots),
-                    self._compile_pattern(b, bound, nslots),
-                )
-            case NatLit(value=v):
-                return PLit(v)
-            case _:
-                raise InvalidRewrite(
-                    "left-hand side patterns may only contain constants, pattern "
-                    "variables, pairs, and numeric literals"
-                )
 
     def assert_closed(self, t: Term) -> Term:
         metas = free_meta_ids(t)

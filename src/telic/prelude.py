@@ -20,7 +20,7 @@ from pathlib import Path
 from .elaborate import Processor, Report
 from .errors import TelicError
 from .kernel import DEFINITION, Kernel, MetaStore, POSTULATE, RewriteRule
-from .terms import EMPTY_CONTEXT, Const, Term, alpha_eq, subst_many
+from .terms import EMPTY_CONTEXT, Const, Term, subst_many
 
 ENV_PRELUDE = "TELIC_PRELUDE"
 
@@ -72,8 +72,6 @@ def _close_over(temps: list[str], t: Term) -> Term:
 
 def _check_rule(kernel: Kernel, rule: RewriteRule, index: int) -> CheckResult:
     label = f"rule {rule.head} #{index}"
-    if rule.lhs is None:
-        return CheckResult(label, False, "rule carries no left-hand side")
     snap = kernel.sig.snapshot()
     try:
         temps: list[str] = []
@@ -86,7 +84,7 @@ def _check_rule(kernel: Kernel, rule: RewriteRule, index: int) -> CheckResult:
         lhs = _close_over(temps, rule.lhs)
         rhs = _close_over(temps, rule.rhs)
         fired = kernel.whnf(lhs)
-        if alpha_eq(fired, lhs):
+        if fired == lhs:
             return CheckResult(label, False, "rule does not fire on a fresh instance")
         if not kernel.convertible(lhs, rhs):
             return CheckResult(label, False, "fired instance differs from right-hand side")

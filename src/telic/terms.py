@@ -317,11 +317,6 @@ def compile_subst(t: Term, n: int) -> Callable[[Sequence[Term]], Term]:
     return comp(t, 0)
 
 
-def alpha_eq(t1: Term, t2: Term) -> bool:
-    """Alpha-equivalence: structural equality, name hints excluded."""
-    return t1 == t2
-
-
 def scope_ok(t: Term, depth: int = 0) -> bool:
     """True when every free variable index is below ``depth``."""
     return all(s.index < d for s, d in subterms(t, depth) if isinstance(s, Var))
@@ -330,8 +325,3 @@ def scope_ok(t: Term, depth: int = 0) -> bool:
 def free_meta_ids(t: Term) -> set[int]:
     """Collect ids of metavariable occurrences."""
     return {s.id for s, _ in subterms(t) if isinstance(s, Meta)}
-
-
-def const_names(t: Term) -> set[str]:
-    """Collect every constant name occurring in a term."""
-    return {s.name for s, _ in subterms(t) if isinstance(s, Const)}

@@ -122,6 +122,21 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+def test_closed_stdout_ends_quietly():
+    # The reader of the pipe is gone before the first line is written, as
+    # in `telic selftest | head -0`.
+    with subprocess.Popen(
+        [sys.executable, "-m", "telic.cli", "selftest"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "telic.cli", "norm", "-e", "2 + 2"],

@@ -24,7 +24,7 @@ from telic.errors import (
     UnknownConstant,
     UnsolvedMeta,
 )
-from telic.kernel import Kernel, PPair, PRigid, PVar, PWild, PRIMITIVE
+from telic.kernel import Kernel, PRIMITIVE
 from telic.terms import (
     App,
     Const,
@@ -165,13 +165,11 @@ def test_rewrite_literal_pattern():
 def test_rewrite_pair_pattern_matches_literal_pairs_only():
     k = nat_kernel()
     k.declare_axiom("f", Pi(Sigma(NAT, NAT), NAT))
-    rule = k.declare_rewrite(
+    k.declare_rewrite(
         (("a", NAT), ("b", NAT)),
         Const("f", (Pair(Var(1), Var(0)),)),
         Const("plus", (Var(1), Var(0))),
     )
-    # Slots index the telescope outermost-first: Var(1) is "a" (slot 0).
-    assert rule.patterns == (PPair(PVar(0), PVar(1)),)
     assert k.whnf(Const("f", (Pair(NatLit(2), NatLit(3)),))) == NatLit(5)
     stuck = k.whnf(Const("f", (Const("sp"),)))
     assert stuck == Const("f", (Const("sp"),))
@@ -182,12 +180,11 @@ def test_rewrite_repeated_variable_compiles_to_forced_match():
     # repeat is a forced position that matches anything.
     k = nat_kernel()
     k.declare_axiom("f", Pi(NAT, Pi(NAT, NAT)))
-    rule = k.declare_rewrite(
+    k.declare_rewrite(
         (("n", NAT),),
         Const("f", (Var(0), Var(0))),
         Var(0),
     )
-    assert rule.patterns == (PVar(0), PWild())
     assert k.whnf(Const("f", (NatLit(1), NatLit(2)))) == NatLit(1)
 
 
@@ -195,12 +192,11 @@ def test_rewrite_rigid_subpattern():
     k = nat_kernel()
     k.declare_axiom("wrap", Pi(NAT, NAT))
     k.declare_axiom("f", Pi(NAT, NAT))
-    rule = k.declare_rewrite(
+    k.declare_rewrite(
         (("n", NAT),),
         Const("f", (Const("wrap", (Var(0),)),)),
         Var(0),
     )
-    assert rule.patterns == (PRigid("wrap", (PVar(0),)),)
     assert k.whnf(Const("f", (Const("wrap", (NatLit(7),)),))) == NatLit(7)
     # The argument is reduced before matching against a rigid pattern.
     redex = App(Lambda(Const("wrap", (Var(0),))), NatLit(8))
@@ -253,6 +249,69 @@ def test_rewrite_lambda_pattern_rejected():
     k.declare_axiom("f", Pi(Pi(NAT, NAT), NAT))
     with pytest.raises(InvalidRewrite):
         k.declare_rewrite((), Const("f", (Lambda(Var(0)),)), NatLit(0))
+
+
+def matching_kernel() -> Kernel:
+    """``wrap, loop : Nat -> Nat`` and ``f, g : Nat -> Nat -> Nat``, with the
+    diverging rule ``loop n = loop n`` and a budget of 1000 steps."""
+    k = Kernel(fuel=1000)
+    k.declare_axiom("Nat", Universe(0), kind=PRIMITIVE)
+    for name in ("wrap", "loop"):
+        k.declare_axiom(name, Pi(NAT, NAT))
+    for name in ("f", "g"):
+        k.declare_axiom(name, Pi(NAT, Pi(NAT, NAT)))
+    k.declare_rewrite((("n", NAT),), Const("loop", (Var(0),)), Const("loop", (Var(0),)))
+    return k
+
+
+def test_repeated_variable_after_its_binding_is_not_reduced():
+    # f (wrap n) n = n: the second `n` is forced, so `loop 0` is never
+    # touched; one step each for the term, `wrap 7` and the literal.
+    k = matching_kernel()
+    wrapped = Const("wrap", (Var(0),))
+    k.declare_rewrite((("n", NAT),), Const("f", (wrapped, Var(0))), Var(0))
+    k.reset_fuel()
+    term = Const("f", (Const("wrap", (NatLit(7),)), Const("loop", (NatLit(0),))))
+    assert k.whnf(term) == NatLit(7)
+    assert k._steps == 3
+
+
+def test_binding_variable_is_not_reduced():
+    # g n (wrap n) = 0: the first `n` binds `loop 0` without reducing it.
+    k = matching_kernel()
+    wrapped = Const("wrap", (Var(0),))
+    k.declare_rewrite((("n", NAT),), Const("g", (Var(0), wrapped)), NatLit(0))
+    k.reset_fuel()
+    term = Const("g", (Const("loop", (NatLit(0),)), Const("wrap", (NatLit(5),))))
+    assert k.whnf(term) == NatLit(0)
+    assert k._steps == 3
+
+
+ONLY_PATTERNS = (
+    "left-hand side patterns may only contain constants, pattern variables, "
+    "pairs, and numeric literals"
+)
+FOREIGN = "left-hand side mentions a foreign variable"
+N, M = ("n", NAT), ("m", NAT)
+
+
+@pytest.mark.parametrize(
+    "telescope, args, message",
+    [
+        ((N,), (Lambda(Var(0)), Var(5)), ONLY_PATTERNS),
+        ((N,), (Var(5), Lambda(Var(0))), FOREIGN),
+        ((N, M), (Var(0), NatLit(1)), "pattern variable(s) n never occur on the left-hand side"),
+        ((N,), (App(Var(0), Var(0)), NatLit(1)), ONLY_PATTERNS),
+        ((N,), (Universe(0), Var(0)), ONLY_PATTERNS),
+        ((N,), (Pair(Var(0), Var(3)), NatLit(1)), FOREIGN),
+    ],
+    ids=["lambda", "foreign-first", "unbound", "application", "universe", "foreign-in-pair"],
+)
+def test_rewrite_left_hand_side_rejections(telescope, args, message):
+    k = matching_kernel()
+    with pytest.raises(InvalidRewrite) as info:
+        k.declare_rewrite(telescope, Const("f", args), NatLit(0))
+    assert info.value.message == message
 
 
 # --- eta and conversion ----------------------------------------------------------

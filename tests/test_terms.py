@@ -20,8 +20,6 @@ from telic.terms import (
     Snd,
     Universe,
     Var,
-    alpha_eq,
-    const_names,
     ctx_extend,
     ctx_lookup,
     free_meta_ids,
@@ -88,11 +86,11 @@ def test_ctx_lookup_shifts_into_full_context():
     assert ctx_lookup(ctx, 1) == Universe(0)
 
 
-def test_alpha_eq_ignores_hints():
-    assert alpha_eq(Pi(Universe(0), Var(0), "x"), Pi(Universe(0), Var(0), "y"))
-    assert alpha_eq(Lambda(Var(0), "a"), Lambda(Var(0), "b"))
-    assert alpha_eq(Sigma(Universe(0), Var(0), "p"), Sigma(Universe(0), Var(0), None))
-    assert not alpha_eq(Lambda(Var(0)), Lambda(Var(1)))
+def test_equality_ignores_hints():
+    assert Pi(Universe(0), Var(0), "x") == Pi(Universe(0), Var(0), "y")
+    assert Lambda(Var(0), "a") == Lambda(Var(0), "b")
+    assert Sigma(Universe(0), Var(0), "p") == Sigma(Universe(0), Var(0), None)
+    assert Lambda(Var(0)) != Lambda(Var(1))
 
 
 def test_scope_ok():
@@ -103,10 +101,9 @@ def test_scope_ok():
     assert not scope_ok(Pi(Var(0), Var(0)))
 
 
-def test_free_meta_ids_and_const_names():
+def test_free_meta_ids():
     t = App(Meta(3, (Var(0),)), Const("f", (Const("g"), Meta(5))))
     assert free_meta_ids(t) == {3, 5}
-    assert const_names(t) == {"f", "g"}
 
 
 def test_context_entry_fields():
