@@ -33,6 +33,17 @@ def _fresh_processor(fuel: int, with_prelude: bool) -> tuple[Processor, list[Rep
     return proc, [r for r in reports if not r.ok]
 
 
+def _fuel(text: str) -> int:
+    """A ``--fuel`` value: a whole number of steps, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     proc, broken = _fresh_processor(args.fuel, not args.no_prelude)
     if broken:
@@ -68,7 +79,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    # Loaded once; the audit and every case run on forks of it.
+    # Loaded once; the audit and every case leave it as they found it.
     prelude = load_prelude()
     if args.regen_golden:
         for case in CASES:
@@ -145,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="process lexicon files and print one report per declaration")
     check.add_argument("files", nargs="+", metavar="FILE", help="lexicon files, processed in order")
-    check.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="reduction step budget per declaration")
+    check.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL, help="reduction step budget per declaration")
     check.add_argument("--format", choices=("plain", "structured"), default="plain", help="plain lines or one JSON object per report")
     check.add_argument("--no-prelude", action="store_true", help="start from an empty signature")
     check.set_defaults(run=_cmd_check)
@@ -153,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     norm = sub.add_parser("norm", help="normalize one expression and show its type")
     norm.add_argument("files", nargs="*", metavar="FILE", help="lexicon files to load first")
     norm.add_argument("-e", "--expr", required=True, help="the expression to normalize")
-    norm.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="reduction step budget per declaration")
+    norm.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL, help="reduction step budget per declaration")
     norm.add_argument("--no-prelude", action="store_true", help="start from an empty signature")
     norm.set_defaults(run=_cmd_norm)
 

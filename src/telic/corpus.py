@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path, PurePath
 
 from .elaborate import Report
-from .prelude import LoadedPrelude, load_prelude
+from .prelude import LoadedPrelude
 from .surface import tokenize
 
 
@@ -78,14 +78,16 @@ def golden_path(case: CorpusCase) -> Path:
     return corpus_dir() / "golden" / f"{case.name}.json"
 
 
-def run_case(case: CorpusCase, prelude: LoadedPrelude | None = None) -> list[Report]:
-    """Process one case on a fork of ``prelude``, a ``load_prelude()``
-    result (a fresh load by default), which stays as it was."""
-    proc, prelude_reports = prelude if prelude is not None else load_prelude()
+def run_case(case: CorpusCase, prelude: LoadedPrelude) -> list[Report]:
+    """Process one case on the processor of ``prelude``, a
+    ``load_prelude()`` result, inside a rollback: the processor is left as
+    it was, so every case starts from the prelude alone."""
+    proc, prelude_reports = prelude
     broken = [r for r in prelude_reports if not r.ok]
     if broken:
         raise RuntimeError(f"prelude failed to load: {broken[0].render()}")
-    return proc.fork().process_path(corpus_dir() / case.entry)
+    with proc.rollback():
+        return proc.process_path(corpus_dir() / case.entry)
 
 
 def portable(report: Report) -> dict[str, object]:
@@ -95,9 +97,7 @@ def portable(report: Report) -> dict[str, object]:
     return data
 
 
-def check_case(
-    case: CorpusCase, prelude: LoadedPrelude | None = None
-) -> tuple[list[Report], list[str]]:
+def check_case(case: CorpusCase, prelude: LoadedPrelude) -> tuple[list[Report], list[str]]:
     """Run a case (see ``run_case``) and diff it against its golden file.
 
     Returns the reports and a list of human-readable mismatch lines,
@@ -119,7 +119,7 @@ def check_case(
     return reports, problems
 
 
-def write_golden(case: CorpusCase, prelude: LoadedPrelude | None = None) -> Path:
+def write_golden(case: CorpusCase, prelude: LoadedPrelude) -> Path:
     reports = run_case(case, prelude)
     path = golden_path(case)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -128,10 +128,9 @@ def write_golden(case: CorpusCase, prelude: LoadedPrelude | None = None) -> Path
     return path
 
 
-def prelude_names(prelude: LoadedPrelude | None = None) -> frozenset[str]:
-    """The names ``prelude`` (a fresh load by default) declares. Reading
-    them needs no fork."""
-    proc, _ = prelude if prelude is not None else load_prelude()
+def prelude_names(prelude: LoadedPrelude) -> frozenset[str]:
+    """The names ``prelude``, a ``load_prelude()`` result, declares."""
+    proc, _ = prelude
     return frozenset(proc.kernel.sig.entries)
 
 
@@ -157,12 +156,12 @@ def case_mentions(case: CorpusCase) -> frozenset[str]:
     return frozenset(names)
 
 
-def coverage_map(prelude: LoadedPrelude | None = None) -> dict[str, frozenset[str]]:
+def coverage_map(prelude: LoadedPrelude) -> dict[str, frozenset[str]]:
     """Per case, the prelude entries it mentions."""
     sig = prelude_names(prelude)
     return {case.name: case_mentions(case) & sig for case in CASES}
 
 
-def uncovered_names(prelude: LoadedPrelude | None = None) -> frozenset[str]:
+def uncovered_names(prelude: LoadedPrelude) -> frozenset[str]:
     """Prelude entries no corpus case mentions. Empty in a healthy tree."""
     return prelude_names(prelude).difference(*(case_mentions(c) for c in CASES))

@@ -18,6 +18,8 @@ rewrite) are reported and processing continues.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .errors import (
     TypeMismatch,
     UnboundVariable,
 )
-from .kernel import Kernel, MetaStore, POSTULATE, PRIMITIVE
+from .kernel import Kernel, POSTULATE, PRIMITIVE
 from .pretty import pretty
 from .surface import (
     DAxiom,
@@ -289,13 +291,18 @@ class Processor:
         self.elab = Elaborator(self.kernel)
         self._loaded: set[str] = set()
 
-    def fork(self) -> Processor:
-        """A processor that starts from this one's signature and imports and
-        keeps its fuel; what either one processes later stays its own."""
-        twin = Processor(Kernel(fuel=self.kernel.fuel_limit))
-        twin.kernel.sig = self.kernel.sig.fork()
-        twin._loaded = set(self._loaded)
-        return twin
+    @contextmanager
+    def rollback(self) -> Iterator[None]:
+        """Run the body, then discard what it declared and imported: the
+        signature and the set of loaded files return to their state on
+        entry, however the body ends."""
+        snap = self.kernel.sig.snapshot()
+        loaded = set(self._loaded)
+        try:
+            yield
+        finally:
+            self.kernel.sig.restore(snap)
+            self._loaded = loaded
 
     # - entry points -
 
@@ -319,8 +326,7 @@ class Processor:
         rather than normalized, so signature heads stay folded.
         """
         sexpr = parse_expr(text, filename)
-        self.kernel.metas = MetaStore()
-        self.kernel.reset_fuel()
+        self.kernel.begin()
         try:
             t = self.elab.elab(sexpr, [])
             ty = self.kernel.infer(EMPTY_CONTEXT, t)
@@ -340,7 +346,7 @@ class Processor:
         try:
             resolved = path.resolve()
             text = resolved.read_text(encoding="utf-8")
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             sp = via or Span(str(path), 1, 1, 1, 1)
             reports.append(
                 Report(
@@ -351,7 +357,7 @@ class Processor:
                     str(path),
                     "error",
                     "ParseError",
-                    f"cannot read {path}: {e.strerror or e}",
+                    f"cannot read {path}: {getattr(e, 'strerror', None) or e}",
                 )
             )
             return False
@@ -390,8 +396,7 @@ class Processor:
         self, decl: Declaration, reports: list[Report], base: Path
     ) -> tuple[Report, bool]:
         """Returns the report plus whether the rest of the file must stop."""
-        self.kernel.metas = MetaStore()
-        self.kernel.reset_fuel()
+        self.kernel.begin()
         try:
             report = self._dispatch(decl, reports, base)
             return report, False
@@ -475,7 +480,7 @@ class Processor:
             case DRewrite(telescope=tele, lhs=lhs, rhs=rhs):
                 self._run_rewrite(tele, lhs, rhs, sp)
             case DFail(code=code, inner=inner):
-                return self._run_fail(code, inner, sp, reports, base)
+                return self._run_fail(code, inner, sp, base)
             case DImport(path=rel):
                 ok = self._load_file(base / rel, reports, sp)
                 if not ok:
@@ -543,19 +548,14 @@ class Processor:
         code: str,
         inner: Declaration,
         sp: Span,
-        reports: list[Report],
         base: Path,
     ) -> Report:
-        snap = self.kernel.sig.snapshot()
-        loaded_snap = set(self._loaded)
         inner_kind, inner_name = _describe(inner)
         label = inner_kind + (f" {inner_name}" if inner_name else "")
-        scratch: list[Report] = []
         try:
-            self._dispatch(inner, scratch, base)
+            with self.rollback():
+                self._dispatch(inner, [], base)
         except TelicError as e:
-            self.kernel.sig.restore(snap)
-            self._loaded = loaded_snap
             if e.code == code:
                 return Report(
                     sp.file,
@@ -570,8 +570,6 @@ class Processor:
                 f"expected {code} but {label} was rejected with {e.code}: {e.message}",
                 span=e.span or sp,
             ) from None
-        self.kernel.sig.restore(snap)
-        self._loaded = loaded_snap
         raise TypeMismatch(
             f"expected {code} but {label} was accepted", span=sp
         )

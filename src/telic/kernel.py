@@ -25,9 +25,10 @@ Primitive computation (Bd elimination on B/U, J on refl, literal addition) is
 built into whnf rather than stored as rules.
 
 Metavariables: holes inserted by the elaborator, solved by first-order
-pattern unification only; anything harder raises UnsolvedMeta. A fresh
-MetaStore is installed per declaration and every meta must be solved before
-the declaration's results are stored, so the signature never contains metas.
+pattern unification only; anything harder raises UnsolvedMeta.
+``Kernel.begin`` starts each declaration with a fresh MetaStore and a full
+fuel budget, and every meta must be solved before the declaration's results
+are stored, so the signature never contains metas.
 
 ``declare_*`` store what the elaborating ``Processor`` has already checked,
 enforcing only closed terms, fresh names and the shape of rule left-hand
@@ -127,14 +128,6 @@ class Signature:
         self.entries: dict[str, SignatureEntry] = {}
         self.rules_by_head: dict[str, list[RewriteRule]] = {}
 
-    def fork(self) -> Signature:
-        """An independent copy. Entries and rules are frozen, so only the
-        containers are copied; what either copy adds later stays its own."""
-        twin = Signature()
-        twin.entries = dict(self.entries)
-        twin.rules_by_head = {head: list(rs) for head, rs in self.rules_by_head.items()}
-        return twin
-
     def snapshot(self):
         """Sizes to roll back to. Entries and rules are only ever appended,
         so the sizes identify what was added since."""
@@ -157,7 +150,6 @@ class Signature:
 @dataclass
 class MetaEntry:
     id: int
-    spine_len: int
     span: Span | None = None
     type: Term | None = None  # in creation-context coordinates
     ctx: Context | None = None
@@ -170,7 +162,7 @@ class MetaStore:
 
     def fresh(self, depth: int, span: Span | None = None) -> Meta:
         mid = len(self._entries)
-        self._entries.append(MetaEntry(mid, depth, span))
+        self._entries.append(MetaEntry(mid, span))
         return Meta(mid, tuple(Var(depth - 1 - k) for k in range(depth)))
 
     def entry(self, mid: int) -> MetaEntry:
@@ -233,12 +225,13 @@ class Kernel:
     def __init__(self, fuel: int = DEFAULT_FUEL):
         self.sig = Signature()
         self.fuel_limit = fuel
+        self.begin()
+
+    # - per-declaration state -
+
+    def begin(self) -> None:
+        """Start a declaration: no holes yet, and the full fuel budget."""
         self.metas = MetaStore()
-        self._steps = 0
-
-    # - fuel -
-
-    def reset_fuel(self) -> None:
         self._steps = 0
 
     def _tick(self) -> None:
@@ -431,22 +424,22 @@ class Kernel:
             )
         if c1 is Meta:
             z2 = self.zonk(t2)
-            return self._solve(w1, w2, preferred=z2 if type(z2) is Const else None)
+            return self._solve(w1, (), w2, z2 if type(z2) is Const else None)
         if c2 is Meta:
             z1 = self.zonk(t1)
-            return self._solve(w2, w1, preferred=z1 if type(z1) is Const else None)
+            return self._solve(w2, (), w1, z1 if type(z1) is Const else None)
         if c1 is App:
             h1, extras1 = _app_spine(w1)
             if type(h1) is Meta:
                 try:
-                    return self._solve_spine(h1, extras1, w2)
+                    return self._solve(h1, extras1, w2)
                 except UnsolvedMeta:
                     pass
         if c2 is App:
             h2, extras2 = _app_spine(w2)
             if type(h2) is Meta:
                 try:
-                    return self._solve_spine(h2, extras2, w1)
+                    return self._solve(h2, extras2, w1)
                 except UnsolvedMeta:
                     pass
         unify = self._unify
@@ -508,12 +501,17 @@ class Kernel:
             raise UnsolvedMeta(f"hole ?{hole.id} occurs in its own candidate solution")
         return _rename_into(candidate, rename, hole.id)
 
-    def _solve_spine(self, hole: Meta, extras: tuple[Term, ...], rhs: Term) -> bool:
+    def _solve(
+        self, hole: Meta, extras: tuple[Term, ...], rhs: Term, preferred: Term | None = None
+    ) -> bool:
         """Solve ``hole e1 .. ek = rhs`` by storing a ``k``-fold lambda.
 
         ``extras`` are the application arguments left of ``rhs``; together
         with the hole's own spine they must form distinct variables for the
-        solution to be unique.
+        solution to be unique. ``preferred`` is ``rhs`` before head
+        reduction, supplied only when it is a constant application; it is
+        tried first so that solutions keep the folded, user-facing spelling
+        when both spellings are in scope of the hole.
         """
         k = len(extras)
         rename = self._invert_spine(hole, k)
@@ -525,29 +523,17 @@ class Kernel:
                     f"arguments; the solution is not unique"
                 )
             rename[ew.index] = k - 1 - i
-        sol = self._solution(hole, rhs, rename)
+        sol = None
+        if preferred is not None:
+            try:
+                sol = self._solution(hole, preferred, rename)
+            except UnsolvedMeta:
+                pass
+        if sol is None:
+            sol = self._solution(hole, rhs, rename)
         for _ in range(k):
             sol = Lambda(sol, None)
         self.metas.entry(hole.id).solution = sol
-        return True
-
-    def _solve(self, hole: Meta, rhs: Term, preferred: Term | None = None) -> bool:
-        """Record ``rhs`` as the solution of ``hole``.
-
-        ``preferred`` is the same term before head reduction, supplied only
-        when it is a constant application; it is tried first so that
-        solutions keep the folded, user-facing spelling when both spellings
-        are in scope of the hole.
-        """
-        entry = self.metas.entry(hole.id)
-        rename = self._invert_spine(hole, 0)
-        if preferred is not None:
-            try:
-                entry.solution = self._solution(hole, preferred, rename)
-                return True
-            except UnsolvedMeta:
-                pass
-        entry.solution = self._solution(hole, rhs, rename)
         return True
 
     def zonk(self, t: Term) -> Term:

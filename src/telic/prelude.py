@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .elaborate import Processor, Report
 from .errors import TelicError
-from .kernel import DEFINITION, Kernel, MetaStore, POSTULATE, RewriteRule
+from .kernel import DEFINITION, POSTULATE, RewriteRule
 from .terms import EMPTY_CONTEXT, Const, Term, subst_many
 
 ENV_PRELUDE = "TELIC_PRELUDE"
@@ -70,50 +70,49 @@ def _close_over(temps: list[str], t: Term) -> Term:
     return subst_many(t, env, 0)
 
 
-def _check_rule(kernel: Kernel, rule: RewriteRule, index: int) -> CheckResult:
+def _check_rule(proc: Processor, rule: RewriteRule, index: int) -> CheckResult:
     label = f"rule {rule.head} #{index}"
-    snap = kernel.sig.snapshot()
+    kernel = proc.kernel
+    kernel.begin()
     try:
-        temps: list[str] = []
-        for k, (hint, ty) in enumerate(rule.telescope):
-            name = f"_probe_{hint}_{k}"
-            probe_ty = _close_over(temps, ty)
-            kernel.check_is_type(EMPTY_CONTEXT, probe_ty)
-            kernel.declare_axiom(name, probe_ty, kind=POSTULATE)
-            temps.append(name)
-        lhs = _close_over(temps, rule.lhs)
-        rhs = _close_over(temps, rule.rhs)
-        fired = kernel.whnf(lhs)
-        if fired == lhs:
-            return CheckResult(label, False, "rule does not fire on a fresh instance")
-        if not kernel.convertible(lhs, rhs):
-            return CheckResult(label, False, "fired instance differs from right-hand side")
-        return CheckResult(label, True)
+        with proc.rollback():
+            temps: list[str] = []
+            for k, (hint, ty) in enumerate(rule.telescope):
+                name = f"_probe_{hint}_{k}"
+                probe_ty = _close_over(temps, ty)
+                kernel.check_is_type(EMPTY_CONTEXT, probe_ty)
+                kernel.declare_axiom(name, probe_ty, kind=POSTULATE)
+                temps.append(name)
+            lhs = _close_over(temps, rule.lhs)
+            rhs = _close_over(temps, rule.rhs)
+            fired = kernel.whnf(lhs)
+            if fired == lhs:
+                return CheckResult(label, False, "rule does not fire on a fresh instance")
+            if not kernel.convertible(lhs, rhs):
+                return CheckResult(label, False, "fired instance differs from right-hand side")
+            return CheckResult(label, True)
     except TelicError as err:
         return CheckResult(label, False, f"[{err.code}] {err.message}")
-    finally:
-        kernel.sig.restore(snap)
 
 
-def prelude_self_check(prelude: LoadedPrelude | None = None) -> list[CheckResult]:
+def prelude_self_check(prelude: LoadedPrelude) -> list[CheckResult]:
     """Audit the prelude, one result per entry and per rewrite rule.
 
-    ``prelude`` is a ``load_prelude()`` result to audit, a fresh load by
-    default; the audit runs on a fork of it and leaves it as it was.
-    Always returns the full list; a broken entry is reported in place
-    rather than aborting the audit.
+    ``prelude`` is a ``load_prelude()`` result. The audit runs on its
+    processor and leaves it as it was: each rule probe declares its scratch
+    constants inside a rollback. Always returns the full list; a broken
+    entry is reported in place rather than aborting the audit.
     """
-    base, reports = prelude if prelude is not None else load_prelude()
+    proc, reports = prelude
     results: list[CheckResult] = []
     for r in reports:
         if r.status != "ok":
             results.append(CheckResult(f"load {r.name or r.kind}", False, r.message))
     if results:
         return results
-    kernel = base.fork().kernel
+    kernel = proc.kernel
     for name, entry in kernel.sig.entries.items():
-        kernel.metas = MetaStore()
-        kernel.reset_fuel()
+        kernel.begin()
         try:
             kernel.check_is_type(EMPTY_CONTEXT, entry.type)
             if entry.kind == DEFINITION:
@@ -125,7 +124,5 @@ def prelude_self_check(prelude: LoadedPrelude | None = None) -> list[CheckResult
             results.append(CheckResult(f"entry {name}", False, f"[{err.code}] {err.message}"))
     for head, rules in kernel.sig.rules_by_head.items():
         for i, rule in enumerate(rules):
-            kernel.metas = MetaStore()
-            kernel.reset_fuel()
-            results.append(_check_rule(kernel, rule, i))
+            results.append(_check_rule(proc, rule, i))
     return results

@@ -161,9 +161,9 @@ def tokenize(
             col += j - i + 1
             i = j + 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             push("NAT", text[i:j], span(j - i))
             col += j - i

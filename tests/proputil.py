@@ -199,7 +199,7 @@ class PropertyReport:
 
 def check_normalize_idempotent(kernel, gen: TermGen, count: int) -> int:
     for _ in range(count):
-        kernel.reset_fuel()
+        kernel.begin()
         t = gen.any_term(gen.depth())
         once = kernel.normalize(t)
         twice = kernel.normalize(once)
@@ -217,7 +217,7 @@ def check_shift_subst_cancel(gen: TermGen, closed: TermGen, count: int) -> int:
 
 def check_convertible_equivalence(kernel, gen: TermGen, count: int) -> int:
     for _ in range(count):
-        kernel.reset_fuel()
+        kernel.begin()
         t = gen.any_term(gen.depth())
         one = gen.wrap(t)
         two = gen.wrap(one)
@@ -231,7 +231,7 @@ def check_convertible_equivalence(kernel, gen: TermGen, count: int) -> int:
 
 def check_subject_reduction(kernel, gen: TermGen, count: int) -> int:
     for _ in range(count):
-        kernel.reset_fuel()
+        kernel.begin()
         t = gen.inferable(gen.depth())
         before = kernel.infer((), t)
         after = kernel.infer((), kernel.whnf(t))
@@ -241,7 +241,7 @@ def check_subject_reduction(kernel, gen: TermGen, count: int) -> int:
 
 def check_eta_laws(kernel, gen: TermGen, count: int) -> int:
     for _ in range(count):
-        kernel.reset_fuel()
+        kernel.begin()
         f = gen.fn(gen.depth())
         expanded = Lambda(App(shift(f, 1), Var(0)), hint="n")
         assert kernel.convertible(expanded, f), f"eta failed on {f!r}"
@@ -275,7 +275,7 @@ def check_oplus_index_arithmetic(limit: int = 20) -> int:
     checked = 0
     for m in range(limit + 1):
         for n in range(limit + 1):
-            kernel.reset_fuel()
+            kernel.begin()
             term = Const(
                 "oplus",
                 (

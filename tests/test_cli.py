@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from telic import corpus
 from telic.cli import main
 from telic.corpus import CASES, corpus_dir
 
@@ -103,10 +104,13 @@ def test_selftest_structured_is_json_lines(capsys):
         json.loads(line)
 
 
-def test_selftest_regen_golden_round_trips(capsys):
+def test_selftest_regen_golden_round_trips(tmp_path, monkeypatch, capsys):
+    # Regenerate into a scratch directory: the tracked goldens are only read,
+    # so a run on drifted behaviour cannot leave drifted goldens behind.
+    monkeypatch.setattr(corpus, "golden_path", lambda case: tmp_path / f"{case.name}.json")
     before = {c.name: (corpus_dir() / "golden" / f"{c.name}.json").read_bytes() for c in CASES}
     assert main(["selftest", "--regen-golden"]) == 0
-    after = {c.name: (corpus_dir() / "golden" / f"{c.name}.json").read_bytes() for c in CASES}
+    after = {c.name: (tmp_path / f"{c.name}.json").read_bytes() for c in CASES}
     assert before == after
 
 
@@ -120,6 +124,41 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["norm"])  # missing -e
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("fuel", ["0", "-5"])
+@pytest.mark.parametrize("command", [["check", "x.tel"], ["norm", "-e", "1"]], ids=["check", "norm"])
+def test_fuel_below_one_is_a_usage_error(command, fuel, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--fuel", fuel, *command[1:]])
+    assert exc.value.code == 2
+    assert f"--fuel: must be at least 1, not {fuel}" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"postulate a : Nat\n\xff\n"
+
+
+def test_check_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "latin.tel"
+    f.write_bytes(NOT_UTF8)
+    assert main(["check", str(f)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        f"{f}:1:1: error: import {f} [ParseError]: cannot read {f}: "
+        f"'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"
+    ]
+
+
+def test_check_reports_an_import_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "latin.tel").write_bytes(NOT_UTF8)
+    f = tmp_path / "main.tel"
+    f.write_text('import "latin.tel"\n')
+    assert main(["check", str(f)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith(f"{f}:1:1: error: import {tmp_path / 'latin.tel'} [ParseError]: cannot read ")
+    assert out[0].endswith(": invalid start byte")
+    assert out[1] == f"{f}:1:1: error: import latin.tel [ParseError]: import of latin.tel failed"
 
 
 def test_closed_stdout_ends_quietly():

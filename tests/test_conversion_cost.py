@@ -54,7 +54,7 @@ LOOP = ((("n", NAT),), Const("loop", (Var(0),)), Const("loop", (Var(0),)))
 
 def test_each_firing_costs_one_step():
     k = _kernel_with([LOOP], fuel=1000)
-    k.reset_fuel()
+    k.begin()
     with pytest.raises(FuelExhausted):
         k.whnf(Const("loop", (NatLit(0),)))
     assert k._steps == 1001

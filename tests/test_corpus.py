@@ -50,8 +50,8 @@ def test_case_table_is_well_formed():
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
-def test_case_matches_golden(case):
-    reports, problems = check_case(case)
+def test_case_matches_golden(prelude, case):
+    reports, problems = check_case(case, prelude)
     assert not problems, "\n".join(problems)
     assert all(r.ok for r in reports), [r.render() for r in reports if not r.ok]
 
@@ -60,11 +60,12 @@ def test_case_matches_golden(case):
 def test_signature_after_case_passes_the_audit(prelude, case):
     # Each declaration is checked once, before it is stored; the audit
     # re-checks every entry and rule of the signature a case leaves behind.
-    proc = prelude[0].fork()
-    reports = proc.process_path(corpus_dir() / case.entry)
-    results = prelude_self_check((proc, reports))
-    sig = proc.kernel.sig
-    assert len(results) == len(sig.entries) + sum(map(len, sig.rules_by_head.values()))
+    proc = prelude[0]
+    with proc.rollback():
+        reports = proc.process_path(corpus_dir() / case.entry)
+        results = prelude_self_check((proc, reports))
+        sig = proc.kernel.sig
+        assert len(results) == len(sig.entries) + sum(map(len, sig.rules_by_head.values()))
     failed = [(c.label, c.detail[1 : c.detail.index("]")]) for c in results if not c.ok]
     assert failed == AUDIT_FAILURES.get(case.name, [])
 
@@ -78,11 +79,11 @@ def test_goldens_are_portable():
             assert entry["status"] == "ok"
 
 
-def test_every_prelude_entry_is_exercised():
-    assert uncovered_names() == frozenset()
-    cov = coverage_map()
+def test_every_prelude_entry_is_exercised(prelude):
+    assert uncovered_names(prelude) == frozenset()
+    cov = coverage_map(prelude)
     union = frozenset().union(*cov.values())
-    assert union == prelude_names()
+    assert union == prelude_names(prelude)
 
 
 def test_coverage_counts_sugar_operators():
@@ -91,44 +92,44 @@ def test_coverage_counts_sugar_operators():
     assert {"plus", "oplus"} <= case_mentions(merge_case)
 
 
-def test_negative_claim_rejected_predication():
+def test_negative_claim_rejected_predication(prelude):
     # Applying a predicate of one noun class to an element of a
     # non-subsumed class must fail to check.
     case = next(c for c in CASES if c.name == "case02_subtyping")
-    reports = run_case(case)
+    reports = run_case(case, prelude)
     fails = find(reports, kind="fail", status="ok")
     assert len(fails) == 1
     assert "TypeMismatch" in fails[0].message
 
 
-def test_negative_claim_no_actor_generalization():
+def test_negative_claim_no_actor_generalization(prelude):
     # Repackaging an event over one actor as the same event family over a
     # different actor must not typecheck even with an identity witness.
     case = next(c for c in CASES if c.name == "case12_event_restriction_equiv")
-    reports = run_case(case)
+    reports = run_case(case, prelude)
     fails = find(reports, kind="fail", status="ok")
     assert len(fails) == 1
     assert "entail" in fails[0].message
 
 
-def test_negative_claim_unbounded_undergoer_is_not_telic():
+def test_negative_claim_unbounded_undergoer_is_not_telic(prelude):
     case = next(c for c in CASES if c.name == "case13_telicity")
-    reports = run_case(case)
+    reports = run_case(case, prelude)
     fails = find(reports, kind="fail", status="ok")
     assert len(fails) == 1
 
 
-def test_rejection_case_hits_many_error_codes():
+def test_rejection_case_hits_many_error_codes(prelude):
     case = next(c for c in CASES if c.name == "case19_rejections")
-    reports = run_case(case)
+    reports = run_case(case, prelude)
     codes = set()
     for r in find(reports, kind="fail", status="ok"):
         codes.add(r.message.split("rejected with ")[1].split(" ")[0])
     assert len(codes) >= 12
 
 
-def test_import_case_reports_both_files():
+def test_import_case_reports_both_files(prelude):
     case = next(c for c in CASES if c.name == "case15_boundedness_dispatch")
-    reports = run_case(case)
+    reports = run_case(case, prelude)
     files = {portable(r)["file"] for r in reports}
     assert files == {"case15_boundedness_dispatch.tel", "case15_pop_lexicon.tel"}

@@ -1,13 +1,14 @@
 """Seeded fuzzing of the parser and checker: random token streams and
 mutated corpus files must only ever produce reports.
 
-Every input is processed on a fork of one prelude-loaded processor. The
-report stream must hold the parse errors first, then one report per parsed
-declaration, in order, up to and including the first failed binding
-declaration (which stops the rest of its file). An import names a file
-that does not exist under the empty base directory, so a top-level import
-adds the report of the failed read in front of its own; under `fail` that
-report is dropped with the rest of the inner declaration's.
+Every input is processed inside a rollback of one prelude-loaded
+processor. The report stream must hold the parse errors first, then one
+report per parsed declaration, in order, up to and including the first
+failed binding declaration (which stops the rest of its file). An import
+names a file that does not exist under the empty base directory, so a
+top-level import adds the report of the failed read in front of its own;
+under `fail` that report is dropped with the rest of the inner
+declaration's.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def prelude_processor() -> Processor:
 
 def check_reports(proc: Processor, text: str, name: str, base) -> None:
     parsed = parse_file(text, name)
-    reports = proc.fork().process_text(text, name, base)
+    with proc.rollback():
+        reports = proc.process_text(text, name, base)
     assert all(type(r) is Report for r in reports)
     n_errors = len(parsed.errors)
     assert [r.kind for r in reports[:n_errors]] == ["parse"] * n_errors

@@ -41,14 +41,14 @@ def _rules_of(proc):
 @pytest.fixture(scope="module")
 def all_rules():
     """Every rule of the prelude and of each corpus case, each case loaded
-    on its own fork of the prelude."""
+    on the prelude inside a rollback of its own."""
     proc, reports = load_prelude()
     assert all(r.ok for r in reports)
     seen = {id(r): r for r in _rules_of(proc)}
     for case in CASES:
-        fork = proc.fork()
-        fork.process_path(corpus_dir() / case.entry)
-        seen.update((id(r), r) for r in _rules_of(fork))
+        with proc.rollback():
+            proc.process_path(corpus_dir() / case.entry)
+            seen.update((id(r), r) for r in _rules_of(proc))
     return list(seen.values())
 
 

@@ -126,7 +126,7 @@ def test_fuel_exhaustion():
     k.declare_axiom("Nat", Universe(0), kind=PRIMITIVE)
     k.declare_axiom("loop", Pi(NAT, NAT))
     k.declare_rewrite((("n", NAT),), Const("loop", (Var(0),)), Const("loop", (Var(0),)))
-    k.reset_fuel()
+    k.begin()
     with pytest.raises(FuelExhausted):
         k.whnf(Const("loop", (NatLit(0),)))
 
@@ -270,7 +270,7 @@ def test_repeated_variable_after_its_binding_is_not_reduced():
     k = matching_kernel()
     wrapped = Const("wrap", (Var(0),))
     k.declare_rewrite((("n", NAT),), Const("f", (wrapped, Var(0))), Var(0))
-    k.reset_fuel()
+    k.begin()
     term = Const("f", (Const("wrap", (NatLit(7),)), Const("loop", (NatLit(0),))))
     assert k.whnf(term) == NatLit(7)
     assert k._steps == 3
@@ -281,7 +281,7 @@ def test_binding_variable_is_not_reduced():
     k = matching_kernel()
     wrapped = Const("wrap", (Var(0),))
     k.declare_rewrite((("n", NAT),), Const("g", (Var(0), wrapped)), NatLit(0))
-    k.reset_fuel()
+    k.begin()
     term = Const("g", (Const("loop", (NatLit(0),)), Const("wrap", (NatLit(5),))))
     assert k.whnf(term) == NatLit(0)
     assert k._steps == 3

@@ -50,7 +50,7 @@ def test_entry_kind_counts(loaded_processor):
 
 
 def test_self_check_audits_every_entry_and_rule():
-    results = prelude_self_check()
+    results = prelude_self_check(load_prelude())
     assert len(results) == len(CATALOG) + sum(RULE_HEADS.values())
     bad = [c.render() for c in results if not c.ok]
     assert not bad, bad

@@ -6,7 +6,7 @@ import random
 
 from proputil import TermGen, scratch_processor
 from telic.elaborate import Elaborator
-from telic.kernel import Kernel, MetaStore
+from telic.kernel import Kernel
 from telic.pretty import pretty
 from telic.surface import parse_expr
 from telic.terms import App, Const, Fst, Lambda, Pair, Snd, Term
@@ -17,7 +17,7 @@ OPEN_NAMES = ["s", "y", "n"]
 
 def round_trip(kernel: Kernel, t: Term, names: list[str]) -> Term:
     """Print ``t``, parse it back, elaborate it and zonk the result."""
-    kernel.metas = MetaStore()
+    kernel.begin()
     text = pretty(t, kernel.sig, names)
     return kernel.zonk(Elaborator(kernel).elab(parse_expr(text), names))
 

@@ -1,4 +1,5 @@
-"""`telic selftest` loads the prelude once and runs every case on a fork."""
+"""`telic selftest` loads the prelude once and runs every case on it, each
+inside a rollback."""
 
 from __future__ import annotations
 
@@ -28,8 +29,16 @@ def test_selftest_loads_the_prelude_once(monkeypatch, capsys):
 
 
 def test_selftest_with_a_broken_prelude_fails_every_case(tmp_path, monkeypatch, capsys):
+    _every_case_fails(b"primitive Nat : Type\npostulate bad : Missing\n", tmp_path, monkeypatch, capsys)
+
+
+def test_selftest_with_a_prelude_that_is_not_utf8_fails_every_case(tmp_path, monkeypatch, capsys):
+    _every_case_fails(b"primitive Nat : Type\n\xff\n", tmp_path, monkeypatch, capsys)
+
+
+def _every_case_fails(text: bytes, tmp_path, monkeypatch, capsys) -> None:
     broken = tmp_path / "prelude.tel"
-    broken.write_text("primitive Nat : Type\npostulate bad : Missing\n")
+    broken.write_bytes(text)
     monkeypatch.setenv("TELIC_PRELUDE", str(broken))
 
     assert main(["selftest", "--format", "structured"]) == 1

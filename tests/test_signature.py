@@ -1,4 +1,4 @@
-"""Signature rollback and forks, and restricted types written before they are checked."""
+"""Signature and processor rollback, and restricted types written before they are checked."""
 
 from __future__ import annotations
 
@@ -50,9 +50,16 @@ def test_restriction_written_as_a_type_solves_its_implicits(loaded_processor, te
     assert [r.render() for r in reports if not r.ok] == []
 
 
-# --- forks -------------------------------------------------------------------
+# --- processor rollback ----------------------------------------------------
 
 _BASE = "primitive Nat : Type\npostulate f : Nat -> Nat\nrewrite (n : Nat) : f n = n\n"
+
+_TEXT = (
+    'postulate g : Nat -> Nat\n'
+    'rewrite (n : Nat) : f (g n) = n\n'
+    'rewrite (n : Nat) : g n = n\n'
+    'import "lib.tel"\n'
+)
 
 
 def _state(proc):
@@ -64,29 +71,44 @@ def _state(proc):
     )
 
 
-def test_fork_is_isolated_from_its_base_and_its_siblings(tmp_path):
+def _base(tmp_path):
     (tmp_path / "lib.tel").write_text("postulate fromLib : Nat\n")
     (tmp_path / "base.tel").write_text(_BASE)
     base = Processor(Kernel(fuel=1234))
     assert all(r.ok for r in base.process_path(tmp_path / "base.tel"))
+    return base
+
+
+def test_rollback_discards_declarations_rules_and_imports(tmp_path):
+    base = _base(tmp_path)
     before = _state(base)
-    a, b = base.fork(), base.fork()
-    assert _state(a) == _state(b) == before
-    assert a.kernel.fuel_limit == b.kernel.fuel_limit == 1234
-
-    text = (
-        'postulate g : Nat -> Nat\n'
-        'rewrite (n : Nat) : f (g n) = n\n'
-        'rewrite (n : Nat) : g n = n\n'
-        'import "lib.tel"\n'
-    )
-    assert all(r.ok for r in a.process_text(text, "<fork>", base=tmp_path))
-    entries, rules, loaded = _state(a)
-    assert entries == before[0] + ["g", "fromLib"]
-    assert [len(rules["f"]), len(rules["g"])] == [2, 1]
-    assert str((tmp_path / "lib.tel").resolve()) in loaded
-    assert _state(base) == _state(b) == before
-    # The sibling can add the same names without a clash.
-    assert all(r.ok for r in b.process_text(text, "<sibling>", base=tmp_path))
+    with base.rollback():
+        assert all(r.ok for r in base.process_text(_TEXT, "<trial>", base=tmp_path))
+        entries, rules, loaded = _state(base)
+        assert entries == before[0] + ["g", "fromLib"]
+        assert [len(rules["f"]), len(rules["g"])] == [2, 1]
+        assert str((tmp_path / "lib.tel").resolve()) in loaded
     assert _state(base) == before
+    assert base.kernel.fuel_limit == 1234
 
+
+def test_successive_rollbacks_each_start_from_the_base(tmp_path):
+    base = _base(tmp_path)
+    before = _state(base)
+    for label in ("<first>", "<second>"):
+        # The same names and the same import go through again without a clash.
+        with base.rollback():
+            reports = base.process_text(_TEXT, label, base=tmp_path)
+        assert [r.render() for r in reports if not r.ok] == []
+        assert [r.kind for r in reports] == ["postulate", "rewrite", "rewrite", "postulate", "import"]
+        assert _state(base) == before
+
+
+def test_rollback_restores_when_the_body_raises(tmp_path):
+    base = _base(tmp_path)
+    before = _state(base)
+    with pytest.raises(RuntimeError):
+        with base.rollback():
+            base.process_text(_TEXT, "<trial>", base=tmp_path)
+            raise RuntimeError("body failed")
+    assert _state(base) == before

@@ -269,8 +269,9 @@ def test_tokenize_failure_becomes_parse_error_report():
         ("postulate _b : Type", "IllegalCharacter", 11),
         ('import "b.tel', "ParseError", 8),
         ("fail TypeMismatch check b : $", "IllegalCharacter", 29),
+        ("check \u00b2 : Nat", "IllegalCharacter", 7),
     ],
-    ids=["illegal", "underscore", "unterminated-string", "inside-fail"],
+    ids=["illegal", "underscore", "unterminated-string", "inside-fail", "superscript-digit"],
 )
 def test_lexical_error_spoils_only_its_declaration(bad, code, col):
     text = f"postulate a : Type\n{bad}\npostulate c : Type\n"
@@ -282,6 +283,14 @@ def test_lexical_error_spoils_only_its_declaration(bad, code, col):
     # direct callers of the lexer still get the exception
     with pytest.raises(type(err)):
         tokenize(text)
+
+
+def test_only_ascii_digits_make_numerals():
+    # Other Unicode digits (Arabic-Indic one here) are not numerals.
+    assert kinds("0123456789") == ["NAT"]
+    with pytest.raises(IllegalCharacter) as err:
+        parse_expr("\u0661 + 2")
+    assert err.value.message == "illegal character '\u0661'"
 
 
 def test_lexical_error_after_a_complete_declaration_spoils_it():
