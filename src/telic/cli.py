@@ -20,17 +20,21 @@ import sys
 from .corpus import CASES, check_case, uncovered_names, write_golden
 from .elaborate import Processor, Report, render_reports
 from .errors import TelicError
-from .kernel import DEFAULT_FUEL, Kernel
+from .kernel import DEFAULT_FUEL
 from .prelude import load_prelude, prelude_self_check
 
 
 def _fresh_processor(fuel: int, with_prelude: bool) -> tuple[Processor, list[Report]]:
-    """A processor plus whatever prelude reports came back broken."""
-    proc = Processor(Kernel(fuel=fuel))
-    if not with_prelude:
-        return proc, []
-    _, reports = load_prelude(proc)
-    return proc, [r for r in reports if not r.ok]
+    """A processor that gives each later declaration ``fuel`` steps, plus
+    whatever prelude reports came back broken. The prelude itself loads at
+    the default budget: ``--fuel`` bounds the user's files only."""
+    proc = Processor()
+    broken: list[Report] = []
+    if with_prelude:
+        _, reports = load_prelude(proc)
+        broken = [r for r in reports if not r.ok]
+    proc.kernel.fuel_limit = fuel
+    return proc, broken
 
 
 def _fuel(text: str) -> int:
@@ -156,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="process lexicon files and print one report per declaration")
     check.add_argument("files", nargs="+", metavar="FILE", help="lexicon files, processed in order")
-    check.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL, help="reduction step budget per declaration")
+    check.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL, help="reduction step budget per declaration, prelude excepted")
     check.add_argument("--format", choices=("plain", "structured"), default="plain", help="plain lines or one JSON object per report")
     check.add_argument("--no-prelude", action="store_true", help="start from an empty signature")
     check.set_defaults(run=_cmd_check)
@@ -164,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     norm = sub.add_parser("norm", help="normalize one expression and show its type")
     norm.add_argument("files", nargs="*", metavar="FILE", help="lexicon files to load first")
     norm.add_argument("-e", "--expr", required=True, help="the expression to normalize")
-    norm.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL, help="reduction step budget per declaration")
+    norm.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL, help="reduction step budget per declaration, prelude excepted")
     norm.add_argument("--no-prelude", action="store_true", help="start from an empty signature")
     norm.set_defaults(run=_cmd_norm)
 

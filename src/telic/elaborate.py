@@ -76,7 +76,6 @@ from .terms import (
     Universe,
     Var,
     ctx_extend,
-    shift,
 )
 
 
@@ -139,7 +138,7 @@ class Elaborator:
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
 
-    def elab(self, e: SExpr, env: list[str]) -> Term:
+    def elab(self, e: SExpr, env: list[str | None]) -> Term:
         match e:
             case SApp():
                 head, args = self._spine(e)
@@ -156,8 +155,6 @@ class Elaborator:
                 return Universe(l)
             case SLambda(binder=b, body=body):
                 return Lambda(self.elab(body, env + [b]), b)
-            case SPi(binder=None, domain=d, codomain=c):
-                return Pi(self.elab(d, env), shift(self.elab(c, env), 1), None)
             case SPi(binder=b, domain=d, codomain=c):
                 return Pi(self.elab(d, env), self.elab(c, env + [b]), b)
             case SSigma(binder=b, first=a, second=s):
@@ -174,7 +171,7 @@ class Elaborator:
         args.reverse()
         return e, args
 
-    def _application(self, head: SExpr, args: list[SApp], env: list[str]) -> Term:
+    def _application(self, head: SExpr, args: list[SApp], env: list[str | None]) -> Term:
         match head:
             case SProj(which=w, span=sp):
                 wrap = Fst if w == "fst" else Snd
@@ -202,7 +199,7 @@ class Elaborator:
         name: str,
         mask: tuple[bool, ...],
         args: list[SApp],
-        env: list[str],
+        env: list[str | None],
         span: Span,
     ) -> Term:
         out_args: list[Term] = []
@@ -234,7 +231,7 @@ class Elaborator:
             out_args.append(self.elab(a.arg, env))
         return Const(name, tuple(out_args))
 
-    def _apply_rest(self, fn: Term, args: list[SApp], env: list[str]) -> Term:
+    def _apply_rest(self, fn: Term, args: list[SApp], env: list[str | None]) -> Term:
         for a in args:
             if a.implicit:
                 raise TypeMismatch(
@@ -347,7 +344,7 @@ class Processor:
             resolved = path.resolve()
             text = resolved.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as e:
-            sp = via or Span(str(path), 1, 1, 1, 1)
+            sp = via or Span(str(path), 1, 1)
             reports.append(
                 Report(
                     sp.file,
@@ -372,7 +369,7 @@ class Processor:
     ) -> bool:
         ok = True
         for err in parsed.errors:
-            sp = err.span or Span(parsed.filename, 1, 1, 1, 1)
+            sp = err.span or Span(parsed.filename, 1, 1)
             reports.append(
                 Report(
                     sp.file, sp.line, sp.col, "parse", None, "error", err.code, err.message
@@ -429,9 +426,7 @@ class Processor:
                 self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
                 self.kernel.require_solved(sp)
                 ty_t = self.kernel.zonk(ty_t)
-                self.kernel.declare_axiom(
-                    n, ty_t, mask, PRIMITIVE if prim else POSTULATE, decl.name_span
-                )
+                self.kernel.declare_axiom(n, ty_t, mask, PRIMITIVE if prim else POSTULATE)
             case DDef(name=n, type=ty, body=body):
                 mask = implicit_mask_of(ty)
                 ty_t = self.elab.elab(ty, [])
@@ -440,19 +435,19 @@ class Processor:
                 self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
                 self.kernel.require_solved(sp)
                 self.kernel.declare_definition(
-                    n, self.kernel.zonk(ty_t), self.kernel.zonk(body_t), mask, decl.name_span
+                    n, self.kernel.zonk(ty_t), self.kernel.zonk(body_t), mask
                 )
             case DEntail(name=n, hypothesis=hyp, conclusion=concl, witness=wit):
                 hyp_t = self.elab.elab(hyp, [])
                 self.kernel.check_is_type(EMPTY_CONTEXT, hyp_t)
-                concl_t = self.elab.elab(concl, [])
-                self.kernel.check_is_type(EMPTY_CONTEXT, concl_t)
-                ty_t = Pi(hyp_t, shift(concl_t, 1), None)
+                concl_t = self.elab.elab(concl, [None])
+                self.kernel.check_is_type(ctx_extend(EMPTY_CONTEXT, "x", hyp_t), concl_t)
+                ty_t = Pi(hyp_t, concl_t, None)
                 wit_t = self.elab.elab(wit, [])
                 self.kernel.check(EMPTY_CONTEXT, wit_t, ty_t)
                 self.kernel.require_solved(sp)
                 self.kernel.declare_definition(
-                    n, self.kernel.zonk(ty_t), self.kernel.zonk(wit_t), (), decl.name_span
+                    n, self.kernel.zonk(ty_t), self.kernel.zonk(wit_t)
                 )
             case DCheck(term=tm, type=ty):
                 ty_t = self.elab.elab(ty, [])
@@ -501,12 +496,12 @@ class Processor:
 
     def _run_rewrite(
         self,
-        tele: tuple[tuple[str, SExpr, Span], ...],
+        tele: tuple[tuple[str, SExpr], ...],
         lhs: SExpr,
         rhs: SExpr,
         sp: Span,
     ) -> None:
-        counts = {nm: 0 for nm, _, _ in tele}
+        counts = {nm: 0 for nm, _ in tele}
         _count_names(lhs, counts, frozenset())
         repeated = [nm for nm, c in counts.items() if c > 1]
         if repeated:
@@ -518,7 +513,7 @@ class Processor:
         env: list[str] = []
         tele_terms: list[tuple[str, Term]] = []
         ctx: Context = EMPTY_CONTEXT
-        for nm, ty, nm_span in tele:
+        for nm, ty in tele:
             ty_t = self.elab.elab(ty, env)
             self.kernel.check_is_type(ctx, ty_t)
             tele_terms.append((nm, ty_t))
@@ -540,7 +535,7 @@ class Processor:
             (nm, self.kernel.zonk(ty_t)) for nm, ty_t in tele_terms
         )
         self.kernel.declare_rewrite(
-            zonked_tele, self.kernel.zonk(lhs_t), self.kernel.zonk(rhs_t), sp
+            zonked_tele, self.kernel.zonk(lhs_t), self.kernel.zonk(rhs_t)
         )
 
     def _run_fail(

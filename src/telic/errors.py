@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True, slots=True)
 class Span:
+    """Where a token, expression or declaration starts: the position that
+    reports print as ``file:line:col``."""
+
     file: str
     line: int  # 1-based
-    col: int  # 1-based
-    end_line: int
-    end_col: int
+    col: int  # 1-based, counted in characters
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"

@@ -102,7 +102,6 @@ class SignatureEntry:
     type: Term  # closed, checks against a universe
     body: Term | None = None  # definitions only
     implicit_mask: tuple[bool, ...] = ()
-    span: Span | None = None
 
 
 # --- rewrite rules -----------------------------------------------------------
@@ -113,7 +112,6 @@ class RewriteRule:
     lhs: Const  # over the telescope; its arguments are the patterns
     rhs: Term  # over the telescope: Var(0) is the innermost slot
     telescope: tuple[tuple[str, Term], ...]  # (hint, type), outermost first
-    span: Span | None = None
     nslots: int = field(init=False, repr=False, compare=False)
     # the instance of ``rhs`` for a match environment, Var(0)'s value first
     instantiate: Callable[[Sequence[Term]], Term] = field(init=False, repr=False, compare=False)
@@ -730,12 +728,11 @@ class Kernel:
         ty: Term,
         mask: tuple[bool, ...] = (),
         kind: str = POSTULATE,
-        span: Span | None = None,
     ) -> None:
         """Store an already-checked axiom; ``ty`` must be closed."""
         self.assert_closed(ty)
         self._require_fresh(name)
-        self.sig.entries[name] = SignatureEntry(name, kind, ty, None, mask, span)
+        self.sig.entries[name] = SignatureEntry(name, kind, ty, None, mask)
 
     def declare_definition(
         self,
@@ -743,20 +740,18 @@ class Kernel:
         ty: Term,
         body: Term,
         mask: tuple[bool, ...] = (),
-        span: Span | None = None,
     ) -> None:
         """Store an already-checked definition; both terms must be closed."""
         self.assert_closed(ty)
         self.assert_closed(body)
         self._require_fresh(name)
-        self.sig.entries[name] = SignatureEntry(name, DEFINITION, ty, body, mask, span)
+        self.sig.entries[name] = SignatureEntry(name, DEFINITION, ty, body, mask)
 
     def declare_rewrite(
         self,
         telescope: tuple[tuple[str, Term], ...],
         lhs: Term,
         rhs: Term,
-        span: Span | None = None,
     ) -> RewriteRule:
         """Store an already-checked directed equation. The caller has
         elaborated both sides under the telescope, checked that the
@@ -793,7 +788,7 @@ class Kernel:
                 f"pattern variable(s) {', '.join(missing)} never occur on the "
                 f"left-hand side"
             )
-        rule = RewriteRule(lhs.name, lhs, rhs, telescope, span)
+        rule = RewriteRule(lhs.name, lhs, rhs, telescope)
         self.sig.rules_by_head.setdefault(lhs.name, []).append(rule)
         return rule
 

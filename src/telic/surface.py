@@ -6,6 +6,11 @@ lambda, dependent function and pair types, implicit binders in braces,
 application by juxtaposition, numeric literals, `+` and the `(+)`/`⊕` sum
 of noun phrases, holes, and right-nested tuples.
 
+Lexing is one regular expression of token classes, scanned left to right.
+Every token, expression and declaration carries a span: the file, line and
+column where it starts, which is the position reports print. An expression
+or declaration starts where its first token does.
+
 Parsing is recursive descent with token-position backtracking only for the
 binder-group lookahead. A parse error inside one declaration is recorded and
 parsing resumes at the next declaration keyword, so one bad declaration does
@@ -15,6 +20,7 @@ unterminated string) is the parse error of the declaration it falls in.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ERROR_CODES, IllegalCharacter, ParseError, Span
@@ -73,18 +79,37 @@ class Token:
     span: Span
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isascii() and c.isalpha()
+# The token classes, tried in order at each position; the first that matches
+# wins. Every position matches some class, so the scan covers the whole text.
+_TOKEN_CLASSES = (
+    ("NEWLINE", r"\n"),
+    ("SPACE", r"[ \t\r]+"),
+    ("COMMENT", r"--[^\n]*"),
+    ("ARROW", r"->"),
+    ("DARROW", r"=>"),
+    ("OPLUS", r"\(\+\)"),
+    ("UNDERSCORE", r"_(?=[A-Za-z0-9_'])"),
+    ("PUNCTUATION", "[" + re.escape("".join(_PUNCTUATION)) + "]"),
+    ("STRING", r'"[^"\n]*"'),
+    ("UNTERMINATED", r'"[^"\n]*'),
+    ("NAT", r"[0-9]+"),
+    ("WORD", r"[A-Za-z][A-Za-z0-9_']*"),
+    ("ILLEGAL", r"."),
+)
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_CLASSES))
 
-
-def _is_ident_char(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c in "_'")
+_LEXICAL_ERRORS = {
+    "UNDERSCORE": lambda text: IllegalCharacter("names may not start with an underscore"),
+    "UNTERMINATED": lambda text: ParseError("unterminated string"),
+    "ILLEGAL": lambda text: IllegalCharacter(f"illegal character {text!r}"),
+}
 
 
 def tokenize(
     text: str, filename: str = "<input>", errors: dict[int, ParseError] | None = None
 ) -> list[Token]:
-    """The tokens of ``text``, ending in EOF.
+    """The tokens of ``text``, ending in EOF, each at the line and column
+    where it starts.
 
     A lexical error is raised, unless ``errors`` is given: then it is stored
     there, keyed by the index of an ERROR token standing in for the
@@ -92,101 +117,36 @@ def tokenize(
     """
     tokens: list[Token] = []
     line = 1
-    col = 1
-    i = 0
-    n = len(text)
-
-    def span(width: int, l: int | None = None, c: int | None = None) -> Span:
-        sl = line if l is None else l
-        sc = col if c is None else c
-        return Span(filename, sl, sc, sl, sc + width)
-
-    def push(kind: str, text_: str, sp: Span) -> None:
-        tokens.append(Token(kind, text_, sp))
-
-    def bad(err: ParseError, width: int) -> None:
-        if errors is None:
-            raise err
-        errors[len(tokens)] = err
-        push("ERROR", text[i : i + width], err.span)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line_start = 0  # offset of the current line's first character
+    end = 0  # where the EOF token goes: a trailing comment's `--` keeps it
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "SPACE":
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
+            line_start = end
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "COMMENT":
+            end = m.start()
             continue
-        if c == "-" and i + 1 < n and text[i + 1] == "-":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            push("ARROW", "->", span(2))
-            i += 2
-            col += 2
-            continue
-        if c == "=" and i + 1 < n and text[i + 1] == ">":
-            push("DARROW", "=>", span(2))
-            i += 2
-            col += 2
-            continue
-        if c == "(" and i + 2 < n and text[i + 1] == "+" and text[i + 2] == ")":
-            push("OPLUS", "(+)", span(3))
-            i += 3
-            col += 3
-            continue
-        if c in _PUNCTUATION:
-            if c == "_" and i + 1 < n and _is_ident_char(text[i + 1]):
-                bad(IllegalCharacter("names may not start with an underscore", span=span(1)), 1)
-            else:
-                push(_PUNCTUATION[c], c, span(1))
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] == "\n":
-                bad(ParseError("unterminated string", span=span(j - i)), j - i)
-                col += j - i
-                i = j
-                continue
-            push("STRING", text[i + 1 : j], span(j - i + 1))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if "0" <= c <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            push("NAT", text[i:j], span(j - i))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            if word == "Sigma":
-                push("SIGMA", word, span(j - i))
-            elif word in _KEYWORDS:
-                push(word.upper(), word, span(j - i))
-            else:
-                push("IDENT", word, span(j - i))
-            col += j - i
-            i = j
-            continue
-        bad(IllegalCharacter(f"illegal character {c!r}", span=span(1)), 1)
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", Span(filename, line, col, line, col)))
+        word = m.group()
+        span = Span(filename, line, m.start() - line_start + 1)
+        if kind == "WORD":
+            kind = word.upper() if word in _KEYWORDS else "IDENT"
+        elif kind == "PUNCTUATION":
+            kind = _PUNCTUATION[word]
+        elif kind == "STRING":
+            word = word[1:-1]
+        elif kind in _LEXICAL_ERRORS:
+            err = _LEXICAL_ERRORS[kind](word).with_span(span)
+            if errors is None:
+                raise err
+            errors[len(tokens)] = err
+            kind = "ERROR"
+        tokens.append(Token(kind, word, span))
+    tokens.append(Token("EOF", "", Span(filename, line, end - line_start + 1)))
     return tokens
 
 
@@ -268,7 +228,6 @@ class DAxiom(Declaration):
     name: str
     type: SExpr
     primitive: bool
-    name_span: Span = field(compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,12 +235,11 @@ class DDef(Declaration):
     name: str
     type: SExpr
     body: SExpr
-    name_span: Span = field(compare=False)
 
 
 @dataclass(frozen=True, slots=True)
 class DRewrite(Declaration):
-    telescope: tuple[tuple[str, SExpr, Span], ...]
+    telescope: tuple[tuple[str, SExpr], ...]
     lhs: SExpr
     rhs: SExpr
 
@@ -310,7 +268,6 @@ class DEntail(Declaration):
     hypothesis: SExpr
     conclusion: SExpr
     witness: SExpr
-    name_span: Span = field(compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -357,9 +314,6 @@ class _Parser:
                 span=t.span,
             )
         return self.next()
-
-    def join(self, start: Span, end: Span) -> Span:
-        return Span(start.file, start.line, start.col, end.end_line, end.end_col)
 
     # - declarations -
 
@@ -415,7 +369,7 @@ class _Parser:
                 term = self.expr()
                 self.expect("COLON", "':'")
                 ty = self.expr()
-                return DCheck(self.join(start, ty.span), term, ty)
+                return DCheck(start, term, ty)
             case "FAIL":
                 start = self.next().span
                 code = self.expect("IDENT", "an error code")
@@ -424,13 +378,13 @@ class _Parser:
                         f"unknown error code `{code.text}`", span=code.span
                     )
                 inner = self.declaration()
-                return DFail(self.join(start, inner.span), code.text, inner)
+                return DFail(start, code.text, inner)
             case "NORM":
                 start = self.next().span
                 lhs = self.expr()
                 self.expect("EQUALS", "'='")
                 rhs = self.expr()
-                return DNorm(self.join(start, rhs.span), lhs, rhs)
+                return DNorm(start, lhs, rhs)
             case "ENTAIL":
                 start = self.next().span
                 name = self.expect("IDENT", "a name")
@@ -440,13 +394,11 @@ class _Parser:
                 concl = self.expr()
                 self.expect("EQUALS", "'='")
                 wit = self.expr()
-                return DEntail(
-                    self.join(start, wit.span), name.text, hyp, concl, wit, name.span
-                )
+                return DEntail(start, name.text, hyp, concl, wit)
             case "IMPORT":
                 start = self.next().span
                 path = self.expect("STRING", "a quoted file path")
-                return DImport(self.join(start, path.span), path.text)
+                return DImport(start, path.text)
             case _:
                 raise ParseError(
                     f"expected a declaration, found {t.text!r}"
@@ -460,7 +412,7 @@ class _Parser:
         name = self.expect("IDENT", "a name")
         self.expect("COLON", "':'")
         ty = self.expr()
-        return DAxiom(self.join(start, ty.span), name.text, ty, primitive, name.span)
+        return DAxiom(start, name.text, ty, primitive)
 
     def def_decl(self) -> Declaration:
         start = self.next().span
@@ -469,27 +421,26 @@ class _Parser:
         ty = self.expr()
         self.expect("EQUALS", "'='")
         body = self.expr()
-        return DDef(self.join(start, body.span), name.text, ty, body, name.span)
+        return DDef(start, name.text, ty, body)
 
     def rewrite_decl(self) -> Declaration:
         start = self.next().span
-        telescope: list[tuple[str, SExpr, Span]] = []
+        telescope: list[tuple[str, SExpr]] = []
         while self.at("LPAREN") and self.looks_like_group():
             self.next()
-            names: list[Token] = [self.expect("IDENT", "a pattern variable")]
+            names = [self.expect("IDENT", "a pattern variable").text]
             while self.at("IDENT"):
-                names.append(self.next())
+                names.append(self.next().text)
             self.expect("COLON", "':'")
             ty = self.expr()
             self.expect("RPAREN", "')'")
-            for nm in names:
-                telescope.append((nm.text, ty, nm.span))
+            telescope += [(nm, ty) for nm in names]
         if self.at("COLON"):
             self.next()
         lhs = self.expr()
         self.expect("EQUALS", "'='")
         rhs = self.expr()
-        return DRewrite(self.join(start, rhs.span), tuple(telescope), lhs, rhs)
+        return DRewrite(start, tuple(telescope), lhs, rhs)
 
     # - expressions -
 
@@ -501,10 +452,9 @@ class _Parser:
             while self.at("IDENT"):
                 binders.append(self.next())
             self.expect("DOT", "'.'")
-            body = self.expr()
-            out = body
+            out = self.expr()
             for b in reversed(binders):
-                out = SLambda(self.join(t.span, body.span), b.text, out)
+                out = SLambda(t.span, b.text, out)
             return out
         if t.kind == "SIGMA":
             self.next()
@@ -515,21 +465,20 @@ class _Parser:
             self.expect("RPAREN", "')'")
             self.expect("DOT", "'.'")
             second = self.expr()
-            return SSigma(self.join(t.span, second.span), binder.text, first, second)
+            return SSigma(t.span, binder.text, first, second)
         groups = self.binder_groups()
         if groups:
             self.expect("ARROW", "'->'")
-            body = self.expr()
-            out = body
+            out = self.expr()
             for names, ty, implicit, gspan in reversed(groups):
                 for nm in reversed(names):
-                    out = SPi(self.join(gspan, body.span), nm, implicit, ty, out)
+                    out = SPi(gspan, nm, implicit, ty, out)
             return out
         left = self.sum_expr()
         if self.at("ARROW"):
             self.next()
             right = self.expr()
-            return SPi(self.join(left.span, right.span), None, False, left, right)
+            return SPi(left.span, None, False, left, right)
         return left
 
     def binder_groups(self) -> list[tuple[list[str], SExpr, bool, Span]]:
@@ -546,8 +495,8 @@ class _Parser:
                 names.append(self.next().text)
             self.expect("COLON", "':'")
             ty = self.expr()
-            end = self.expect(close, "')'" if close == "RPAREN" else "'}'")
-            groups.append((names, ty, implicit, self.join(t.span, end.span)))
+            self.expect(close, "')'" if close == "RPAREN" else "'}'")
+            groups.append((names, ty, implicit, t.span))
         return groups
 
     def looks_like_group(self) -> bool:
@@ -564,7 +513,7 @@ class _Parser:
             op = self.next()
             right = self.app_expr()
             name = "plus" if op.kind == "PLUS" else "oplus"
-            sp = self.join(left.span, right.span)
+            sp = left.span
             left = SApp(sp, SApp(sp, SName(op.span, name), left, False), right, False)
         return left
 
@@ -578,12 +527,12 @@ class _Parser:
             t = self.peek()
             if t.kind in self._ATOM_STARTS:
                 arg = self.atom()
-                head = SApp(self.join(head.span, arg.span), head, arg, False)
+                head = SApp(head.span, head, arg, False)
             elif t.kind == "LBRACE":
                 self.next()
                 arg = self.expr()
-                end = self.expect("RBRACE", "'}'")
-                head = SApp(self.join(head.span, end.span), head, arg, True)
+                self.expect("RBRACE", "'}'")
+                head = SApp(head.span, head, arg, True)
             else:
                 return head
 
@@ -609,10 +558,10 @@ class _Parser:
                 while self.at("COMMA"):
                     self.next()
                     parts.append(self.expr())
-                end = self.expect("RPAREN", "')'")
+                self.expect("RPAREN", "')'")
                 out = parts[-1]
                 for p in reversed(parts[:-1]):
-                    out = SPair(self.join(t.span, end.span), p, out)
+                    out = SPair(t.span, p, out)
                 return out
             case _:
                 raise ParseError(

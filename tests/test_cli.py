@@ -83,8 +83,17 @@ def test_norm_with_failing_file_stops(tmp_path, capsys):
 
 
 def test_norm_fuel_limit(capsys):
-    assert main(["norm", "--fuel", "10", "-e", "plus 2 3"]) == 1
-    assert "[FuelExhausted]" in capsys.readouterr().err
+    assert main(["norm", "--fuel", "5", "-e", "plus 2 3"]) == 1
+    err = capsys.readouterr().err
+    assert "[FuelExhausted]" in err
+    assert "prelude.tel" not in err  # the expression ran out, not the prelude
+
+
+def test_fuel_bounds_the_users_files_not_the_prelude(tmp_path, capsys):
+    f = tmp_path / "one.tel"
+    f.write_text("postulate cat : NP U\n")
+    assert main(["check", "--fuel", "50", str(f)]) == 0
+    assert capsys.readouterr().out == f"{f}:1:1: ok: postulate cat\n"
 
 
 def test_selftest_passes(capsys):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from telic import kernel, terms
 from telic.elaborate import Processor, Report, render_reports
 from telic.errors import CannotInfer, TelicError, UnsolvedMeta
 
@@ -73,6 +74,33 @@ def test_unbound_name_mentions_the_name(bare_processor):
 def test_holes_must_be_solved(bare_processor):
     reports = run(bare_processor, "def h : Nat = _")
     assert reports[-1].code == "UnsolvedMeta"
+
+
+def test_hole_in_an_arrow_codomain_sees_the_domain(bare_processor):
+    # `Nat -> P _` is `(x : Nat) -> P _` with an unnamed binder, so the hole
+    # may be solved by the domain variable.
+    text = "postulate P : Nat -> Type\npostulate p : (n : Nat) -> P n\ndef g : Nat -> P _ = p"
+    reports = run(bare_processor, text)
+    assert statuses(reports) == ["ok"] * 7
+
+
+def test_arrow_chains_elaborate_without_rebuilding_the_codomain(bare_processor, monkeypatch):
+    # Shifting each codomain would rebuild the rest of the chain once per arrow.
+    run(bare_processor, "")
+    calls = 0
+    original = terms.map_term
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(terms, "map_term", counted)
+    monkeypatch.setattr(kernel, "map_term", counted)
+    chain = " -> ".join(["A"] * 202)
+    reports = bare_processor.process_text(f"postulate f : {chain}", "chain.tel")
+    assert statuses(reports) == ["ok"]
+    assert calls <= 3
 
 
 # --- error order ------------------------------------------------------------------

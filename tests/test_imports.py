@@ -1,16 +1,17 @@
-"""Every module uses every name it imports (re-exports in ``__all__`` count)."""
+"""Every module uses every name it imports (re-exports in ``__all__`` count),
+and the runtime imports nothing outside the standard library."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "telic").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+RUNTIME = sorted((ROOT / "src" / "telic").glob("*.py"))
+MODULES = RUNTIME + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +41,28 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The top-level packages ``source`` imports that are neither in the
+    standard library nor telic itself; relative imports are telic's."""
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+    return [m for m in found if m not in sys.stdlib_module_names and m != "telic"]
+
+
+def test_the_check_sees_a_foreign_import():
+    source = (
+        "import os.path\nimport numpy as np\nfrom telic import kernel\n"
+        "from .x import y\nfrom yaml import load\n"
+    )
+    assert foreign_imports(source) == ["numpy", "yaml"]
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_runtime_is_stdlib_only(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []

@@ -60,6 +60,46 @@ def test_token_spans_track_lines_and_columns():
     assert (toks[2].span.line, toks[2].span.col) == (2, 3)
 
 
+# input -> [(kind, text, line, col)], EOF included. A lexical error stands
+# as an ERROR token holding the offending text.
+LEXER_TABLE = [
+    ("a\tb\r\nc", [("IDENT", "a", 1, 1), ("IDENT", "b", 1, 3), ("IDENT", "c", 2, 1), ("EOF", "", 2, 2)]),
+    ("a --> b\nc", [("IDENT", "a", 1, 1), ("IDENT", "c", 2, 1), ("EOF", "", 2, 2)]),
+    ("A -> B => C", [
+        ("IDENT", "A", 1, 1), ("ARROW", "->", 1, 3), ("IDENT", "B", 1, 6),
+        ("DARROW", "=>", 1, 8), ("IDENT", "C", 1, 11), ("EOF", "", 1, 12),
+    ]),
+    ("(+) ( + )", [
+        ("OPLUS", "(+)", 1, 1), ("LPAREN", "(", 1, 5), ("PLUS", "+", 1, 7),
+        ("RPAREN", ")", 1, 9), ("EOF", "", 1, 10),
+    ]),
+    # After a trailing comment, EOF sits at the comment's `--`.
+    ("a -- note", [("IDENT", "a", 1, 1), ("EOF", "", 1, 3)]),
+    ('import "half', [("IMPORT", "import", 1, 1), ("ERROR", '"half', 1, 8), ("EOF", "", 1, 13)]),
+    ('import "half\nb', [
+        ("IMPORT", "import", 1, 1), ("ERROR", '"half', 1, 8), ("IDENT", "b", 2, 1), ("EOF", "", 2, 2),
+    ]),
+    ("_x _ x_y'", [
+        ("ERROR", "_", 1, 1), ("IDENT", "x", 1, 2), ("HOLE", "_", 1, 4),
+        ("IDENT", "x_y'", 1, 6), ("EOF", "", 1, 10),
+    ]),
+    ("x\u00b2", [("IDENT", "x", 1, 1), ("ERROR", "\u00b2", 1, 2), ("EOF", "", 1, 3)]),
+    ("caf\u00e9", [("IDENT", "caf", 1, 1), ("ERROR", "\u00e9", 1, 4), ("EOF", "", 1, 5)]),
+    # A character outside the BMP is one column wide.
+    ("a \U0001d400 b", [
+        ("IDENT", "a", 1, 1), ("ERROR", "\U0001d400", 1, 3), ("IDENT", "b", 1, 5), ("EOF", "", 1, 6),
+    ]),
+    ("\u03a3 Sigma", [("SIGMA", "\u03a3", 1, 1), ("SIGMA", "Sigma", 1, 3), ("EOF", "", 1, 8)]),
+    ("Type1 Type", [("TYPE1", "Type1", 1, 1), ("TYPE", "Type", 1, 7), ("EOF", "", 1, 11)]),
+]
+
+
+@pytest.mark.parametrize("text, expected", LEXER_TABLE, ids=[repr(t) for t, _ in LEXER_TABLE])
+def test_lexer_table(text, expected):
+    tokens = tokenize(text, "<t>", {})
+    assert [(t.kind, t.text, t.span.line, t.span.col) for t in tokens] == expected
+
+
 def test_leading_underscore_names_rejected():
     with pytest.raises(IllegalCharacter):
         tokenize("_x")
