@@ -320,7 +320,8 @@ class Processor:
         """Elaborate a closed expression and return it normalized with its type.
 
         Both halves come back pretty-printed; the type is shown as inferred
-        rather than normalized, so signature heads stay folded.
+        rather than normalized, so signature heads stay folded. An error
+        without a position of its own gets the expression's.
         """
         sexpr = parse_expr(text, filename)
         self.kernel.begin()
@@ -332,6 +333,9 @@ class Processor:
             ty = self.kernel.assert_closed(self.kernel.zonk(ty))
             sig = self.kernel.sig
             return pretty(self.kernel.normalize(t), sig), pretty(ty, sig)
+        except TelicError as e:
+            e.with_span(sexpr.span)
+            raise
         except RecursionError:
             raise DepthExceeded(
                 "expression nests too deeply to check", span=sexpr.span

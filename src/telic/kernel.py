@@ -568,16 +568,27 @@ class Kernel:
                 entry = self.sig.entries.get(n)
                 if entry is None:
                     raise UnknownConstant(f"unknown constant `{n}`")
+                # Instantiate the type once: while it is syntactically a Pi,
+                # the arguments wait in `env` (last first) and only each
+                # domain is substituted. The tick is the one step `whnf`
+                # takes on a Pi, so the steps counted are those of reducing
+                # the type after each argument.
                 ty: Term = entry.type
+                env: list[Term] = []
                 for a in args:
-                    tw = self.whnf(ty)
-                    if not isinstance(tw, Pi):
-                        raise NotAFunction(
-                            f"`{n}` is over-applied: `{self._show(ctx, tw)}` is not a function type"
-                        )
-                    self.check(ctx, a, tw.domain)
-                    ty = subst(tw.codomain, a)
-                return ty
+                    if type(ty) is Pi:
+                        self._tick()
+                    else:
+                        ty = self.whnf(subst_many(ty, env) if env else ty)
+                        env = []
+                        if not isinstance(ty, Pi):
+                            raise NotAFunction(
+                                f"`{n}` is over-applied: `{self._show(ctx, ty)}` is not a function type"
+                            )
+                    self.check(ctx, a, subst_many(ty.domain, env) if env else ty.domain)
+                    env.insert(0, a)
+                    ty = ty.codomain
+                return subst_many(ty, env) if env else ty
             case Universe(level=0):
                 return Universe(1)
             case Universe():

@@ -7,9 +7,10 @@ application by juxtaposition, numeric literals, `+` and the `(+)`/`⊕` sum
 of noun phrases, holes, and right-nested tuples.
 
 Lexing is one regular expression of token classes, scanned left to right.
-Every token, expression and declaration carries a span: the file, line and
-column where it starts, which is the position reports print. An expression
-or declaration starts where its first token does.
+A token is a plain tuple ``(kind, text, line, col)``: the line and column
+where it starts. Spans (the file, line and column that reports print) are
+built only where they are kept: on expressions, declarations and errors.
+An expression or declaration starts where its first token does.
 
 Parsing is recursive descent with token-position backtracking only for the
 binder-group lookahead. A parse error inside one declaration is recorded and
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ERROR_CODES, IllegalCharacter, ParseError, Span
 
@@ -72,11 +74,15 @@ DECL_KEYWORDS = frozenset(
 _RESUME_KINDS = frozenset({k.upper() for k in DECL_KEYWORDS} | {"EOF"})
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
+    """A token: its kind, its text, and the 1-based line and column where it
+    starts. The parser turns the position into a ``Span`` only where a node
+    or an error keeps it."""
+
     kind: str
     text: str
-    span: Span
+    line: int
+    col: int
 
 
 # The token classes, tried in order at each position; the first that matches
@@ -116,6 +122,8 @@ def tokenize(
     offending text, and lexing goes on after it.
     """
     tokens: list[Token] = []
+    push = tokens.append
+    new = tuple.__new__
     line = 1
     line_start = 0  # offset of the current line's first character
     end = 0  # where the EOF token goes: a trailing comment's `--` keeps it
@@ -132,7 +140,7 @@ def tokenize(
             end = m.start()
             continue
         word = m.group()
-        span = Span(filename, line, m.start() - line_start + 1)
+        col = m.start() - line_start + 1
         if kind == "WORD":
             kind = word.upper() if word in _KEYWORDS else "IDENT"
         elif kind == "PUNCTUATION":
@@ -140,13 +148,13 @@ def tokenize(
         elif kind == "STRING":
             word = word[1:-1]
         elif kind in _LEXICAL_ERRORS:
-            err = _LEXICAL_ERRORS[kind](word).with_span(span)
+            err = _LEXICAL_ERRORS[kind](word).with_span(Span(filename, line, col))
             if errors is None:
                 raise err
             errors[len(tokens)] = err
             kind = "ERROR"
-        tokens.append(Token(kind, word, span))
-    tokens.append(Token("EOF", "", Span(filename, line, end - line_start + 1)))
+        push(new(Token, (kind, word, line, col)))
+    push(new(Token, ("EOF", "", line, end - line_start + 1)))
     return tokens
 
 
@@ -293,11 +301,14 @@ class _Parser:
         self.filename = filename
         self.lex_errors = lex_errors or {}
 
-    def peek(self, offset: int = 0) -> Token:
-        k = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[k]
+    def span(self, t: Token) -> Span:
+        return Span(self.filename, t.line, t.col)
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
+        """Consume and return the current token; EOF, the last, stays."""
         t = self.tokens[self.pos]
         if t.kind != "EOF":
             self.pos += 1
@@ -311,7 +322,7 @@ class _Parser:
         if t.kind != kind:
             raise ParseError(
                 f"expected {what}, found {t.text!r}" if t.text else f"expected {what}, found end of file",
-                span=t.span,
+                span=self.span(t),
             )
         return self.next()
 
@@ -329,7 +340,7 @@ class _Parser:
                 error = e
             except RecursionError:
                 error = ParseError(
-                    "declaration nests too deeply to parse", span=self.tokens[start].span
+                    "declaration nests too deeply to parse", span=self.span(self.tokens[start])
                 )
             if self.lex_errors:
                 lexical = self.lexical_error(start)
@@ -365,28 +376,28 @@ class _Parser:
             case "REWRITE":
                 return self.rewrite_decl()
             case "CHECK":
-                start = self.next().span
+                start = self.span(self.next())
                 term = self.expr()
                 self.expect("COLON", "':'")
                 ty = self.expr()
                 return DCheck(start, term, ty)
             case "FAIL":
-                start = self.next().span
+                start = self.span(self.next())
                 code = self.expect("IDENT", "an error code")
                 if code.text not in ERROR_CODES:
                     raise ParseError(
-                        f"unknown error code `{code.text}`", span=code.span
+                        f"unknown error code `{code.text}`", span=self.span(code)
                     )
                 inner = self.declaration()
                 return DFail(start, code.text, inner)
             case "NORM":
-                start = self.next().span
+                start = self.span(self.next())
                 lhs = self.expr()
                 self.expect("EQUALS", "'='")
                 rhs = self.expr()
                 return DNorm(start, lhs, rhs)
             case "ENTAIL":
-                start = self.next().span
+                start = self.span(self.next())
                 name = self.expect("IDENT", "a name")
                 self.expect("COLON", "':'")
                 hyp = self.expr()
@@ -396,7 +407,7 @@ class _Parser:
                 wit = self.expr()
                 return DEntail(start, name.text, hyp, concl, wit)
             case "IMPORT":
-                start = self.next().span
+                start = self.span(self.next())
                 path = self.expect("STRING", "a quoted file path")
                 return DImport(start, path.text)
             case _:
@@ -404,18 +415,18 @@ class _Parser:
                     f"expected a declaration, found {t.text!r}"
                     if t.text
                     else "expected a declaration, found end of file",
-                    span=t.span,
+                    span=self.span(t),
                 )
 
     def axiom_decl(self, primitive: bool) -> Declaration:
-        start = self.next().span
+        start = self.span(self.next())
         name = self.expect("IDENT", "a name")
         self.expect("COLON", "':'")
         ty = self.expr()
         return DAxiom(start, name.text, ty, primitive)
 
     def def_decl(self) -> Declaration:
-        start = self.next().span
+        start = self.span(self.next())
         name = self.expect("IDENT", "a name")
         self.expect("COLON", "':'")
         ty = self.expr()
@@ -424,7 +435,7 @@ class _Parser:
         return DDef(start, name.text, ty, body)
 
     def rewrite_decl(self) -> Declaration:
-        start = self.next().span
+        start = self.span(self.next())
         telescope: list[tuple[str, SExpr]] = []
         while self.at("LPAREN") and self.looks_like_group():
             self.next()
@@ -453,8 +464,9 @@ class _Parser:
                 binders.append(self.next())
             self.expect("DOT", "'.'")
             out = self.expr()
+            sp = self.span(t)
             for b in reversed(binders):
-                out = SLambda(t.span, b.text, out)
+                out = SLambda(sp, b.text, out)
             return out
         if t.kind == "SIGMA":
             self.next()
@@ -465,7 +477,7 @@ class _Parser:
             self.expect("RPAREN", "')'")
             self.expect("DOT", "'.'")
             second = self.expr()
-            return SSigma(t.span, binder.text, first, second)
+            return SSigma(self.span(t), binder.text, first, second)
         groups = self.binder_groups()
         if groups:
             self.expect("ARROW", "'->'")
@@ -496,7 +508,7 @@ class _Parser:
             self.expect("COLON", "':'")
             ty = self.expr()
             self.expect(close, "')'" if close == "RPAREN" else "'}'")
-            groups.append((names, ty, implicit, t.span))
+            groups.append((names, ty, implicit, self.span(t)))
         return groups
 
     def looks_like_group(self) -> bool:
@@ -514,7 +526,7 @@ class _Parser:
             right = self.app_expr()
             name = "plus" if op.kind == "PLUS" else "oplus"
             sp = left.span
-            left = SApp(sp, SApp(sp, SName(op.span, name), left, False), right, False)
+            left = SApp(sp, SApp(sp, SName(self.span(op), name), left, False), right, False)
         return left
 
     _ATOM_STARTS = frozenset(
@@ -540,19 +552,19 @@ class _Parser:
         t = self.next()
         match t.kind:
             case "IDENT":
-                return SName(t.span, t.text)
+                return SName(self.span(t), t.text)
             case "NAT":
-                return SNat(t.span, int(t.text))
+                return SNat(self.span(t), int(t.text))
             case "HOLE":
-                return SHole(t.span)
+                return SHole(self.span(t))
             case "TYPE":
-                return SUniverse(t.span, 0)
+                return SUniverse(self.span(t), 0)
             case "TYPE1":
-                return SUniverse(t.span, 1)
+                return SUniverse(self.span(t), 1)
             case "FST":
-                return SProj(t.span, "fst")
+                return SProj(self.span(t), "fst")
             case "SND":
-                return SProj(t.span, "snd")
+                return SProj(self.span(t), "snd")
             case "LPAREN":
                 parts = [self.expr()]
                 while self.at("COMMA"):
@@ -560,15 +572,17 @@ class _Parser:
                     parts.append(self.expr())
                 self.expect("RPAREN", "')'")
                 out = parts[-1]
-                for p in reversed(parts[:-1]):
-                    out = SPair(t.span, p, out)
+                if len(parts) > 1:
+                    sp = self.span(t)
+                    for p in reversed(parts[:-1]):
+                        out = SPair(sp, p, out)
                 return out
             case _:
                 raise ParseError(
                     f"expected an expression, found {t.text!r}"
                     if t.text
                     else "expected an expression, found end of file",
-                    span=t.span,
+                    span=self.span(t),
                 )
 
 
@@ -584,10 +598,10 @@ def parse_expr(text: str, filename: str = "<expr>") -> SExpr:
     try:
         out = parser.expr()
     except RecursionError:
-        raise ParseError("expression nests too deeply to parse", span=tokens[0].span) from None
+        raise ParseError("expression nests too deeply to parse", span=parser.span(tokens[0])) from None
     trailing = parser.peek()
     if trailing.kind != "EOF":
         raise ParseError(
-            f"unexpected {trailing.text!r} after expression", span=trailing.span
+            f"unexpected {trailing.text!r} after expression", span=parser.span(trailing)
         )
     return out

@@ -73,6 +73,19 @@ def test_norm_reports_errors_on_stderr(capsys):
     assert "[UnboundVariable]" in err
 
 
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["norm", "-e", "plus Type 1"], "<expr>:1:1: error [TypeMismatch]"),
+        (["norm", "--fuel", "5", "-e", "plus 2 3"], "<expr>:1:1: error [FuelExhausted]"),
+    ],
+    ids=["type-mismatch", "fuel"],
+)
+def test_norm_errors_carry_the_expressions_position(argv, start, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(start)
+
+
 def test_norm_with_failing_file_stops(tmp_path, capsys):
     f = tmp_path / "bad.tel"
     f.write_text("check missing : NP U\n")

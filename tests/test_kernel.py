@@ -24,6 +24,7 @@ from telic.errors import (
     UnknownConstant,
     UnsolvedMeta,
 )
+from telic import kernel as kernel_module
 from telic.kernel import Kernel, PRIMITIVE
 from telic.terms import (
     App,
@@ -39,6 +40,7 @@ from telic.terms import (
     Snd,
     Universe,
     Var,
+    subterms,
 )
 
 NAT = Const("Nat")
@@ -374,6 +376,48 @@ def test_infer_constant_application():
     assert k.infer(EMPTY_CONTEXT, Const("g", (NatLit(1),))) == NAT
     with pytest.raises(NotAFunction):
         k.infer(EMPTY_CONTEXT, Const("k0", (NatLit(1),)))
+
+
+def test_constant_application_costs_one_step_per_pi():
+    k = nat_kernel()
+    k.declare_axiom("f3", Pi(NAT, Pi(NAT, Pi(NAT, NAT))))
+    k.declare_definition("F", Universe(0), Pi(NAT, Pi(NAT, NAT)))
+    k.declare_axiom("h", Pi(NAT, Const("F")))
+    k.begin()
+    assert k.infer(EMPTY_CONTEXT, Const("f3", (NatLit(0),) * 3)) == NAT
+    assert k._steps == 3
+    # the codomain `F` costs its unfolding as well as its Pi
+    k.begin()
+    assert k.infer(EMPTY_CONTEXT, Const("h", (NatLit(0),) * 3)) == NAT
+    assert k._steps == 4
+    k.begin()
+    with pytest.raises(NotAFunction, match="`h` is over-applied: `Nat`"):
+        k.infer(EMPTY_CONTEXT, Const("h", (NatLit(0),) * 4))
+    k.fuel_limit = 3
+    k.begin()
+    with pytest.raises(FuelExhausted):
+        k.infer(EMPTY_CONTEXT, Const("h", (NatLit(0),) * 3))
+
+
+def test_spine_typing_substitutes_linearly(bare_processor, monkeypatch):
+    """Typing `f 0 … 0` instantiates f's type once, not once per argument."""
+    n = 200
+    arrows = " -> ".join(["Nat"] * (n + 1))
+    setup = bare_processor.process_text(f"primitive Nat : Type\npostulate f : {arrows}\n", "<sig>")
+    assert all(r.ok for r in setup)
+    walked = [0]
+
+    def counting(fn):
+        def run(t, *rest):
+            walked[0] += sum(1 for _ in subterms(t))
+            return fn(t, *rest)
+        return run
+
+    monkeypatch.setattr(kernel_module, "subst", counting(kernel_module.subst))
+    monkeypatch.setattr(kernel_module, "subst_many", counting(kernel_module.subst_many))
+    (report,) = bare_processor.process_text(f"check f{' 0' * n} : Nat\n", "<app>")
+    assert report.ok, report.render()
+    assert 0 < walked[0] <= 4 * n
 
 
 def test_infer_reduces_redex_heads():

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+from telic.corpus import corpus_dir
 from telic.errors import IllegalCharacter, ParseError
+from telic.prelude import prelude_path
 from telic.surface import (
     DAxiom,
+    Declaration,
     DCheck,
     DDef,
     DEntail,
@@ -15,6 +22,7 @@ from telic.surface import (
     DNorm,
     DRewrite,
     SApp,
+    SExpr,
     SHole,
     SLambda,
     SName,
@@ -55,9 +63,9 @@ def test_comments_are_skipped():
 
 def test_token_spans_track_lines_and_columns():
     toks = tokenize("ab cd\n  ef")
-    assert (toks[0].span.line, toks[0].span.col) == (1, 1)
-    assert (toks[1].span.line, toks[1].span.col) == (1, 4)
-    assert (toks[2].span.line, toks[2].span.col) == (2, 3)
+    assert (toks[0].line, toks[0].col) == (1, 1)
+    assert (toks[1].line, toks[1].col) == (1, 4)
+    assert (toks[2].line, toks[2].col) == (2, 3)
 
 
 # input -> [(kind, text, line, col)], EOF included. A lexical error stands
@@ -97,7 +105,7 @@ LEXER_TABLE = [
 @pytest.mark.parametrize("text, expected", LEXER_TABLE, ids=[repr(t) for t, _ in LEXER_TABLE])
 def test_lexer_table(text, expected):
     tokens = tokenize(text, "<t>", {})
-    assert [(t.kind, t.text, t.span.line, t.span.col) for t in tokens] == expected
+    assert [(t.kind, t.text, t.line, t.col) for t in tokens] == expected
 
 
 def test_leading_underscore_names_rejected():
@@ -294,6 +302,58 @@ def test_declaration_spans_point_at_source():
     d1, d2 = parsed.declarations
     assert (d1.span.line, d2.span.line) == (1, 2)
     assert d1.span.file == "sp.tel"
+
+
+# Every bundled source file, and the test lexicon of equalities.
+SOURCES = [
+    prelude_path(),
+    *sorted(corpus_dir().glob("*.tel")),
+    Path(__file__).resolve().parent / "data" / "equalities.tel",
+]
+
+# What the text at a declaration's span starts with.
+KEYWORD_OF = {
+    DCheck: "check", DDef: "def", DEntail: "entail", DFail: "fail",
+    DImport: "import", DNorm: "norm", DRewrite: "rewrite",
+}
+# The operators that desugar to applications of these primitives.
+OPERATORS = {"plus": ("+",), "oplus": ("(+)", "\u2295")}
+
+
+def nodes(root):
+    """Every declaration and expression under ``root``, iteratively."""
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (Declaration, SExpr)):
+            yield x
+            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+        elif isinstance(x, tuple):
+            stack.extend(x)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_spans_point_at_their_source_text(path):
+    text = path.read_text(encoding="utf-8")
+    lines = text.split("\n")
+    checked = 0
+    for node in nodes(parse_file(text, path.name).declarations):
+        assert node.span.file == path.name
+        at = lines[node.span.line - 1][node.span.col - 1:]
+        if isinstance(node, DAxiom):
+            assert at.startswith("primitive" if node.primitive else "postulate"), node
+        elif isinstance(node, Declaration):
+            assert at.startswith(KEYWORD_OF[type(node)]), node
+        elif isinstance(node, SNat):
+            assert int(re.match(r"[0-9]+", at).group()) == node.value, node
+        elif isinstance(node, SName):
+            word = re.match(r"[A-Za-z][A-Za-z0-9_']*", at)
+            if not (word and word.group() == node.name):
+                assert at.startswith(OPERATORS.get(node.name, ())), node
+        else:
+            continue
+        checked += 1
+    assert checked > 0
 
 
 def test_tokenize_failure_becomes_parse_error_report():
