@@ -15,11 +15,15 @@ the first occurrence of each variable binds, later (elaboration-forced)
 occurrences match anything. Matching weak-head-normalizes exactly the
 subterms it needs to inspect, so rules fire through definitions. Rules for
 one head are tried in declaration order. Each firing costs one step of
-fuel; the reductions matching needs cost their own. A right-hand side is
-compiled once, when its rule is declared, into a builder that makes each
-instance from the environment of the match (``terms.compile_subst``)
-instead of substituting into it; subterms that mention no pattern variable
-are shared, not rebuilt.
+fuel; the reductions matching needs cost their own. Both sides of a rule
+are compiled once, when it is declared. The left-hand side becomes a
+matcher (``RewriteRule.fire``) that checks its constant, pair and literal
+patterns in order and takes the variables' values from their first
+occurrences; a rule whose patterns are all variables selects its
+environment from the arguments directly. The right-hand side becomes a
+builder that makes each instance from that environment
+(``terms.compile_subst``) instead of substituting into it; subterms that
+mention no pattern variable are shared, not rebuilt.
 
 Primitive computation (Bd elimination on B/U, J on refl, literal addition) is
 built into whnf rather than stored as rules.
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     CannotInfer,
@@ -106,6 +111,118 @@ class SignatureEntry:
 
 # --- rewrite rules -----------------------------------------------------------
 
+def _compile_patterns(
+    pats: Sequence[Term], seen: set[int]
+) -> Callable[[Sequence[Term], list, Callable[[Term], Term]], bool]:
+    """A matcher for a sequence of patterns: it matches them against a
+    sequence of targets of the same length, storing the values of the
+    variables they bind in the environment.
+
+    Constant, pair and literal patterns are checked in order, each
+    weak-head-normalizing its target, and the first mismatch ends the match.
+    A variable binds at its first occurrence, left to right and depth first
+    (``seen`` holds the slots bound so far); a repeat is forced by
+    elaboration and matches anything, so it is dropped here. Binding
+    reduces nothing, so the bindings are stored after the checks."""
+    checks = []
+    binds = []
+    for i, p in enumerate(pats):
+        if type(p) is Var:
+            if p.index not in seen:
+                seen.add(p.index)
+                binds.append((i, p.index))
+        else:
+            checks.append((i, _compile_check(p, seen)))
+
+    def match_all(targets, env, whnf):
+        for i, check in checks:
+            if not check(targets[i], env, whnf):
+                return False
+        for i, slot in binds:
+            env[slot] = targets[i]
+        return True
+
+    return match_all
+
+
+def _compile_check(
+    pat: Term, seen: set[int]
+) -> Callable[[Term, list, Callable[[Term], Term]], bool]:
+    """A matcher for one constant, pair or literal pattern: it
+    weak-head-normalizes its target, compares the head, then matches the
+    subpatterns."""
+    cls = type(pat)
+    if cls is NatLit:
+        value = pat.value
+        return lambda target, env, whnf: type(w := whnf(target)) is NatLit and w.value == value
+    if cls is Const:
+        name, arity = pat.name, len(pat.args)
+        match_args = _compile_patterns(pat.args, seen)
+
+        def check_const(target, env, whnf):
+            w = whnf(target)
+            return (
+                type(w) is Const
+                and w.name == name
+                and len(w.args) == arity
+                and match_args(w.args, env, whnf)
+            )
+
+        return check_const
+    if cls is Pair:
+        match_parts = _compile_patterns((pat.first, pat.second), seen)
+
+        def check_pair(target, env, whnf):
+            w = whnf(target)
+            return type(w) is Pair and match_parts((w.first, w.second), env, whnf)
+
+        return check_pair
+    raise AssertionError(f"unhandled pattern {pat!r}")
+
+
+def _compile_fire(
+    pats: tuple[Term, ...], nslots: int, instantiate: Callable[[Sequence[Term]], Term]
+) -> Callable[[tuple[Term, ...], Callable[[Term], Term]], Term | None]:
+    """``fire(args, whnf)``: the instance of a rule for the arguments of its
+    head, with any arguments beyond the patterns applied to it, or ``None``
+    when the patterns do not match (``_compile_patterns``)."""
+    n = len(pats)
+    if all(type(p) is Var for p in pats):
+        # The environment, Var(0)'s value first, is a selection of the
+        # arguments; no pattern reduces anything.
+        first: dict[int, int] = {}
+        for i, p in enumerate(pats):
+            first.setdefault(p.index, i)
+        positions = [first[slot] for slot in range(nslots)]
+        if nslots == 1:
+            # one item would come back bare, not as a sequence
+            env_of = itemgetter(slice(positions[0], positions[0] + 1))
+        else:
+            env_of = itemgetter(*positions)
+
+        def fire_variables(args, whnf):
+            if len(args) == n:
+                return instantiate(env_of(args))
+            if len(args) < n:
+                return None
+            return _apply_args(instantiate(env_of(args)), args[n:])
+
+        return fire_variables
+
+    match_args = _compile_patterns(pats, set())
+
+    def fire(args, whnf):
+        if len(args) < n:
+            return None
+        env: list[Term | None] = [None] * nslots
+        if not match_args(args, env, whnf):
+            return None
+        out = instantiate(env)
+        return out if len(args) == n else _apply_args(out, args[n:])
+
+    return fire
+
+
 @dataclass(frozen=True, slots=True)
 class RewriteRule:
     head: str
@@ -115,10 +232,17 @@ class RewriteRule:
     nslots: int = field(init=False, repr=False, compare=False)
     # the instance of ``rhs`` for a match environment, Var(0)'s value first
     instantiate: Callable[[Sequence[Term]], Term] = field(init=False, repr=False, compare=False)
+    # the instance for the arguments of ``head``, or None (``_compile_fire``)
+    fire: Callable[[tuple[Term, ...], Callable[[Term], Term]], Term | None] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nslots", len(self.telescope))
-        object.__setattr__(self, "instantiate", compile_subst(self.rhs, self.nslots))
+        nslots = len(self.telescope)
+        instantiate = compile_subst(self.rhs, nslots)
+        object.__setattr__(self, "nslots", nslots)
+        object.__setattr__(self, "instantiate", instantiate)
+        object.__setattr__(self, "fire", _compile_fire(self.lhs.args, nslots, instantiate))
 
 
 class Signature:
@@ -233,6 +357,7 @@ class Kernel:
         self._steps = 0
 
     def _tick(self) -> None:
+        """Count one step; the only place that raises ``FuelExhausted``."""
         self._steps += 1
         if self._steps > self.fuel_limit:
             raise FuelExhausted(
@@ -251,8 +376,13 @@ class Kernel:
         """
         entries = self.sig.entries
         rules = self.sig.rules_by_head
+        limit = self.fuel_limit
         while True:
-            self._tick()
+            # `_tick`, inlined but for the step that exhausts the budget
+            if self._steps < limit:
+                self._steps += 1
+            else:
+                self._tick()
             cls = type(t)
             if cls is Const:
                 n = t.name
@@ -261,8 +391,14 @@ class Kernel:
                     if stepped is not None:
                         t = stepped
                         continue
-                if n in rules:
-                    fired = self._try_rules(n, t.args)
+                head_rules = rules.get(n)
+                if head_rules:
+                    # `self.whnf`, not the function: a wrapper installed on
+                    # the class or the object sees the matcher's calls too
+                    for rule in head_rules:
+                        fired = rule.fire(t.args, self.whnf)
+                        if fired is not None:
+                            break
                     if fired is not None:
                         t = fired
                         continue
@@ -314,53 +450,6 @@ class Kernel:
             if isinstance(scrutinee, Const) and scrutinee.name == "refl":
                 return _apply_args(args[3], args[6:])
         return None
-
-    def _try_rules(self, head: str, args: tuple[Term, ...]) -> Term | None:
-        rules = self.sig.rules_by_head.get(head)
-        if not rules:
-            return None
-        matches = self._match
-        for rule in rules:
-            pats = rule.lhs.args
-            n = len(pats)
-            if len(args) < n:
-                continue
-            # indexed like the telescope's variables: Var(0)'s value first
-            bind: list[Term | None] = [None] * rule.nslots
-            for p, a in zip(pats, args):
-                if not matches(p, a, bind):
-                    break
-            else:
-                out = rule.instantiate(bind)
-                return _apply_args(out, args[n:]) if len(args) > n else out
-        return None
-
-    def _match(self, pat: Term, target: Term, bind: list[Term | None]) -> bool:
-        """Match one argument of a rule's left-hand side. A variable binds at
-        its first occurrence; a repeat is forced by elaboration and matches
-        anything. Neither reduces its target."""
-        cls = type(pat)
-        if cls is Var:
-            if bind[pat.index] is None:
-                bind[pat.index] = target
-            return True
-        w = self.whnf(target)
-        if cls is Const:
-            if type(w) is not Const or w.name != pat.name or len(w.args) != len(pat.args):
-                return False
-            for p, a in zip(pat.args, w.args):
-                if not self._match(p, a, bind):
-                    return False
-            return True
-        if cls is Pair:
-            return (
-                type(w) is Pair
-                and self._match(pat.first, w.first, bind)
-                and self._match(pat.second, w.second, bind)
-            )
-        if cls is NatLit:
-            return type(w) is NatLit and w.value == pat.value
-        raise AssertionError(f"unhandled pattern {pat!r}")
 
     def normalize(self, t: Term) -> Term:
         """Full normal form: no beta redex, pair projection, or rule lhs remains.

@@ -11,18 +11,47 @@ non-constant head once a term has been through whnf.
 recursions over Term. Shifting, substitution, scope and occurrence checks,
 the kernel's zonking and renaming, and the printer's binder test are
 callbacks to the first or comprehensions over the second; only reduction,
-conversion, typing, printing and ``compile_subst`` inspect terms by hand.
-``map_term`` shares every node it leaves unchanged, and a callback result
-of ``None`` means "unchanged", so a shift or substitution allocates only
-along the paths to the variables it changes. ``compile_subst`` turns a
-rewrite rule's right-hand side into closures that build its instances.
+conversion, typing, the compiling of rule left-hand sides into matchers,
+printing and ``compile_subst`` inspect terms by hand. ``map_term`` shares
+every node it leaves unchanged, and a callback result of ``None`` means
+"unchanged", so a shift or substitution allocates only along the paths to
+the variables it changes. ``compile_subst`` turns a rewrite rule's
+right-hand side into closures that build its instances.
+
+Each term class is a frozen, slotted dataclass, so ``==``, ``hash``,
+``repr``, ``match`` patterns and the refusal to assign are the generated
+ones. Only ``__init__`` is replaced (``_slot_init``): it has the generated
+signature and defaults but stores each field through its slot descriptor,
+which is cheaper than the frozen class's ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
-from operator import is_
+from dataclasses import MISSING, dataclass, field, fields
+from operator import is_, itemgetter
+
+
+def _slot_init(cls):
+    """Replace the ``__init__`` of a frozen slotted dataclass by one with the
+    same signature and defaults that stores each field through its slot
+    descriptor. Terms are built at every reduction step, and this store is
+    cheaper than ``object.__setattr__``."""
+    namespace, params, body = {}, [], []
+    for f in fields(cls):
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"\n    _set_{f.name}(self, {f.name})")
+    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,22 +59,26 @@ class Term:
     pass
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Var(Term):
     index: int
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Const(Term):
     name: str
     args: tuple[Term, ...] = ()
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Universe(Term):
     level: int  # 0 or 1; Universe(0) : Universe(1), no cumulativity
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Pi(Term):
     domain: Term
@@ -53,18 +86,21 @@ class Pi(Term):
     hint: str | None = field(default=None, compare=False)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Lambda(Term):
     body: Term  # binds one variable; domain comes from the checking type
     hint: str | None = field(default=None, compare=False)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Sigma(Term):
     first: Term
@@ -72,27 +108,32 @@ class Sigma(Term):
     hint: str | None = field(default=None, compare=False)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Pair(Term):
     first: Term
     second: Term
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Fst(Term):
     pair: Term
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Snd(Term):
     pair: Term
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class NatLit(Term):
     value: int
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Meta(Term):
     """Metavariable occurrence.
@@ -281,11 +322,17 @@ def compile_subst(t: Term, n: int) -> Callable[[Sequence[Term]], Term]:
                 lowered = Var(t.index - n)
                 return lambda env: lowered
             if d == 0:
-                return lambda env: env[j]
+                return itemgetter(j)
             return lambda env: shift(env[j], d)
         if cls is Const:
             name = t.name
             args = [comp(a, d) for a in t.args]
+            if len(args) == 1:
+                (a,) = args
+                return lambda env: Const(name, (a(env),))
+            if len(args) == 2:
+                a, b = args
+                return lambda env: Const(name, (a(env), b(env)))
             return lambda env: Const(name, tuple([a(env) for a in args]))
         if cls is App:
             f, a = comp(t.fn, d), comp(t.arg, d)

@@ -52,12 +52,14 @@ def _kernel_with(rules, fuel: int = DEFAULT_FUEL) -> Kernel:
 LOOP = ((("n", NAT),), Const("loop", (Var(0),)), Const("loop", (Var(0),)))
 
 
-def test_each_firing_costs_one_step():
-    k = _kernel_with([LOOP], fuel=1000)
+@pytest.mark.parametrize("fuel", [1, 2, 1000])
+def test_each_firing_costs_one_step(fuel):
+    # the step that goes over the limit is counted, then raises
+    k = _kernel_with([LOOP], fuel=fuel)
     k.begin()
     with pytest.raises(FuelExhausted):
         k.whnf(Const("loop", (NatLit(0),)))
-    assert k._steps == 1001
+    assert k._steps == fuel + 1
 
 
 # `f 0 n` and `f m 1` overlap on `f 0 1`.
