@@ -9,10 +9,14 @@ Implicitness is a surface convention, not a kernel feature: every constant
 remembers which of its leading arguments were declared in braces, and those
 positions are filled with holes (or with braced arguments) at use sites.
 
-Declaration processing turns each declaration into a Report. Failed bindings
-(postulate, primitive, def, entail, import) stop the rest of the file, since
-everything after them is likely poisoned; failed queries (check, norm, fail,
-rewrite) are reported and processing continues.
+Declaration processing turns each declaration into a Report: the span it
+is about, what was declared, and an error code when it failed. Failed
+bindings (postulate, primitive, def, entail, import) stop the rest of the
+file, since everything after them is likely poisoned; failed queries (check,
+norm, fail, rewrite) are reported and processing continues. An entailment
+``entail n : H => C = w`` is checked and stored as ``def n : H -> C = w``
+with no implicit arguments, and a primitive as a postulate: they differ
+only in their reports' kind.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     TypeMismatch,
     UnboundVariable,
 )
-from .kernel import Kernel, POSTULATE, PRIMITIVE
+from .kernel import Kernel
 from .pretty import pretty
 from .surface import (
     DAxiom,
@@ -83,25 +87,26 @@ from .terms import (
 
 @dataclass(frozen=True, slots=True)
 class Report:
-    file: str
-    line: int
-    col: int
+    span: Span
     kind: str  # postulate | primitive | def | rewrite | check | fail | norm | entail | import | parse
     name: str | None
-    status: str  # "ok" | "error"
-    code: str | None = None  # error code when status == "error"
+    code: str | None = None  # the error code; a report without one is ok
     message: str | None = None
     normal_form: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.code is None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.code is None else "error"
 
     def to_data(self) -> dict[str, object]:
         payload: dict[str, object] = {
-            "file": self.file,
-            "line": self.line,
-            "col": self.col,
+            "file": self.span.file,
+            "line": self.span.line,
+            "col": self.span.col,
             "kind": self.kind,
             "name": self.name,
             "status": self.status,
@@ -118,10 +123,10 @@ class Report:
         return json.dumps(self.to_data(), ensure_ascii=False, sort_keys=True)
 
     def render(self) -> str:
-        head = f"{self.file}:{self.line}:{self.col}: {self.status}: {self.kind}"
+        head = f"{self.span}: {self.status}: {self.kind}"
         if self.name:
             head += f" {self.name}"
-        if self.status == "error":
+        if self.code is not None:
             head += f" [{self.code}]"
         if self.message:
             head += f": {self.message}"
@@ -328,9 +333,7 @@ class Processor:
         try:
             t = self.elab.elab(sexpr, [])
             ty = self.kernel.infer(EMPTY_CONTEXT, t)
-            self.kernel.require_solved(sexpr.span)
-            t = self.kernel.assert_closed(self.kernel.zonk(t))
-            ty = self.kernel.assert_closed(self.kernel.zonk(ty))
+            t, ty = map(self.kernel.assert_closed, self._closed(sexpr.span, t, ty))
             sig = self.kernel.sig
             return pretty(self.kernel.normalize(t), sig), pretty(ty, sig)
         except TelicError as e:
@@ -348,15 +351,11 @@ class Processor:
             resolved = path.resolve()
             text = resolved.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as e:
-            sp = via or Span(str(path), 1, 1)
             reports.append(
                 Report(
-                    sp.file,
-                    sp.line,
-                    sp.col,
+                    via or Span(str(path), 1, 1),
                     "import",
                     str(path),
-                    "error",
                     "ParseError",
                     f"cannot read {path}: {getattr(e, 'strerror', None) or e}",
                 )
@@ -374,11 +373,7 @@ class Processor:
         ok = True
         for err in parsed.errors:
             sp = err.span or Span(parsed.filename, 1, 1)
-            reports.append(
-                Report(
-                    sp.file, sp.line, sp.col, "parse", None, "error", err.code, err.message
-                )
-            )
+            reports.append(Report(sp, "parse", None, err.code, err.message))
             ok = False
         for decl in parsed.declarations:
             report, halt = self.run_declaration(decl, reports, base)
@@ -403,11 +398,8 @@ class Processor:
             return report, False
         except TelicError as e:
             e.with_span(decl.span)
-            sp = e.span or decl.span
             kind, name = _describe(decl)
-            report = Report(
-                sp.file, sp.line, sp.col, kind, name, "error", e.code, e.message
-            )
+            report = Report(e.span, kind, name, e.code, e.message)
             return report, isinstance(decl, self._BINDING)
 
     def _dispatch(self, decl: Declaration, reports: list[Report], base: Path) -> Report:
@@ -424,35 +416,23 @@ class Processor:
         kind, name = _describe(decl)
         sp = decl.span
         match decl:
-            case DAxiom(name=n, type=ty, primitive=prim):
+            case DAxiom(name=n, type=ty):
                 mask = implicit_mask_of(ty)
                 ty_t = self.elab.elab(ty, [])
                 self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
-                self.kernel.require_solved(sp)
-                ty_t = self.kernel.zonk(ty_t)
-                self.kernel.declare_axiom(n, ty_t, mask, PRIMITIVE if prim else POSTULATE)
+                self.kernel.declare_axiom(n, *self._closed(sp, ty_t), mask)
             case DDef(name=n, type=ty, body=body):
                 mask = implicit_mask_of(ty)
                 ty_t = self.elab.elab(ty, [])
                 self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
-                body_t = self.elab.elab(body, [])
-                self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
-                self.kernel.require_solved(sp)
-                self.kernel.declare_definition(
-                    n, self.kernel.zonk(ty_t), self.kernel.zonk(body_t), mask
-                )
+                self._define(n, ty_t, body, mask, sp)
             case DEntail(name=n, hypothesis=hyp, conclusion=concl, witness=wit):
+                # `def n : hyp -> concl = wit`, with no implicit arguments
                 hyp_t = self.elab.elab(hyp, [])
                 self.kernel.check_is_type(EMPTY_CONTEXT, hyp_t)
                 concl_t = self.elab.elab(concl, [None])
                 self.kernel.check_is_type(ctx_extend(EMPTY_CONTEXT, "x", hyp_t), concl_t)
-                ty_t = Pi(hyp_t, concl_t, None)
-                wit_t = self.elab.elab(wit, [])
-                self.kernel.check(EMPTY_CONTEXT, wit_t, ty_t)
-                self.kernel.require_solved(sp)
-                self.kernel.declare_definition(
-                    n, self.kernel.zonk(ty_t), self.kernel.zonk(wit_t)
-                )
+                self._define(n, Pi(hyp_t, concl_t, None), wit, (), sp)
             case DCheck(term=tm, type=ty):
                 ty_t = self.elab.elab(ty, [])
                 self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
@@ -467,15 +447,7 @@ class Processor:
                         f"declaration claims `{pretty(want, self.kernel.sig)}`",
                         span=sp,
                     )
-                return Report(
-                    sp.file,
-                    sp.line,
-                    sp.col,
-                    kind,
-                    name,
-                    "ok",
-                    normal_form=pretty(got, self.kernel.sig),
-                )
+                return Report(sp, kind, name, normal_form=pretty(got, self.kernel.sig))
             case DRewrite(telescope=tele, lhs=lhs, rhs=rhs):
                 self._run_rewrite(tele, lhs, rhs, sp)
             case DFail(code=code, inner=inner):
@@ -486,16 +458,29 @@ class Processor:
                     raise ParseError(f"import of {rel} failed", span=sp)
             case _:
                 raise AssertionError(f"unhandled declaration {decl!r}")
-        return Report(sp.file, sp.line, sp.col, kind, name, "ok")
+        return Report(sp, kind, name)
+
+    def _closed(self, span: Span, *terms: Term) -> list[Term]:
+        """The terms with their holes filled in, once every hole of the
+        declaration is solved."""
+        self.kernel.require_solved(span)
+        return [self.kernel.zonk(t) for t in terms]
+
+    def _define(
+        self, name: str, ty_t: Term, body: SExpr, mask: tuple[bool, ...], span: Span
+    ) -> None:
+        """Elaborate ``body``, check it against ``ty_t``, a type already
+        checked, and declare the definition."""
+        body_t = self.elab.elab(body, [])
+        self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
+        self.kernel.declare_definition(name, *self._closed(span, ty_t, body_t), mask)
 
     def _run_norm(self, lhs: SExpr, rhs: SExpr, sp: Span) -> tuple[Term, Term]:
         lhs_t = self.elab.elab(lhs, [])
         lhs_ty = self.kernel.infer(EMPTY_CONTEXT, lhs_t)
         rhs_t = self.elab.elab(rhs, [])
         self.kernel.check(EMPTY_CONTEXT, rhs_t, lhs_ty)
-        self.kernel.require_solved(sp)
-        lhs_t = self.kernel.assert_closed(self.kernel.zonk(lhs_t))
-        rhs_t = self.kernel.assert_closed(self.kernel.zonk(rhs_t))
+        lhs_t, rhs_t = map(self.kernel.assert_closed, self._closed(sp, lhs_t, rhs_t))
         return self.kernel.normalize(lhs_t), rhs_t
 
     def _run_rewrite(
@@ -515,12 +500,12 @@ class Processor:
                 span=lhs.span,
             )
         env: list[str] = []
-        tele_terms: list[tuple[str, Term]] = []
+        tele_types: list[Term] = []
         ctx: Context = EMPTY_CONTEXT
         for nm, ty in tele:
             ty_t = self.elab.elab(ty, env)
             self.kernel.check_is_type(ctx, ty_t)
-            tele_terms.append((nm, ty_t))
+            tele_types.append(ty_t)
             ctx = ctx_extend(ctx, nm, ty_t)
             env.append(nm)
         lhs_t = self.elab.elab(lhs, env)
@@ -534,13 +519,8 @@ class Processor:
                 f"{e.message}",
                 span=e.span,
             ) from None
-        self.kernel.require_solved(sp)
-        zonked_tele = tuple(
-            (nm, self.kernel.zonk(ty_t)) for nm, ty_t in tele_terms
-        )
-        self.kernel.declare_rewrite(
-            zonked_tele, self.kernel.zonk(lhs_t), self.kernel.zonk(rhs_t)
-        )
+        *tele_types, lhs_t, rhs_t = self._closed(sp, *tele_types, lhs_t, rhs_t)
+        self.kernel.declare_rewrite(tuple(zip(env, tele_types)), lhs_t, rhs_t)
 
     def _run_fail(
         self,
@@ -557,13 +537,7 @@ class Processor:
         except TelicError as e:
             if e.code == code:
                 return Report(
-                    sp.file,
-                    sp.line,
-                    sp.col,
-                    "fail",
-                    inner_name,
-                    "ok",
-                    message=f"{label} rejected with {code} as expected",
+                    sp, "fail", inner_name, message=f"{label} rejected with {code} as expected"
                 )
             raise TypeMismatch(
                 f"expected {code} but {label} was rejected with {e.code}: {e.message}",

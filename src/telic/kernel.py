@@ -26,7 +26,9 @@ builder that makes each instance from that environment
 mention no pattern variable are shared, not rebuilt.
 
 Primitive computation (Bd elimination on B/U, J on refl, literal addition) is
-built into whnf rather than stored as rules.
+built into whnf by head name rather than stored as rules, so a signature
+entry is only a type, a body when it is a definition, and an implicit mask:
+a primitive is stored like any postulate.
 
 Metavariables: holes inserted by the elaborator, solved by first-order
 pattern unification only; anything harder raises UnsolvedMeta.
@@ -90,10 +92,6 @@ from .terms import (
 
 DEFAULT_FUEL = 100_000
 
-POSTULATE = "postulate"
-DEFINITION = "definition"
-PRIMITIVE = "primitive"
-
 # heads the kernel computes directly
 _PRIM_HEADS = frozenset({"plus", "BdElim", "J"})
 
@@ -102,10 +100,8 @@ _PRIM_HEADS = frozenset({"plus", "BdElim", "J"})
 
 @dataclass(frozen=True, slots=True)
 class SignatureEntry:
-    name: str
-    kind: str  # POSTULATE | DEFINITION | PRIMITIVE
     type: Term  # closed, checks against a universe
-    body: Term | None = None  # definitions only
+    body: Term | None = None  # a definition's; an axiom has none
     implicit_mask: tuple[bool, ...] = ()
 
 
@@ -181,7 +177,7 @@ def _compile_check(
 
 
 def _compile_fire(
-    pats: tuple[Term, ...], nslots: int, instantiate: Callable[[Sequence[Term]], Term]
+    pats: tuple[Term, ...], n_slots: int, instantiate: Callable[[Sequence[Term]], Term]
 ) -> Callable[[tuple[Term, ...], Callable[[Term], Term]], Term | None]:
     """``fire(args, whnf)``: the instance of a rule for the arguments of its
     head, with any arguments beyond the patterns applied to it, or ``None``
@@ -193,8 +189,8 @@ def _compile_fire(
         first: dict[int, int] = {}
         for i, p in enumerate(pats):
             first.setdefault(p.index, i)
-        positions = [first[slot] for slot in range(nslots)]
-        if nslots == 1:
+        positions = [first[slot] for slot in range(n_slots)]
+        if n_slots == 1:
             # one item would come back bare, not as a sequence
             env_of = itemgetter(slice(positions[0], positions[0] + 1))
         else:
@@ -214,7 +210,7 @@ def _compile_fire(
     def fire(args, whnf):
         if len(args) < n:
             return None
-        env: list[Term | None] = [None] * nslots
+        env: list[Term | None] = [None] * n_slots
         if not match_args(args, env, whnf):
             return None
         out = instantiate(env)
@@ -229,7 +225,6 @@ class RewriteRule:
     lhs: Const  # over the telescope; its arguments are the patterns
     rhs: Term  # over the telescope: Var(0) is the innermost slot
     telescope: tuple[tuple[str, Term], ...]  # (hint, type), outermost first
-    nslots: int = field(init=False, repr=False, compare=False)
     # the instance of ``rhs`` for a match environment, Var(0)'s value first
     instantiate: Callable[[Sequence[Term]], Term] = field(init=False, repr=False, compare=False)
     # the instance for the arguments of ``head``, or None (``_compile_fire``)
@@ -238,11 +233,10 @@ class RewriteRule:
     )
 
     def __post_init__(self) -> None:
-        nslots = len(self.telescope)
-        instantiate = compile_subst(self.rhs, nslots)
-        object.__setattr__(self, "nslots", nslots)
+        n_slots = len(self.telescope)
+        instantiate = compile_subst(self.rhs, n_slots)
         object.__setattr__(self, "instantiate", instantiate)
-        object.__setattr__(self, "fire", _compile_fire(self.lhs.args, nslots, instantiate))
+        object.__setattr__(self, "fire", _compile_fire(self.lhs.args, n_slots, instantiate))
 
 
 class Signature:
@@ -289,11 +283,6 @@ class MetaStore:
 
     def entry(self, mid: int) -> MetaEntry:
         return self._entries[mid]
-
-    def solution(self, mid: int) -> Term | None:
-        if mid >= len(self._entries):
-            return None
-        return self._entries[mid].solution
 
     def unsolved(self) -> list[MetaEntry]:
         return [e for e in self._entries if e.solution is None]
@@ -404,7 +393,7 @@ class Kernel:
                         continue
                 if unfold:
                     entry = entries.get(n)
-                    if entry is not None and entry.kind == DEFINITION:
+                    if entry is not None and entry.body is not None:
                         t = _apply_args(entry.body, t.args)
                         continue
                 return t
@@ -425,7 +414,7 @@ class Kernel:
                     continue
                 return t if p is t.pair else cls(p)
             if cls is Meta:
-                sol = self.metas.solution(t.id)
+                sol = self.metas.entry(t.id).solution
                 if sol is None:
                     return t
                 t = _inst_solution(sol, t.spine)
@@ -627,7 +616,7 @@ class Kernel:
         """Replace solved metavariables by their solutions, recursively."""
 
         def meta(m: int, spine: tuple[Term, ...]) -> Term | None:
-            sol = self.metas.solution(m)
+            sol = self.metas.entry(m).solution
             return None if sol is None else self.zonk(_inst_solution(sol, spine))
 
         return map_term(t, lambda i, d: None, meta=meta)
@@ -822,17 +811,11 @@ class Kernel:
         if name in self.sig.entries:
             raise DuplicateName(f"`{name}` is already declared")
 
-    def declare_axiom(
-        self,
-        name: str,
-        ty: Term,
-        mask: tuple[bool, ...] = (),
-        kind: str = POSTULATE,
-    ) -> None:
+    def declare_axiom(self, name: str, ty: Term, mask: tuple[bool, ...] = ()) -> None:
         """Store an already-checked axiom; ``ty`` must be closed."""
         self.assert_closed(ty)
         self._require_fresh(name)
-        self.sig.entries[name] = SignatureEntry(name, kind, ty, None, mask)
+        self.sig.entries[name] = SignatureEntry(ty, None, mask)
 
     def declare_definition(
         self,
@@ -845,7 +828,7 @@ class Kernel:
         self.assert_closed(ty)
         self.assert_closed(body)
         self._require_fresh(name)
-        self.sig.entries[name] = SignatureEntry(name, DEFINITION, ty, body, mask)
+        self.sig.entries[name] = SignatureEntry(ty, body, mask)
 
     def declare_rewrite(
         self,
@@ -865,16 +848,16 @@ class Kernel:
         entry = self.sig.entries.get(lhs.name)
         if entry is None:
             raise UnknownConstant(f"unknown constant `{lhs.name}`")
-        if entry.kind == DEFINITION:
+        if entry.body is not None:
             raise RewriteHeadIsDefinition(
                 f"rewrite head `{lhs.name}` is a definition; unfold it instead"
             )
-        nslots = len(telescope)
+        n_slots = len(telescope)
         bound: set[int] = set()
         for t, _ in subterms(lhs):
             cls = type(t)
             if cls is Var:
-                if not 0 <= t.index < nslots:
+                if not 0 <= t.index < n_slots:
                     raise InvalidRewrite("left-hand side mentions a foreign variable")
                 bound.add(t.index)
             elif cls is not Const and cls is not Pair and cls is not NatLit:
@@ -882,7 +865,7 @@ class Kernel:
                     "left-hand side patterns may only contain constants, pattern "
                     "variables, pairs, and numeric literals"
                 )
-        missing = [hint for i, (hint, _) in enumerate(telescope) if nslots - 1 - i not in bound]
+        missing = [hint for i, (hint, _) in enumerate(telescope) if n_slots - 1 - i not in bound]
         if missing:
             raise InvalidRewrite(
                 f"pattern variable(s) {', '.join(missing)} never occur on the "

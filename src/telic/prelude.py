@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .elaborate import Processor, Report
 from .errors import TelicError
-from .kernel import DEFINITION, POSTULATE, RewriteRule
+from .kernel import RewriteRule
 from .terms import EMPTY_CONTEXT, Const, Term, subst_many
 
 ENV_PRELUDE = "TELIC_PRELUDE"
@@ -81,7 +81,7 @@ def _check_rule(proc: Processor, rule: RewriteRule, index: int) -> CheckResult:
                 name = f"_probe_{hint}_{k}"
                 probe_ty = _close_over(temps, ty)
                 kernel.check_is_type(EMPTY_CONTEXT, probe_ty)
-                kernel.declare_axiom(name, probe_ty, kind=POSTULATE)
+                kernel.declare_axiom(name, probe_ty)
                 temps.append(name)
             lhs = _close_over(temps, rule.lhs)
             rhs = _close_over(temps, rule.rhs)
@@ -106,7 +106,7 @@ def prelude_self_check(prelude: LoadedPrelude) -> list[CheckResult]:
     proc, reports = prelude
     results: list[CheckResult] = []
     for r in reports:
-        if r.status != "ok":
+        if not r.ok:
             results.append(CheckResult(f"load {r.name or r.kind}", False, r.message))
     if results:
         return results
@@ -115,9 +115,7 @@ def prelude_self_check(prelude: LoadedPrelude) -> list[CheckResult]:
         kernel.begin()
         try:
             kernel.check_is_type(EMPTY_CONTEXT, entry.type)
-            if entry.kind == DEFINITION:
-                if entry.body is None:
-                    raise TelicError("definition has no body")
+            if entry.body is not None:
                 kernel.check(EMPTY_CONTEXT, entry.body, entry.type)
             results.append(CheckResult(f"entry {name}", True))
         except TelicError as err:

@@ -29,24 +29,11 @@ from .errors import ERROR_CODES, IllegalCharacter, ParseError, Span
 
 # --- tokens ------------------------------------------------------------------
 
-_KEYWORDS = frozenset(
-    {
-        "postulate",
-        "primitive",
-        "def",
-        "rewrite",
-        "check",
-        "fail",
-        "norm",
-        "entail",
-        "import",
-        "Type",
-        "Type1",
-        "fst",
-        "snd",
-        "Sigma",
-    }
+DECL_KEYWORDS = frozenset(
+    {"postulate", "primitive", "def", "rewrite", "check", "fail", "norm", "entail", "import"}
 )
+
+_KEYWORDS = DECL_KEYWORDS | {"Type", "Type1", "fst", "snd", "Sigma"}
 
 # one-character tokens
 _PUNCTUATION = {
@@ -65,10 +52,6 @@ _PUNCTUATION = {
     "⊕": "OPLUS",
     "_": "HOLE",
 }
-
-DECL_KEYWORDS = frozenset(
-    {"postulate", "primitive", "def", "rewrite", "check", "fail", "norm", "entail", "import"}
-)
 
 # token kinds the parser resumes at after an error
 _RESUME_KINDS = frozenset({k.upper() for k in DECL_KEYWORDS} | {"EOF"})

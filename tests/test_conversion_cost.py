@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from telic.errors import FuelExhausted
-from telic.kernel import DEFAULT_FUEL, Kernel, PRIMITIVE
+from telic.kernel import DEFAULT_FUEL, Kernel
 from telic.terms import Const, NatLit, Pi, Universe, Var
 
 NAT = Const("Nat")
@@ -40,7 +40,7 @@ def test_stacked_restrictions_cost_constant_steps_per_adjective(loaded_processor
 
 def _kernel_with(rules, fuel: int = DEFAULT_FUEL) -> Kernel:
     k = Kernel(fuel=fuel)
-    k.declare_axiom("Nat", Universe(0), kind=PRIMITIVE)
+    k.declare_axiom("Nat", Universe(0))
     k.declare_axiom("f", Pi(NAT, Pi(NAT, NAT)))
     k.declare_axiom("g", Pi(NAT, NAT))
     k.declare_axiom("loop", Pi(NAT, NAT))

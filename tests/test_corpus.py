@@ -19,6 +19,7 @@ from telic.corpus import (
     uncovered_names,
 )
 from telic.prelude import load_prelude, prelude_self_check
+from telic.surface import DDef, DEntail, SPi, parse_file
 
 
 # The audit's expected failures per case, as (label, code): case19 declares
@@ -68,6 +69,31 @@ def test_signature_after_case_passes_the_audit(prelude, case):
         assert len(results) == len(sig.entries) + sum(map(len, sig.rules_by_head.values()))
     failed = [(c.label, c.detail[1 : c.detail.index("]")]) for c in results if not c.ok]
     assert failed == AUDIT_FAILURES.get(case.name, [])
+
+
+def test_entailment_is_a_def_of_its_arrow(prelude):
+    # `entail n : H => C = w` stores what `def n' : H -> C = w` stores, and
+    # takes no braced arguments.
+    proc = prelude[0]
+    checked = 0
+    for case in CASES:
+        with proc.rollback():
+            proc.process_path(corpus_dir() / case.entry)
+            for file in case.files:
+                parsed = parse_file((corpus_dir() / file).read_text(encoding="utf-8"), file)
+                for decl in parsed.declarations:
+                    if not isinstance(decl, DEntail):
+                        continue
+                    arrow = SPi(decl.hypothesis.span, None, False, decl.hypothesis, decl.conclusion)
+                    as_def = DDef(decl.span, f"{decl.name}_as_def", arrow, decl.witness)
+                    report, _ = proc.run_declaration(as_def, [], corpus_dir())
+                    assert report.ok, report.render()
+                    entries = proc.kernel.sig.entries
+                    entail, defined = entries[decl.name], entries[as_def.name]
+                    assert (defined.type, defined.body) == (entail.type, entail.body), decl.name
+                    assert entail.implicit_mask == ()
+                    checked += 1
+    assert checked == 11
 
 
 def test_goldens_are_portable():

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "telic").glob("*.py"))
 USERS = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
-_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
@@ -26,7 +26,7 @@ def definitions(source: str) -> list[str]:
     return [
         node.name
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, _DEFINITION)
+        if isinstance(node, _DEF_NODES)
         and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
 

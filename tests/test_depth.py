@@ -25,14 +25,14 @@ def test_depth_exceeded_is_a_stable_code():
 def test_deep_sum_is_reported(loaded_processor):
     reports = loaded_processor.process_text(f"norm {DEEP_SUM} = 400\ncheck 1 : Nat\n", "<deep>")
     assert _codes(reports) == [("norm", "error", "DepthExceeded"), ("check", "ok", None)]
-    assert (reports[0].line, reports[0].col) == (1, 1)
+    assert (reports[0].span.line, reports[0].span.col) == (1, 1)
 
 
 def test_deep_parentheses_are_a_parse_error(loaded_processor):
     text = f"check {DEEP_PARENS} : Type\ncheck 1 : Nat\n"
     reports = loaded_processor.process_text(text, "<deep>")
     assert _codes(reports) == [("parse", "error", "ParseError"), ("check", "ok", None)]
-    assert (reports[0].line, reports[0].col) == (1, 1)
+    assert (reports[0].span.line, reports[0].span.col) == (1, 1)
 
 
 def test_deep_arrows_are_reported(loaded_processor):

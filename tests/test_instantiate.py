@@ -108,7 +108,7 @@ def test_instantiate_equals_subst_many(all_rules, seed):
     for rule in all_rules:
         for _ in range(25):
             gen = open_gen if rng.random() < 0.7 else closed_gen
-            env = [gen.any_term(gen.depth()) for _ in range(rule.nslots)]
+            env = [gen.any_term(gen.depth()) for _ in range(len(rule.telescope))]
             got = rule.instantiate(env)
             want = subst_many(rule.rhs, env)
             assert got == want, f"rule {rule.head}: {got!r} != {want!r}"
@@ -120,7 +120,7 @@ def test_instance_shares_slot_free_subterms(all_rules):
     env_gen = TermGen(random.Random(7), open_vars=True)
     shared = []
     for rule in all_rules:
-        env = [env_gen.any_term(2) for _ in range(rule.nslots)]
+        env = [env_gen.any_term(2) for _ in range(len(rule.telescope))]
         for node, inst in _slot_free_pairs(rule.rhs, rule.instantiate(env)):
             assert inst is node, f"rule {rule.head}: {node!r} was rebuilt"
             shared.append(node)

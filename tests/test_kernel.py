@@ -25,7 +25,7 @@ from telic.errors import (
     UnsolvedMeta,
 )
 from telic import kernel as kernel_module
-from telic.kernel import Kernel, PRIMITIVE
+from telic.kernel import Kernel
 from telic.terms import (
     App,
     Const,
@@ -49,8 +49,8 @@ NAT = Const("Nat")
 def nat_kernel() -> Kernel:
     """A kernel that can talk about natural numbers and a few helpers."""
     k = Kernel()
-    k.declare_axiom("Nat", Universe(0), kind=PRIMITIVE)
-    k.declare_axiom("plus", Pi(NAT, Pi(NAT, NAT)), kind=PRIMITIVE)
+    k.declare_axiom("Nat", Universe(0))
+    k.declare_axiom("plus", Pi(NAT, Pi(NAT, NAT)))
     k.declare_axiom("g", Pi(NAT, NAT))
     k.declare_axiom("k0", NAT)
     k.declare_axiom("sp", Sigma(NAT, NAT))
@@ -125,7 +125,7 @@ def test_normalize_keeps_definitions_folded_under_neutral_heads():
 
 def test_fuel_exhaustion():
     k = Kernel(fuel=40)
-    k.declare_axiom("Nat", Universe(0), kind=PRIMITIVE)
+    k.declare_axiom("Nat", Universe(0))
     k.declare_axiom("loop", Pi(NAT, NAT))
     k.declare_rewrite((("n", NAT),), Const("loop", (Var(0),)), Const("loop", (Var(0),)))
     k.begin()
@@ -257,7 +257,7 @@ def matching_kernel() -> Kernel:
     """``wrap, loop : Nat -> Nat`` and ``f, g : Nat -> Nat -> Nat``, with the
     diverging rule ``loop n = loop n`` and a budget of 1000 steps."""
     k = Kernel(fuel=1000)
-    k.declare_axiom("Nat", Universe(0), kind=PRIMITIVE)
+    k.declare_axiom("Nat", Universe(0))
     for name in ("wrap", "loop"):
         k.declare_axiom(name, Pi(NAT, NAT))
     for name in ("f", "g"):

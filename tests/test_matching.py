@@ -17,7 +17,7 @@ import random
 import pytest
 
 from telic.errors import FuelExhausted
-from telic.kernel import Kernel, PRIMITIVE, _apply_args
+from telic.kernel import Kernel, _apply_args
 from telic.terms import App, Const, Fst, Lambda, NatLit, Pair, Universe, Var
 
 NAT = Const("Nat")
@@ -36,7 +36,7 @@ def reference_fire(rule, args, whnf):
     if len(args) < n:
         return None
     # indexed like the telescope's variables: Var(0)'s value first
-    bind = [None] * rule.nslots
+    bind = [None] * len(rule.telescope)
     for p, a in zip(pats, args):
         if not reference_match(p, a, bind, whnf):
             return None
@@ -77,7 +77,7 @@ def matching_kernel(fuel: int) -> Kernel:
     """Constructors, the heads the rules are on, and definitions that
     unfold to each kind of pattern."""
     k = Kernel(fuel=fuel)
-    k.declare_axiom("Nat", Universe(0), kind=PRIMITIVE)
+    k.declare_axiom("Nat", Universe(0))
     for name in ("f", "r", "other", *CONSTRUCTORS):
         k.declare_axiom(name, NAT)
     for v in LITERALS:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from telic.elaborate import Processor
-from telic.kernel import DEFINITION, POSTULATE, PRIMITIVE
 from telic.prelude import load_prelude, prelude_path, prelude_self_check
 from telic.terms import Const, NatLit, Universe, Var
 
@@ -42,11 +41,12 @@ def test_rewrite_rules_by_head(loaded_processor):
     assert {h: len(rs) for h, rs in rules.items()} == RULE_HEADS
 
 
-def test_entry_kind_counts(loaded_processor):
-    kinds = [e.kind for e in loaded_processor.kernel.sig.entries.values()]
-    assert kinds.count(PRIMITIVE) == 9
-    assert kinds.count(POSTULATE) == 45
-    assert kinds.count(DEFINITION) == 23
+def test_entry_kind_counts():
+    _, reports = load_prelude()
+    kinds = [r.kind for r in reports]
+    assert kinds.count("primitive") == 9
+    assert kinds.count("postulate") == 45
+    assert kinds.count("def") == 23
 
 
 def test_self_check_audits_every_entry_and_rule():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from telic.elaborate import Processor
-from telic.kernel import Kernel, PRIMITIVE
+from telic.kernel import Kernel
 from telic.terms import Const, NatLit, Pi, Universe
 
 NAT = Const("Nat")
@@ -13,7 +13,7 @@ NAT = Const("Nat")
 
 def test_restore_drops_exactly_what_followed_the_snapshot():
     k = Kernel()
-    k.declare_axiom("Nat", Universe(0), kind=PRIMITIVE)
+    k.declare_axiom("Nat", Universe(0))
     k.declare_axiom("f", Pi(NAT, NAT))
     k.declare_axiom("a", NAT)
     k.declare_rewrite((), Const("f", (NatLit(0),)), NatLit(1))
