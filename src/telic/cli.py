@@ -91,28 +91,22 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             print(f"wrote {path.name}")
         return 0
 
-    structured = args.format == "structured"
-    failures = 0
+    def emit(data: dict[str, object], *lines: str) -> None:
+        """One JSON object for ``--format structured``, else the plain lines."""
+        if args.format == "structured":
+            print(json.dumps(data, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
 
     audits = prelude_self_check(prelude)
-    broken_audits = [c for c in audits if not c.ok]
-    failures += len(broken_audits)
-    if structured:
-        print(
-            json.dumps(
-                {
-                    "prelude": {
-                        "audits": len(audits),
-                        "failed": [c.render() for c in broken_audits],
-                    }
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for c in broken_audits:
-            print(c.render())
-        print(f"prelude: {len(audits) - len(broken_audits)}/{len(audits)} audits ok")
+    broken_audits = [c.render() for c in audits if not c.ok]
+    failures = len(broken_audits)
+    emit(
+        {"prelude": {"audits": len(audits), "failed": broken_audits}},
+        *broken_audits,
+        f"prelude: {len(audits) - len(broken_audits)}/{len(audits)} audits ok",
+    )
 
     for case in CASES:
         try:
@@ -120,33 +114,20 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         except RuntimeError as err:
             reports, problems = [], [f"{case.name}: {err}"]
         failures += len(problems)
-        if structured:
-            print(
-                json.dumps(
-                    {
-                        "case": case.name,
-                        "ok": not problems,
-                        "reports": len(reports),
-                        "problems": problems,
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            mark = "ok" if not problems else "FAIL"
-            print(f"{mark:4} {case.name}: {len(reports)} reports ({case.title})")
-            for line in problems:
-                print(f"     {line}")
+        mark = "ok" if not problems else "FAIL"
+        emit(
+            {"case": case.name, "ok": not problems, "reports": len(reports), "problems": problems},
+            f"{mark:4} {case.name}: {len(reports)} reports ({case.title})",
+            *[f"     {line}" for line in problems],
+        )
 
-    leftover = uncovered_names(prelude)
+    leftover = sorted(uncovered_names(prelude))
     if leftover:
         failures += 1
-    if structured:
-        print(json.dumps({"uncovered": sorted(leftover)}, sort_keys=True))
-    elif leftover:
-        print(f"FAIL coverage: prelude entries never exercised: {', '.join(sorted(leftover))}")
+        covered = f"FAIL coverage: prelude entries never exercised: {', '.join(leftover)}"
     else:
-        print("ok   coverage: every prelude entry appears in the corpus")
+        covered = "ok   coverage: every prelude entry appears in the corpus"
+    emit({"uncovered": leftover}, covered)
     return 0 if failures == 0 else 1
 
 

@@ -242,11 +242,7 @@ class Elaborator:
                 raise TypeMismatch(
                     "only declared constants take braced arguments", span=a.arg.span
                 )
-            arg = self.elab(a.arg, env)
-            if isinstance(fn, Const):
-                fn = Const(fn.name, fn.args + (arg,))
-            else:
-                fn = App(fn, arg)
+            fn = App(fn, self.elab(a.arg, env))
         return fn
 
 
@@ -403,62 +399,59 @@ class Processor:
             return report, isinstance(decl, self._BINDING)
 
     def _dispatch(self, decl: Declaration, reports: list[Report], base: Path) -> Report:
+        """Check and store ``decl``; a declaration too deep for Python's
+        recursion limit raises ``DepthExceeded``."""
         try:
-            return self._dispatch_unguarded(decl, reports, base)
+            kind, name = _describe(decl)
+            sp = decl.span
+            match decl:
+                case DAxiom(name=n, type=ty):
+                    mask = implicit_mask_of(ty)
+                    ty_t = self.elab.elab(ty, [])
+                    self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
+                    self.kernel.declare_axiom(n, *self._closed(sp, ty_t), mask)
+                case DDef(name=n, type=ty, body=body):
+                    mask = implicit_mask_of(ty)
+                    ty_t = self.elab.elab(ty, [])
+                    self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
+                    self._define(n, ty_t, body, mask, sp)
+                case DEntail(name=n, hypothesis=hyp, conclusion=concl, witness=wit):
+                    # `def n : hyp -> concl = wit`, with no implicit arguments
+                    hyp_t = self.elab.elab(hyp, [])
+                    self.kernel.check_is_type(EMPTY_CONTEXT, hyp_t)
+                    concl_t = self.elab.elab(concl, [None])
+                    self.kernel.check_is_type(ctx_extend(EMPTY_CONTEXT, "x", hyp_t), concl_t)
+                    self._define(n, Pi(hyp_t, concl_t, None), wit, (), sp)
+                case DCheck(term=tm, type=ty):
+                    ty_t = self.elab.elab(ty, [])
+                    self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
+                    tm_t = self.elab.elab(tm, [])
+                    self.kernel.check(EMPTY_CONTEXT, tm_t, ty_t)
+                    self.kernel.require_solved(sp)
+                case DNorm(lhs=lhs, rhs=rhs):
+                    got, want = self._run_norm(lhs, rhs, sp)
+                    if got != want:
+                        raise TypeMismatch(
+                            f"normal form is `{pretty(got, self.kernel.sig)}` but the "
+                            f"declaration claims `{pretty(want, self.kernel.sig)}`",
+                            span=sp,
+                        )
+                    return Report(sp, kind, name, normal_form=pretty(got, self.kernel.sig))
+                case DRewrite(telescope=tele, lhs=lhs, rhs=rhs):
+                    self._run_rewrite(tele, lhs, rhs, sp)
+                case DFail(code=code, inner=inner):
+                    return self._run_fail(code, inner, sp, base)
+                case DImport(path=rel):
+                    ok = self._load_file(base / rel, reports, sp)
+                    if not ok:
+                        raise ParseError(f"import of {rel} failed", span=sp)
+                case _:
+                    raise AssertionError(f"unhandled declaration {decl!r}")
+            return Report(sp, kind, name)
         except RecursionError:
             raise DepthExceeded(
                 "declaration nests too deeply to check", span=decl.span
             ) from None
-
-    def _dispatch_unguarded(
-        self, decl: Declaration, reports: list[Report], base: Path
-    ) -> Report:
-        kind, name = _describe(decl)
-        sp = decl.span
-        match decl:
-            case DAxiom(name=n, type=ty):
-                mask = implicit_mask_of(ty)
-                ty_t = self.elab.elab(ty, [])
-                self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
-                self.kernel.declare_axiom(n, *self._closed(sp, ty_t), mask)
-            case DDef(name=n, type=ty, body=body):
-                mask = implicit_mask_of(ty)
-                ty_t = self.elab.elab(ty, [])
-                self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
-                self._define(n, ty_t, body, mask, sp)
-            case DEntail(name=n, hypothesis=hyp, conclusion=concl, witness=wit):
-                # `def n : hyp -> concl = wit`, with no implicit arguments
-                hyp_t = self.elab.elab(hyp, [])
-                self.kernel.check_is_type(EMPTY_CONTEXT, hyp_t)
-                concl_t = self.elab.elab(concl, [None])
-                self.kernel.check_is_type(ctx_extend(EMPTY_CONTEXT, "x", hyp_t), concl_t)
-                self._define(n, Pi(hyp_t, concl_t, None), wit, (), sp)
-            case DCheck(term=tm, type=ty):
-                ty_t = self.elab.elab(ty, [])
-                self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
-                tm_t = self.elab.elab(tm, [])
-                self.kernel.check(EMPTY_CONTEXT, tm_t, ty_t)
-                self.kernel.require_solved(sp)
-            case DNorm(lhs=lhs, rhs=rhs):
-                got, want = self._run_norm(lhs, rhs, sp)
-                if got != want:
-                    raise TypeMismatch(
-                        f"normal form is `{pretty(got, self.kernel.sig)}` but the "
-                        f"declaration claims `{pretty(want, self.kernel.sig)}`",
-                        span=sp,
-                    )
-                return Report(sp, kind, name, normal_form=pretty(got, self.kernel.sig))
-            case DRewrite(telescope=tele, lhs=lhs, rhs=rhs):
-                self._run_rewrite(tele, lhs, rhs, sp)
-            case DFail(code=code, inner=inner):
-                return self._run_fail(code, inner, sp, base)
-            case DImport(path=rel):
-                ok = self._load_file(base / rel, reports, sp)
-                if not ok:
-                    raise ParseError(f"import of {rel} failed", span=sp)
-            case _:
-                raise AssertionError(f"unhandled declaration {decl!r}")
-        return Report(sp, kind, name)
 
     def _closed(self, span: Span, *terms: Term) -> list[Term]:
         """The terms with their holes filled in, once every hole of the

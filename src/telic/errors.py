@@ -47,88 +47,71 @@ class IllegalCharacter(ParseError):
     code = "IllegalCharacter"
 
 
-class KernelError(TelicError):
-    pass
-
-
-class UnboundVariable(KernelError):
+class UnboundVariable(TelicError):
     code = "UnboundVariable"
 
 
-class UnknownConstant(KernelError):
+class UnknownConstant(TelicError):
     code = "UnknownConstant"
 
 
-class NotAFunction(KernelError):
+class NotAFunction(TelicError):
     code = "NotAFunction"
 
 
-class NotAPair(KernelError):
+class NotAPair(TelicError):
     code = "NotAPair"
 
 
-class UniverseMismatch(KernelError):
+class UniverseMismatch(TelicError):
     code = "UniverseMismatch"
 
 
-class UnsolvedMeta(KernelError):
+class UnsolvedMeta(TelicError):
     code = "UnsolvedMeta"
 
 
-class TypeMismatch(KernelError):
+class TypeMismatch(TelicError):
     code = "TypeMismatch"
 
 
-class CannotInfer(KernelError):
+class CannotInfer(TelicError):
     code = "CannotInfer"
 
 
-class FuelExhausted(KernelError):
+class FuelExhausted(TelicError):
     code = "FuelExhausted"
 
 
-class DuplicateName(KernelError):
+class DuplicateName(TelicError):
     code = "DuplicateName"
 
 
-class RewriteHeadIsDefinition(KernelError):
+class RewriteHeadIsDefinition(TelicError):
     code = "RewriteHeadIsDefinition"
 
 
-class NonlinearPattern(KernelError):
+class NonlinearPattern(TelicError):
     code = "NonlinearPattern"
 
 
-class RewriteTypeMismatch(KernelError):
+class RewriteTypeMismatch(TelicError):
     code = "RewriteTypeMismatch"
 
 
-class InvalidRewrite(KernelError):
+class InvalidRewrite(TelicError):
     code = "InvalidRewrite"
 
 
-class DepthExceeded(KernelError):
+class DepthExceeded(TelicError):
     """A term nests deeper than the checker's recursion can follow."""
 
     code = "DepthExceeded"
 
 
-ERROR_CODES: tuple[str, ...] = (
-    "ParseError",
-    "IllegalCharacter",
-    "UnboundVariable",
-    "UnknownConstant",
-    "NotAFunction",
-    "NotAPair",
-    "UniverseMismatch",
-    "UnsolvedMeta",
-    "TypeMismatch",
-    "CannotInfer",
-    "FuelExhausted",
-    "DuplicateName",
-    "RewriteHeadIsDefinition",
-    "NonlinearPattern",
-    "RewriteTypeMismatch",
-    "InvalidRewrite",
-    "DepthExceeded",
+# the codes above, in definition order
+ERROR_CODES: tuple[str, ...] = tuple(
+    c.code
+    for c in globals().values()
+    if isinstance(c, type) and issubclass(c, TelicError) and c is not TelicError
 )

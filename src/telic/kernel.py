@@ -31,14 +31,18 @@ entry is only a type, a body when it is a definition, and an implicit mask:
 a primitive is stored like any postulate.
 
 Metavariables: holes inserted by the elaborator, solved by first-order
-pattern unification only; anything harder raises UnsolvedMeta.
-``Kernel.begin`` starts each declaration with a fresh MetaStore and a full
-fuel budget, and every meta must be solved before the declaration's results
-are stored, so the signature never contains metas.
+pattern unification only; anything harder raises UnsolvedMeta. Every hole is
+solved in one place, ``Kernel._solve``: a bare hole against a term, and a
+hole applied to arguments (``_solve_applied``, tried on the left side of a
+conversion, then on the right). ``Kernel.begin`` starts each declaration
+with a fresh MetaStore and a full fuel budget, and every meta must be solved
+before the declaration's results are stored, so the signature never
+contains metas.
 
 ``declare_*`` store what the elaborating ``Processor`` has already checked,
-enforcing only closed terms, fresh names and the shape of rule left-hand
-sides; ``prelude_self_check`` re-verifies a stored signature independently.
+enforcing only closed terms (a rule's telescope and right-hand side closed
+over its slots), fresh names and the shape of rule left-hand sides;
+``prelude_self_check`` re-verifies a stored signature independently.
 """
 
 from __future__ import annotations
@@ -221,13 +225,12 @@ def _compile_fire(
 
 @dataclass(frozen=True, slots=True)
 class RewriteRule:
-    head: str
     lhs: Const  # over the telescope; its arguments are the patterns
     rhs: Term  # over the telescope: Var(0) is the innermost slot
     telescope: tuple[tuple[str, Term], ...]  # (hint, type), outermost first
     # the instance of ``rhs`` for a match environment, Var(0)'s value first
     instantiate: Callable[[Sequence[Term]], Term] = field(init=False, repr=False, compare=False)
-    # the instance for the arguments of ``head``, or None (``_compile_fire``)
+    # the instance for the arguments of ``lhs.name``, or None (``_compile_fire``)
     fire: Callable[[tuple[Term, ...], Callable[[Term], Term]], Term | None] = field(
         init=False, repr=False, compare=False
     )
@@ -465,10 +468,8 @@ class Kernel:
                 return Pair(self._nf(a, structural), self._nf(b, structural))
             case App(fn=f, arg=a):
                 return App(self._nf(f, False), self._nf(a, False))
-            case Fst(pair=p):
-                return Fst(self._nf(p, False))
-            case Snd(pair=p):
-                return Snd(self._nf(p, False))
+            case Fst(pair=p) | Snd(pair=p):
+                return type(h)(self._nf(p, False))
             case Meta(id=m, spine=sp):
                 return Meta(m, tuple(self._nf(s, False) for s in sp))
             case _:
@@ -499,25 +500,11 @@ class Kernel:
                 f"not first-order"
             )
         if c1 is Meta:
-            z2 = self.zonk(t2)
-            return self._solve(w1, (), w2, z2 if type(z2) is Const else None)
+            return self._solve(w1, (), w2, self.zonk(t2))
         if c2 is Meta:
-            z1 = self.zonk(t1)
-            return self._solve(w2, (), w1, z1 if type(z1) is Const else None)
-        if c1 is App:
-            h1, extras1 = _app_spine(w1)
-            if type(h1) is Meta:
-                try:
-                    return self._solve(h1, extras1, w2)
-                except UnsolvedMeta:
-                    pass
-        if c2 is App:
-            h2, extras2 = _app_spine(w2)
-            if type(h2) is Meta:
-                try:
-                    return self._solve(h2, extras2, w1)
-                except UnsolvedMeta:
-                    pass
+            return self._solve(w2, (), w1, self.zonk(t1))
+        if (c1 is App or c2 is App) and self._solve_applied(w1, w2):
+            return True
         unify = self._unify
         if c1 is c2:
             if c1 is Const:
@@ -554,20 +541,20 @@ class Kernel:
             return unify(Fst(w1), w2.first) and unify(Snd(w1), w2.second)
         return False
 
-    def _invert_spine(self, hole: Meta, offset: int) -> dict[int, int]:
-        """Map each ambient variable of the hole's spine to its index in the
-        hole's creation context, shifted up by ``offset``."""
-        length = len(hole.spine)
-        rename: dict[int, int] = {}
-        for j, s in enumerate(hole.spine):
-            sw = self.whnf(s)
-            if not isinstance(sw, Var) or sw.index in rename:
-                raise UnsolvedMeta(
-                    f"hole ?{hole.id} is applied to a non-variable spine; the "
-                    f"solution is not first-order"
-                )
-            rename[sw.index] = offset + (length - 1 - j)
-        return rename
+    def _solve_applied(self, w1: Term, w2: Term) -> bool:
+        """Try ``?m e1 .. ek = other`` with the applied hole on the left,
+        then on the right. A hole whose arguments are not distinct
+        variables, or whose solution fails, leaves the terms to be compared
+        structurally, so False means only that no hole was solved."""
+        for applied, other in ((w1, w2), (w2, w1)):
+            if type(applied) is App:
+                head, extras = _app_spine(applied)
+                if type(head) is Meta:
+                    try:
+                        return self._solve(head, extras, other)
+                    except UnsolvedMeta:
+                        pass
+        return False
 
     def _solution(self, hole: Meta, candidate: Term, rename: dict[int, int]) -> Term:
         """Zonk ``candidate``, occurs-check it and rename it into the hole's
@@ -582,32 +569,34 @@ class Kernel:
     ) -> bool:
         """Solve ``hole e1 .. ek = rhs`` by storing a ``k``-fold lambda.
 
-        ``extras`` are the application arguments left of ``rhs``; together
-        with the hole's own spine they must form distinct variables for the
-        solution to be unique. ``preferred`` is ``rhs`` before head
-        reduction, supplied only when it is a constant application; it is
-        tried first so that solutions keep the folded, user-facing spelling
-        when both spellings are in scope of the hole.
+        The hole's spine followed by ``extras``, the application arguments
+        left of ``rhs``, must be distinct variables for the solution to be
+        unique: the ``j``-th of the ``n`` maps to the solution's variable
+        ``n - 1 - j``. ``preferred`` is ``rhs`` before head reduction; when
+        it is a constant application it is tried first, so that solutions
+        keep the folded, user-facing spelling when both spellings are in
+        scope of the hole.
         """
-        k = len(extras)
-        rename = self._invert_spine(hole, k)
-        for i, e in enumerate(extras):
-            ew = self.whnf(e)
-            if not isinstance(ew, Var) or ew.index in rename:
+        args = hole.spine + extras
+        n = len(args)
+        rename: dict[int, int] = {}
+        for j, a in enumerate(args):
+            aw = self.whnf(a)
+            if type(aw) is not Var or aw.index in rename:
                 raise UnsolvedMeta(
-                    f"hole ?{hole.id} is applied to repeated or non-variable "
-                    f"arguments; the solution is not unique"
+                    f"hole ?{hole.id} is applied to a non-variable spine; the "
+                    f"solution is not first-order"
                 )
-            rename[ew.index] = k - 1 - i
+            rename[aw.index] = n - 1 - j
         sol = None
-        if preferred is not None:
+        if type(preferred) is Const:
             try:
                 sol = self._solution(hole, preferred, rename)
             except UnsolvedMeta:
                 pass
         if sol is None:
             sol = self._solution(hole, rhs, rename)
-        for _ in range(k):
+        for _ in extras:
             sol = Lambda(sol, None)
         self.metas.entry(hole.id).solution = sol
         return True
@@ -698,26 +687,18 @@ class Kernel:
                 return subst(tf.codomain, a)
             case Pair():
                 raise CannotInfer("cannot infer the type of a bare pair")
-            case Fst(pair=p):
+            case Fst(pair=p) | Snd(pair=p):
+                first = type(t) is Fst
                 pw = self.whnf(p)
                 if isinstance(pw, Pair):
-                    return self.infer(ctx, pw.first)
+                    return self.infer(ctx, pw.first if first else pw.second)
                 tp = self.whnf(self.infer(ctx, pw))
                 if not isinstance(tp, Sigma):
                     raise NotAPair(
-                        f"fst applied to a term of non-pair type `{self._show(ctx, tp)}`"
+                        f"{'fst' if first else 'snd'} applied to a term of non-pair "
+                        f"type `{self._show(ctx, tp)}`"
                     )
-                return tp.first
-            case Snd(pair=p):
-                pw = self.whnf(p)
-                if isinstance(pw, Pair):
-                    return self.infer(ctx, pw.second)
-                tp = self.whnf(self.infer(ctx, pw))
-                if not isinstance(tp, Sigma):
-                    raise NotAPair(
-                        f"snd applied to a term of non-pair type `{self._show(ctx, tp)}`"
-                    )
-                return subst(tp.second, Fst(pw))
+                return tp.first if first else subst(tp.second, Fst(pw))
             case NatLit():
                 if "Nat" not in self.sig.entries:
                     raise UnknownConstant("numeric literals need `Nat` declared")
@@ -807,15 +788,9 @@ class Kernel:
 
     # - declarations -
 
-    def _require_fresh(self, name: str) -> None:
-        if name in self.sig.entries:
-            raise DuplicateName(f"`{name}` is already declared")
-
     def declare_axiom(self, name: str, ty: Term, mask: tuple[bool, ...] = ()) -> None:
         """Store an already-checked axiom; ``ty`` must be closed."""
-        self.assert_closed(ty)
-        self._require_fresh(name)
-        self.sig.entries[name] = SignatureEntry(ty, None, mask)
+        self._store(name, SignatureEntry(ty, None, mask))
 
     def declare_definition(
         self,
@@ -825,10 +800,17 @@ class Kernel:
         mask: tuple[bool, ...] = (),
     ) -> None:
         """Store an already-checked definition; both terms must be closed."""
-        self.assert_closed(ty)
-        self.assert_closed(body)
-        self._require_fresh(name)
-        self.sig.entries[name] = SignatureEntry(ty, body, mask)
+        self._store(name, SignatureEntry(ty, body, mask))
+
+    def _store(self, name: str, entry: SignatureEntry) -> None:
+        """Store ``entry`` under ``name``, which must be fresh, once its
+        terms are found closed."""
+        self.assert_closed(entry.type)
+        if entry.body is not None:
+            self.assert_closed(entry.body)
+        if name in self.sig.entries:
+            raise DuplicateName(f"`{name}` is already declared")
+        self.sig.entries[name] = entry
 
     def declare_rewrite(
         self,
@@ -840,7 +822,13 @@ class Kernel:
         elaborated both sides under the telescope, checked that the
         right-hand side has the left-hand side's type, and checked surface
         linearity; this checks the shape of the left-hand side, whose
-        arguments are matched as they are."""
+        arguments are matched as they are. Each telescope type must be
+        closed over the slots before it, and the right-hand side over all
+        of them."""
+        n_slots = len(telescope)
+        for i, (_, ty) in enumerate(telescope):
+            self.assert_closed(ty, i)
+        self.assert_closed(rhs, n_slots)
         if not isinstance(lhs, Const) or not lhs.args:
             raise InvalidRewrite(
                 "rewrite left-hand side must be a constant applied to patterns"
@@ -852,7 +840,6 @@ class Kernel:
             raise RewriteHeadIsDefinition(
                 f"rewrite head `{lhs.name}` is a definition; unfold it instead"
             )
-        n_slots = len(telescope)
         bound: set[int] = set()
         for t, _ in subterms(lhs):
             cls = type(t)
@@ -871,14 +858,16 @@ class Kernel:
                 f"pattern variable(s) {', '.join(missing)} never occur on the "
                 f"left-hand side"
             )
-        rule = RewriteRule(lhs.name, lhs, rhs, telescope)
+        rule = RewriteRule(lhs, rhs, telescope)
         self.sig.rules_by_head.setdefault(lhs.name, []).append(rule)
         return rule
 
-    def assert_closed(self, t: Term) -> Term:
+    def assert_closed(self, t: Term, depth: int = 0) -> Term:
+        """``t``, which must hold no hole and no variable beyond the
+        ``depth`` innermost binders around it."""
         metas = free_meta_ids(t)
         if metas:
             raise UnsolvedMeta(f"internal: holes {sorted(metas)} escaped solving")
-        if not scope_ok(t, 0):
+        if not scope_ok(t, depth):
             raise UnboundVariable("internal: unbound variable escaped elaboration")
         return t

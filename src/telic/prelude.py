@@ -71,7 +71,7 @@ def _close_over(temps: list[str], t: Term) -> Term:
 
 
 def _check_rule(proc: Processor, rule: RewriteRule, index: int) -> CheckResult:
-    label = f"rule {rule.head} #{index}"
+    label = f"rule {rule.lhs.name} #{index}"
     kernel = proc.kernel
     kernel.begin()
     try:

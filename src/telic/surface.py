@@ -300,13 +300,15 @@ class _Parser:
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind
 
+    def expected(self, what: str, t: Token) -> ParseError:
+        """The error for finding ``t`` where ``what`` should be."""
+        found = repr(t.text) if t.text else "end of file"
+        return ParseError(f"expected {what}, found {found}", span=self.span(t))
+
     def expect(self, kind: str, what: str) -> Token:
         t = self.peek()
         if t.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {t.text!r}" if t.text else f"expected {what}, found end of file",
-                span=self.span(t),
-            )
+            raise self.expected(what, t)
         return self.next()
 
     # - declarations -
@@ -394,12 +396,7 @@ class _Parser:
                 path = self.expect("STRING", "a quoted file path")
                 return DImport(start, path.text)
             case _:
-                raise ParseError(
-                    f"expected a declaration, found {t.text!r}"
-                    if t.text
-                    else "expected a declaration, found end of file",
-                    span=self.span(t),
-                )
+                raise self.expected("a declaration", t)
 
     def axiom_decl(self, primitive: bool) -> Declaration:
         start = self.span(self.next())
@@ -561,12 +558,7 @@ class _Parser:
                         out = SPair(sp, p, out)
                 return out
             case _:
-                raise ParseError(
-                    f"expected an expression, found {t.text!r}"
-                    if t.text
-                    else "expected an expression, found end of file",
-                    span=self.span(t),
-                )
+                raise self.expected("an expression", t)
 
 
 def parse_file(text: str, filename: str = "<input>") -> ParsedFile:

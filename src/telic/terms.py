@@ -309,7 +309,8 @@ def compile_subst(t: Term, n: int) -> Callable[[Sequence[Term]], Term]:
     The result is a tree of closures, one per node of ``t`` that mentions a
     substituted or higher variable; a subterm that mentions neither is
     returned as it is. Used for rewrite right-hand sides, which are built
-    from the environment of a match at every firing.
+    from the environment of a match at every firing; like them, ``t`` holds
+    no hole.
     """
 
     def comp(t: Term, d: int) -> Callable[[Sequence[Term]], Term]:
@@ -355,10 +356,6 @@ def compile_subst(t: Term, n: int) -> Callable[[Sequence[Term]], Term]:
         if cls is Snd:
             p = comp(t.pair, d)
             return lambda env: Snd(p(env))
-        if cls is Meta:
-            mid = t.id
-            spine = [comp(s, d) for s in t.spine]
-            return lambda env: Meta(mid, tuple([s(env) for s in spine]))
         raise AssertionError(f"compile_subst: unhandled term {t!r}")
 
     return comp(t, 0)

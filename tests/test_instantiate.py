@@ -94,10 +94,10 @@ def _slot_free_pairs(rhs, inst, d=0):
 
 
 def test_rule_set_covers_the_binder_and_corpus_rules(all_rules):
-    heads = {r.head for r in all_rules}
+    heads = {r.lhs.name for r in all_rules}
     assert {"El_NP", "El_Evt", "CulOrAtel", "Prf", "Result", "loop"} <= heads
-    assert any(_slot_under_binder(r.rhs) for r in all_rules if r.head == "El_NP")
-    assert any(_slot_under_binder(r.rhs) for r in all_rules if r.head == "El_Evt")
+    assert any(_slot_under_binder(r.rhs) for r in all_rules if r.lhs.name == "El_NP")
+    assert any(_slot_under_binder(r.rhs) for r in all_rules if r.lhs.name == "El_Evt")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -111,7 +111,7 @@ def test_instantiate_equals_subst_many(all_rules, seed):
             env = [gen.any_term(gen.depth()) for _ in range(len(rule.telescope))]
             got = rule.instantiate(env)
             want = subst_many(rule.rhs, env)
-            assert got == want, f"rule {rule.head}: {got!r} != {want!r}"
+            assert got == want, f"rule {rule.lhs.name}: {got!r} != {want!r}"
             # hints are not part of ==; the instance keeps them too
             assert repr(got) == repr(want)
 
@@ -122,7 +122,7 @@ def test_instance_shares_slot_free_subterms(all_rules):
     for rule in all_rules:
         env = [env_gen.any_term(2) for _ in range(len(rule.telescope))]
         for node, inst in _slot_free_pairs(rule.rhs, rule.instantiate(env)):
-            assert inst is node, f"rule {rule.head}: {node!r} was rebuilt"
+            assert inst is node, f"rule {rule.lhs.name}: {node!r} was rebuilt"
             shared.append(node)
     assert Const("Nat") in shared  # `several`'s `Sigma (n : Nat). ...`
 

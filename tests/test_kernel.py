@@ -316,6 +316,28 @@ def test_rewrite_left_hand_side_rejections(telescope, args, message):
     assert info.value.message == message
 
 
+UNBOUND = "internal: unbound variable escaped elaboration"
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda k: ((("n", NAT),), Var(7)), UnboundVariable, UNBOUND),
+        (lambda k: ((("n", NAT),), k.metas.fresh(0)), UnsolvedMeta, "internal: holes [0] escaped solving"),
+        (lambda k: ((("n", k.metas.fresh(0)),), Var(0)), UnsolvedMeta, "internal: holes [0] escaped solving"),
+        (lambda k: ((("n", Var(0)),), Var(0)), UnboundVariable, UNBOUND),
+    ],
+    ids=["rhs-foreign-variable", "rhs-hole", "telescope-hole", "telescope-foreign-variable"],
+)
+def test_rewrite_telescope_and_rhs_must_be_closed(make, error, message):
+    k = nat_kernel()
+    telescope, rhs = make(k)
+    with pytest.raises(error) as info:
+        k.declare_rewrite(telescope, Const("g", (Var(0),)), rhs)
+    assert info.value.message == message
+    assert "g" not in k.sig.rules_by_head
+
+
 # --- eta and conversion ----------------------------------------------------------
 
 
