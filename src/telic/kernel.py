@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from .errors import (
     CannotInfer,
@@ -87,7 +87,6 @@ from .terms import (
     ctx_lookup,
     free_meta_ids,
     map_term,
-    scope_ok,
     shift,
     subst,
     subst_many,
@@ -365,6 +364,17 @@ class Kernel:
         Performs beta, projections of pairs, primitive computation, rewrite
         firing, and (when ``unfold``) unfolding of head definitions. Matching
         always unfolds, regardless of ``unfold``.
+
+        A firing that rebuilds its own target (the target's head applied to
+        the very same argument objects, as ``loop n = loop n`` does) can
+        never make progress: reduction is deterministic, so the same rule
+        would fire on the same term until the budget ran out. Such a firing
+        spends the whole budget at once and raises ``FuelExhausted`` with the
+        message and step count that spending it step by step gives. The test
+        is by identity, not ``==``: it costs O(arity), and structural
+        equality would recurse through a growing term such as
+        ``grow n = grow (succ n)``. Longer cycles (``ping n = pong n``,
+        ``pong n = ping n``) still spend the budget one step at a time.
         """
         entries = self.sig.entries
         rules = self.sig.rules_by_head
@@ -392,6 +402,16 @@ class Kernel:
                         if fired is not None:
                             break
                     if fired is not None:
+                        if (
+                            type(fired) is Const
+                            and fired.name == n
+                            and len(fired.args) == len(t.args)
+                            and all(map(is_, fired.args, t.args))
+                        ):
+                            # the firing rebuilt its own target: every later
+                            # round repeats this one, so spend the budget now
+                            self._steps = limit
+                            self._tick()
                         t = fired
                         continue
                 if unfold:
@@ -864,10 +884,18 @@ class Kernel:
 
     def assert_closed(self, t: Term, depth: int = 0) -> Term:
         """``t``, which must hold no hole and no variable beyond the
-        ``depth`` innermost binders around it."""
-        metas = free_meta_ids(t)
+        ``depth`` innermost binders around it. One walk finds both; holes
+        are reported first."""
+        metas: set[int] = set()
+        unbound = False
+        for s, d in subterms(t, depth):
+            cls = type(s)
+            if cls is Meta:
+                metas.add(s.id)
+            elif cls is Var and s.index >= d:
+                unbound = True
         if metas:
             raise UnsolvedMeta(f"internal: holes {sorted(metas)} escaped solving")
-        if not scope_ok(t, depth):
+        if unbound:
             raise UnboundVariable("internal: unbound variable escaped elaboration")
         return t

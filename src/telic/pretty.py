@@ -22,6 +22,7 @@ from .terms import (
     Term,
     Universe,
     Var,
+    nat_digits,
     subterms,
 )
 
@@ -83,7 +84,7 @@ class _Printer:
             case Universe():
                 return "Type1"
             case NatLit(value=v):
-                return str(v)
+                return nat_digits(v)
             case Pi(domain=d, codomain=c, hint=h):
                 if _uses_var0(c):
                     x = self.fresh(h, env)

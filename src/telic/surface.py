@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ERROR_CODES, IllegalCharacter, ParseError, Span
+from .terms import nat_of_digits
 
 # --- tokens ------------------------------------------------------------------
 
@@ -301,8 +302,12 @@ class _Parser:
         return self.peek().kind == kind
 
     def expected(self, what: str, t: Token) -> ParseError:
-        """The error for finding ``t`` where ``what`` should be."""
-        found = repr(t.text) if t.text else "end of file"
+        """The error for finding ``t`` where ``what`` should be: the token
+        as written, or the end of the file."""
+        if t.kind == "EOF":
+            found = "end of file"
+        else:
+            found = repr(f'"{t.text}"' if t.kind == "STRING" else t.text)
         return ParseError(f"expected {what}, found {found}", span=self.span(t))
 
     def expect(self, kind: str, what: str) -> Token:
@@ -534,7 +539,7 @@ class _Parser:
             case "IDENT":
                 return SName(self.span(t), t.text)
             case "NAT":
-                return SNat(self.span(t), int(t.text))
+                return SNat(self.span(t), nat_of_digits(t.text))
             case "HOLE":
                 return SHole(self.span(t))
             case "TYPE":

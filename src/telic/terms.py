@@ -20,7 +20,8 @@ right-hand side into closures that build its instances.
 
 Each term class is a frozen, slotted dataclass, so ``==``, ``hash``,
 ``repr``, ``match`` patterns and the refusal to assign are the generated
-ones. Only ``__init__`` is replaced (``_slot_init``): it has the generated
+ones, except ``NatLit``'s ``repr``, which writes a literal of any length.
+Only ``__init__`` is replaced (``_slot_init``): it has the generated
 signature and defaults but stores each field through its slot descriptor,
 which is cheaper than the frozen class's ``object.__setattr__``.
 """
@@ -131,6 +132,36 @@ class Snd(Term):
 @dataclass(frozen=True, slots=True)
 class NatLit(Term):
     value: int
+
+    def __repr__(self) -> str:
+        return f"NatLit(value={nat_digits(self.value)})"
+
+
+# CPython refuses to convert an int of more than 4,300 decimal digits to or
+# from text (``sys.set_int_max_str_digits``, a setting of the whole process),
+# so a literal's digits are converted a chunk at a time. The parser reads
+# with the first function and the printer writes with the second.
+_CHUNK_DIGITS = 256
+_CHUNK_BASE = 10**_CHUNK_DIGITS
+
+
+def nat_of_digits(digits: str) -> int:
+    """The value of a string of decimal digits, of any length."""
+    head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    value = int(digits[:head])
+    for i in range(head, len(digits), _CHUNK_DIGITS):
+        value = value * _CHUNK_BASE + int(digits[i : i + _CHUNK_DIGITS])
+    return value
+
+
+def nat_digits(value: int) -> str:
+    """The decimal digits of a natural number, of any size."""
+    chunks = []
+    while value >= _CHUNK_BASE:
+        value, low = divmod(value, _CHUNK_BASE)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
 
 
 @_slot_init

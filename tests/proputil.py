@@ -4,6 +4,7 @@ The generators draw terms over a small scratch signature (naturals, an
 opaque type with two inhabitants, a function in each direction, one pair).
 Every produced term is well-typed by construction, with redex wrappers
 mixed in so the laws are exercised on reducible as well as neutral terms.
+Numerals are small or have 4,000 to 10,000 digits.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class TermGen:
         self.open_vars = open_vars
 
     def nat(self, depth: int) -> Term:
-        picks = ["lit", "k0", "fst_sp", "snd_sp"]
+        picks = ["lit", "big_lit", "k0", "fst_sp", "snd_sp"]
         if self.open_vars:
             picks += ["v0", "fst_v2"]
         if depth > 0:
@@ -76,6 +77,10 @@ class TermGen:
         match self.rng.choice(picks):
             case "lit":
                 return NatLit(self.rng.randrange(10))
+            case "big_lit":
+                # beyond the 4,300 digits CPython converts to or from text at once
+                digits = self.rng.randrange(4000, 10_001)
+                return NatLit(self.rng.randrange(10 ** (digits - 1), 10**digits))
             case "k0":
                 return Const("k0")
             case "fst_sp":

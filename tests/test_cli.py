@@ -54,6 +54,33 @@ def test_check_multiple_files_share_one_signature(tmp_path, capsys):
     assert main(["check", str(a), str(b)]) == 0
 
 
+# A sum of two 4,300-digit numerals is 2 * (10**4300 - 1): it has 4,301
+# digits, one more than CPython converts to text at once.
+LONG_NUMERALS = [
+    (f"check {'9' * 5000} : Nat\n", "ok: check"),
+    (
+        f"norm {'9' * 4300} + {'9' * 4300} = 0\n",
+        f"error: norm [TypeMismatch]: normal form is `1{'9' * 4299}8` but the "
+        "declaration claims `0`",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, report", LONG_NUMERALS, ids=["check", "norm"])
+def test_long_numerals_give_reports(text, report, loaded_processor, tmp_path, capsys):
+    (got,) = loaded_processor.process_text(text, "<long>")
+    assert got.render() == f"<long>:1:1: {report}"
+    f = tmp_path / "long.tel"
+    f.write_text(text)
+    assert main(["check", str(f)]) == (0 if report.startswith("ok") else 1)
+    assert capsys.readouterr().out == f"{f}:1:1: {report}\n"
+
+
+def test_norm_prints_long_numerals(capsys):
+    assert main(["norm", "-e", f"{'9' * 4300} + 1"]) == 0
+    assert capsys.readouterr().out == f"1{'0' * 4300} : Nat\n"
+
+
 def test_norm_evaluates_expression(capsys):
     assert main(["norm", "-e", "plus 2 3"]) == 0
     assert capsys.readouterr().out == "5 : Nat\n"

@@ -3,7 +3,9 @@
 Conversion compares two terms before reducing them, so a restriction
 stacked on a restriction costs a constant number of extra steps per
 adjective instead of doubling them. Each rule firing costs one step, and
-rules on one head fire in declaration order.
+rules on one head fire in declaration order. A firing that rebuilds its own
+target spends the rest of the budget at once, as firing it again and again
+would.
 """
 
 from __future__ import annotations
@@ -43,23 +45,58 @@ def _kernel_with(rules, fuel: int = DEFAULT_FUEL) -> Kernel:
     k.declare_axiom("Nat", Universe(0))
     k.declare_axiom("f", Pi(NAT, Pi(NAT, NAT)))
     k.declare_axiom("g", Pi(NAT, NAT))
-    k.declare_axiom("loop", Pi(NAT, NAT))
+    for name in ("loop", "ping", "pong"):
+        k.declare_axiom(name, Pi(NAT, NAT))
     for telescope, lhs, rhs in rules:
         k.declare_rewrite(telescope, lhs, rhs)
     return k
 
 
-LOOP = ((("n", NAT),), Const("loop", (Var(0),)), Const("loop", (Var(0),)))
+def _unary_rule(lhs_head: str, rhs) -> tuple:
+    """``lhs_head n = rhs``, with ``n`` the rule's one pattern variable."""
+    return ((("n", NAT),), Const(lhs_head, (Var(0),)), rhs)
 
 
-@pytest.mark.parametrize("fuel", [1, 2, 1000])
-def test_each_firing_costs_one_step(fuel):
-    # the step that goes over the limit is counted, then raises
-    k = _kernel_with([LOOP], fuel=fuel)
+LOOP = _unary_rule("loop", Const("loop", (Var(0),)))
+# a cycle of two rules: no firing rebuilds its own target
+PING_PONG = [
+    _unary_rule("ping", Const("pong", (Var(0),))),
+    _unary_rule("pong", Const("ping", (Var(0),))),
+]
+
+
+@pytest.mark.parametrize(
+    "rules, head, fuel",
+    [pytest.param([LOOP], "loop", fuel, id=str(fuel)) for fuel in (1, 2, 1000)]
+    + [pytest.param(PING_PONG, "ping", fuel, id=f"ping-pong-{fuel}") for fuel in (1, 2, 1000)],
+)
+def test_each_firing_costs_one_step(rules, head, fuel):
+    # the step that goes over the limit is counted, then raises; the
+    # self-loop spends its budget at once, the cycle one step at a time
+    k = _kernel_with(rules, fuel=fuel)
     k.begin()
     with pytest.raises(FuelExhausted):
+        k.whnf(Const(head, (NatLit(0),)))
+    assert k._steps == fuel + 1
+
+
+def test_a_firing_that_rebuilds_its_target_spends_the_budget_at_once():
+    fuel = 10**6
+    k = _kernel_with([LOOP], fuel=fuel)
+    (rule,) = k.sig.rules_by_head["loop"]
+    fires = [0]
+    fire = rule.fire
+
+    def counted(args, whnf):
+        fires[0] += 1
+        return fire(args, whnf)
+
+    object.__setattr__(rule, "fire", counted)
+    k.begin()
+    with pytest.raises(FuelExhausted, match=f"step budget of {fuel} exhausted"):
         k.whnf(Const("loop", (NatLit(0),)))
     assert k._steps == fuel + 1
+    assert fires[0] <= 2
 
 
 # `f 0 n` and `f m 1` overlap on `f 0 1`.

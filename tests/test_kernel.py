@@ -131,6 +131,26 @@ def test_fuel_exhaustion():
     k.begin()
     with pytest.raises(FuelExhausted):
         k.whnf(Const("loop", (NatLit(0),)))
+    assert k._steps == 41
+
+
+def test_a_growing_loop_exhausts_its_fuel():
+    # `grow n = grow (succ n)`: each firing's target is one `succ` deeper.
+    # Comparing a firing with its target by identity stays cheap; `==`
+    # would recurse through the chain and end in a depth error.
+    k = Kernel(fuel=5000)
+    k.declare_axiom("Nat", Universe(0))
+    k.declare_axiom("succ", Pi(NAT, NAT))
+    k.declare_axiom("grow", Pi(NAT, NAT))
+    k.declare_rewrite(
+        (("n", NAT),),
+        Const("grow", (Var(0),)),
+        Const("grow", (Const("succ", (Var(0),)),)),
+    )
+    k.begin()
+    with pytest.raises(FuelExhausted):
+        k.whnf(Const("grow", (NatLit(0),)))
+    assert k._steps == 5001
 
 
 # --- rewrite rules ---------------------------------------------------------------
@@ -502,6 +522,12 @@ def test_assert_closed():
     with pytest.raises(UnboundVariable):
         k.assert_closed(Var(0))
     assert k.assert_closed(NatLit(1)) == NatLit(1)
+    assert k.assert_closed(Lambda(Var(1)), 1) == Lambda(Var(1))
+    with pytest.raises(UnboundVariable):
+        k.assert_closed(Lambda(Var(1)))
+    # a term with both: the holes are reported, not the variable
+    with pytest.raises(UnsolvedMeta, match=r"holes \[3, 5\] escaped"):
+        k.assert_closed(Const("f", (Var(0), Meta(5), Lambda(Meta(3)))))
 
 
 # --- metavariables ------------------------------------------------------------------

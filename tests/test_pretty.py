@@ -9,7 +9,7 @@ from telic.elaborate import Elaborator
 from telic.kernel import Kernel
 from telic.pretty import pretty
 from telic.surface import parse_expr
-from telic.terms import App, Const, Fst, Lambda, Pair, Snd, Term
+from telic.terms import App, Const, Fst, Lambda, NatLit, Pair, Snd, Term
 
 # Names for TermGen's three free variables, outermost (Var(2)) first.
 OPEN_NAMES = ["s", "y", "n"]
@@ -64,3 +64,12 @@ def test_generated_terms_round_trip():
         for _ in range(2000):
             t = gen.any_term(gen.depth())
             assert round_trip(kernel, t, names) == head_spine(t), pretty(t, kernel.sig, names)
+
+
+def test_long_numerals_round_trip():
+    # CPython converts at most 4,300 digits to or from text at once
+    kernel = scratch_processor().kernel
+    for value in (10**10_000 - 1, 10**9_999, 7 * 10**5_000 + 3):
+        assert parse_expr(pretty(NatLit(value))).value == value
+        t = Const("plus", (NatLit(value), NatLit(1)))
+        assert round_trip(kernel, t, []) == t

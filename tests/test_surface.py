@@ -297,6 +297,21 @@ postulate B : Type
     assert names == ["A", "B"]
 
 
+@pytest.mark.parametrize(
+    "text, found",
+    [
+        ('check "" : Nat\npostulate q : Nat\n', "'\"\"'"),
+        ('check "a b" : Nat\n', "'\"a b\"'"),
+        ("check ) : Nat\n", "')'"),
+        ("check", "end of file"),
+    ],
+    ids=["empty-string", "string", "punctuation", "eof"],
+)
+def test_parse_errors_show_the_token_as_written(text, found):
+    (err,) = parse_file(text, "m.tel").errors
+    assert err.message == f"expected an expression, found {found}"
+
+
 def test_declaration_spans_point_at_source():
     parsed = parse_file("postulate A : Type\npostulate B : Type", "sp.tel")
     d1, d2 = parsed.declarations
@@ -383,6 +398,14 @@ def test_lexical_error_spoils_only_its_declaration(bad, code, col):
     # direct callers of the lexer still get the exception
     with pytest.raises(type(err)):
         tokenize(text)
+
+
+def test_numerals_of_any_length_parse():
+    # longer than the 4,300 digits CPython converts in one go
+    digits = "9" * 5000
+    (decl,) = parse_file(f"check {digits} : Nat\n", "big.tel").declarations
+    assert decl.term.value == 10**5000 - 1
+    assert parse_expr("0" * 300 + "12").value == 12
 
 
 def test_only_ascii_digits_make_numerals():
