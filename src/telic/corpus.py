@@ -156,12 +156,6 @@ def case_mentions(case: CorpusCase) -> frozenset[str]:
     return frozenset(names)
 
 
-def coverage_map(prelude: LoadedPrelude) -> dict[str, frozenset[str]]:
-    """Per case, the prelude entries it mentions."""
-    sig = prelude_names(prelude)
-    return {case.name: case_mentions(case) & sig for case in CASES}
-
-
 def uncovered_names(prelude: LoadedPrelude) -> frozenset[str]:
     """Prelude entries no corpus case mentions. Empty in a healthy tree."""
     return prelude_names(prelude).difference(*(case_mentions(c) for c in CASES))

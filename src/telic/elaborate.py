@@ -10,10 +10,12 @@ remembers which of its leading arguments were declared in braces, and those
 positions are filled with holes (or with braced arguments) at use sites.
 
 Declaration processing turns each declaration into a Report: the span it
-is about, what was declared, and an error code when it failed. Failed
+is about, what was declared, and an error code when it failed. A file's
+reports come in source order, a parse error's where it stands. Failed
 bindings (postulate, primitive, def, entail, import) stop the rest of the
-file, since everything after them is likely poisoned; failed queries (check,
-norm, fail, rewrite) are reported and processing continues. An entailment
+file's declarations, since everything after them is likely poisoned, but
+its parse errors are still reported; failed queries (check, norm, fail,
+rewrite) are reported and processing continues. An entailment
 ``entail n : H => C = w`` is checked and stored as ``def n : H -> C = w``
 with no implicit arguments, and a primitive as a postulate: they differ
 only in their reports' kind.
@@ -49,7 +51,6 @@ from .surface import (
     DNorm,
     DRewrite,
     Declaration,
-    ParsedFile,
     SApp,
     SExpr,
     SHole,
@@ -313,8 +314,7 @@ class Processor:
         self, text: str, filename: str = "<input>", base: str | Path | None = None
     ) -> list[Report]:
         reports: list[Report] = []
-        parsed = parse_file(text, filename)
-        self._run_parsed(parsed, reports, Path(base or Path.cwd()))
+        self._run_parsed(parse_file(text, filename), reports, Path(base or Path.cwd()))
         return reports
 
     def normalize_expression(self, text: str, filename: str = "<expr>") -> tuple[str, str]:
@@ -360,24 +360,24 @@ class Processor:
         if str(resolved) in self._loaded:
             return True
         self._loaded.add(str(resolved))
-        parsed = parse_file(text, str(path))
-        return self._run_parsed(parsed, reports, resolved.parent)
+        return self._run_parsed(parse_file(text, str(path)), reports, resolved.parent)
 
     def _run_parsed(
-        self, parsed: ParsedFile, reports: list[Report], base: Path
+        self, items: tuple[Declaration | ParseError, ...], reports: list[Report], base: Path
     ) -> bool:
-        ok = True
-        for err in parsed.errors:
-            sp = err.span or Span(parsed.filename, 1, 1)
-            reports.append(Report(sp, "parse", None, err.code, err.message))
-            ok = False
-        for decl in parsed.declarations:
-            report, halt = self.run_declaration(decl, reports, base)
-            reports.append(report)
-            if not report.ok:
+        """Report each item of a parsed file in source order: a parse error
+        where it stands, a declaration through ``run_declaration``. After a
+        failed binding the declarations are skipped, but the parse errors
+        are still reported. Returns False when anything failed."""
+        ok, halted = True, False
+        for item in items:
+            if isinstance(item, ParseError):
+                reports.append(Report(item.span, "parse", None, item.code, item.message))
                 ok = False
-            if halt:
-                return False
+            elif not halted:
+                report, halted = self.run_declaration(item, reports, base)
+                reports.append(report)
+                ok = ok and report.ok
         return ok
 
     # - single declarations -

@@ -19,11 +19,10 @@ fuel; the reductions matching needs cost their own. Both sides of a rule
 are compiled once, when it is declared. The left-hand side becomes a
 matcher (``RewriteRule.fire``) that checks its constant, pair and literal
 patterns in order and takes the variables' values from their first
-occurrences; a rule whose patterns are all variables selects its
-environment from the arguments directly. The right-hand side becomes a
-builder that makes each instance from that environment
-(``terms.compile_subst``) instead of substituting into it; subterms that
-mention no pattern variable are shared, not rebuilt.
+occurrences. The right-hand side becomes a builder that makes each
+instance from that environment (``terms.compile_subst``) instead of
+substituting into it; subterms that mention no pattern variable are
+shared, not rebuilt.
 
 Primitive computation (Bd elimination on B/U, J on refl, literal addition) is
 built into whnf by head name rather than stored as rules, so a signature
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from operator import is_, itemgetter
+from operator import is_
 
 from .errors import (
     CannotInfer,
@@ -184,30 +183,9 @@ def _compile_fire(
 ) -> Callable[[tuple[Term, ...], Callable[[Term], Term]], Term | None]:
     """``fire(args, whnf)``: the instance of a rule for the arguments of its
     head, with any arguments beyond the patterns applied to it, or ``None``
-    when the patterns do not match (``_compile_patterns``)."""
+    when the patterns do not match (``_compile_patterns``). Patterns that
+    are all variables check nothing and only bind."""
     n = len(pats)
-    if all(type(p) is Var for p in pats):
-        # The environment, Var(0)'s value first, is a selection of the
-        # arguments; no pattern reduces anything.
-        first: dict[int, int] = {}
-        for i, p in enumerate(pats):
-            first.setdefault(p.index, i)
-        positions = [first[slot] for slot in range(n_slots)]
-        if n_slots == 1:
-            # one item would come back bare, not as a sequence
-            env_of = itemgetter(slice(positions[0], positions[0] + 1))
-        else:
-            env_of = itemgetter(*positions)
-
-        def fire_variables(args, whnf):
-            if len(args) == n:
-                return instantiate(env_of(args))
-            if len(args) < n:
-                return None
-            return _apply_args(instantiate(env_of(args)), args[n:])
-
-        return fire_variables
-
     match_args = _compile_patterns(pats, set())
 
     def fire(args, whnf):

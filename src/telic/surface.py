@@ -13,9 +13,10 @@ built only where they are kept: on expressions, declarations and errors.
 An expression or declaration starts where its first token does.
 
 Parsing is recursive descent with token-position backtracking only for the
-binder-group lookahead. A parse error inside one declaration is recorded and
-parsing resumes at the next declaration keyword, so one bad declaration does
-not hide the rest of the file. A lexical error (an illegal character, an
+binder-group lookahead. A parse error inside one declaration takes that
+declaration's place in the file's source-ordered result, and parsing
+resumes at the next declaration keyword, so one bad declaration does not
+hide the rest of the file. A lexical error (an illegal character, an
 unterminated string) is the parse error of the declaration it falls in.
 """
 
@@ -267,13 +268,6 @@ class DImport(Declaration):
     path: str
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedFile:
-    filename: str
-    declarations: tuple[Declaration, ...]
-    errors: tuple[ParseError, ...]
-
-
 # --- parser ------------------------------------------------------------------
 
 class _Parser:
@@ -318,30 +312,24 @@ class _Parser:
 
     # - declarations -
 
-    def parse_file(self) -> ParsedFile:
-        decls: list[Declaration] = []
-        errors: list[ParseError] = []
+    def parse_file(self) -> tuple[Declaration | ParseError, ...]:
+        items: list[Declaration | ParseError] = []
         while not self.at("EOF"):
             start = self.pos
-            decl: Declaration | None = None
             try:
-                decl = self.declaration()
+                item = self.declaration()
             except ParseError as e:
-                error = e
+                item = e
             except RecursionError:
-                error = ParseError(
+                item = ParseError(
                     "declaration nests too deeply to parse", span=self.span(self.tokens[start])
                 )
             if self.lex_errors:
-                lexical = self.lexical_error(start)
-                if lexical is not None:
-                    decl, error = None, lexical
-            if decl is None:
-                errors.append(error)
+                item = self.lexical_error(start) or item
+            if isinstance(item, ParseError):
                 self.recover()
-            else:
-                decls.append(decl)
-        return ParsedFile(self.filename, tuple(decls), tuple(errors))
+            items.append(item)
+        return tuple(items)
 
     def lexical_error(self, start: int) -> ParseError | None:
         """The first lexical error from token ``start`` up to the next
@@ -566,7 +554,9 @@ class _Parser:
                 raise self.expected("an expression", t)
 
 
-def parse_file(text: str, filename: str = "<input>") -> ParsedFile:
+def parse_file(text: str, filename: str = "<input>") -> tuple[Declaration | ParseError, ...]:
+    """The declarations of ``text`` in source order, each replaced by its
+    parse error where it has one."""
     lex_errors: dict[int, ParseError] = {}
     tokens = tokenize(text, filename, lex_errors)
     return _Parser(tokens, filename, lex_errors).parse_file()
@@ -581,7 +571,5 @@ def parse_expr(text: str, filename: str = "<expr>") -> SExpr:
         raise ParseError("expression nests too deeply to parse", span=parser.span(tokens[0])) from None
     trailing = parser.peek()
     if trailing.kind != "EOF":
-        raise ParseError(
-            f"unexpected {trailing.text!r} after expression", span=parser.span(trailing)
-        )
+        raise parser.expected("the end of the expression", trailing)
     return out

@@ -30,6 +30,16 @@ def test_check_reports_failures_with_exit_one(tmp_path, capsys):
     assert "[UnboundVariable]" in out
 
 
+def test_check_reports_a_parse_error_where_it_stands(tmp_path, capsys):
+    f = tmp_path / "order.tel"
+    f.write_text("postulate a : Nat\ncheck : Nat\npostulate b : Nat\n")
+    assert main(["check", "--format", "structured", str(f)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [(d["kind"], d["line"]) for d in map(json.loads, lines)] == [
+        ("postulate", 1), ("parse", 2), ("postulate", 3),
+    ]
+
+
 def test_check_structured_output_is_json_lines(tmp_path, capsys):
     f = tmp_path / "ok.tel"
     f.write_text("postulate cat : NP U\n")

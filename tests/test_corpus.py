@@ -11,10 +11,8 @@ from telic.corpus import (
     case_mentions,
     check_case,
     corpus_dir,
-    coverage_map,
     golden_path,
     portable,
-    prelude_names,
     run_case,
     uncovered_names,
 )
@@ -80,8 +78,8 @@ def test_entailment_is_a_def_of_its_arrow(prelude):
         with proc.rollback():
             proc.process_path(corpus_dir() / case.entry)
             for file in case.files:
-                parsed = parse_file((corpus_dir() / file).read_text(encoding="utf-8"), file)
-                for decl in parsed.declarations:
+                text = (corpus_dir() / file).read_text(encoding="utf-8")
+                for decl in parse_file(text, file):
                     if not isinstance(decl, DEntail):
                         continue
                     arrow = SPi(decl.hypothesis.span, None, False, decl.hypothesis, decl.conclusion)
@@ -107,9 +105,6 @@ def test_goldens_are_portable():
 
 def test_every_prelude_entry_is_exercised(prelude):
     assert uncovered_names(prelude) == frozenset()
-    cov = coverage_map(prelude)
-    union = frozenset().union(*cov.values())
-    assert union == prelude_names(prelude)
 
 
 def test_coverage_counts_sugar_operators():

@@ -143,6 +143,23 @@ def test_binding_failure_halts_rest_of_file(bare_processor):
     assert all(r.name != "never" for r in reports)
 
 
+def test_parse_error_is_reported_where_it_stands(loaded_processor):
+    text = "postulate a : Nat\ncheck : Nat\npostulate b : Nat\n"
+    reports = loaded_processor.process_text(text, "order.tel")
+    assert [(r.kind, r.span.line) for r in reports] == [
+        ("postulate", 1), ("parse", 2), ("postulate", 3),
+    ]
+    assert statuses(reports) == ["ok", "error", "ok"]
+
+
+def test_parse_error_after_a_failed_binding_is_reported(loaded_processor):
+    text = "postulate a : missing\npostulate b : Nat\ncheck : Nat\n"
+    reports = loaded_processor.process_text(text, "halt.tel")
+    assert [(r.kind, r.code, r.span.line) for r in reports] == [
+        ("postulate", "UnboundVariable", 1), ("parse", "ParseError", 3),
+    ]
+
+
 def test_query_failure_continues(bare_processor):
     reports = run(bare_processor, "check a0 : Nat\npostulate later : Type")
     kinds = [(r.kind, r.status) for r in reports]

@@ -2,13 +2,15 @@
 mutated corpus files must only ever produce reports.
 
 Every input is processed inside a rollback of one prelude-loaded
-processor. The report stream must hold the parse errors first, then one
-report per parsed declaration, in order, up to and including the first
-failed binding declaration (which stops the rest of its file). An import
-names a file that does not exist under the empty base directory, so a
-top-level import adds the report of the failed read in front of its own;
-under `fail` that report is dropped with the rest of the inner
-declaration's.
+processor. The report stream must follow the parse result in source order:
+one `parse` report per parse error where it stands, and one report per
+declaration up to and including the first failed binding declaration
+(which stops the rest of its file's declarations); after that binding only
+`parse` reports follow. An import names a file that does not exist under
+the empty base directory, so a top-level import adds the report of the
+failed read in front of its own; under `fail` that report is dropped with
+the rest of the inner declaration's. The reports' spans never go back in
+the file.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 
 from telic.corpus import CASES, corpus_dir
 from telic.elaborate import Processor, Report
+from telic.errors import ParseError
 from telic.kernel import Kernel
 from telic.prelude import load_prelude
 from telic.surface import _KEYWORDS, _PUNCTUATION, DImport, parse_file, tokenize
@@ -76,23 +79,28 @@ def prelude_processor() -> Processor:
 
 
 def check_reports(proc: Processor, text: str, name: str, base) -> None:
-    parsed = parse_file(text, name)
+    items = parse_file(text, name)
     with proc.rollback():
         reports = proc.process_text(text, name, base)
     assert all(type(r) is Report for r in reports)
-    n_errors = len(parsed.errors)
-    assert [r.kind for r in reports[:n_errors]] == ["parse"] * n_errors
-    rest = reports[n_errors:]
+    spans = [(r.span.line, r.span.col) for r in reports]
+    assert spans == sorted(spans), f"{name}: reports out of source order"
     i = 0
-    for decl in parsed.declarations:
-        if isinstance(decl, DImport):
-            i += 1  # the failed read of the imported file
-        assert i < len(rest), f"{name}: declaration at line {decl.span.line} has no report"
-        report = rest[i]
-        i += 1
-        if not report.ok and isinstance(decl, Processor._BINDING):
-            break
-    assert i == len(rest), f"{name}: {len(rest) - i} reports more than declarations"
+    halted = False
+    for item in items:
+        if isinstance(item, ParseError):
+            assert i < len(reports), f"{name}: parse error at line {item.span.line} has no report"
+            assert (reports[i].kind, reports[i].message) == ("parse", item.message)
+            i += 1
+        elif not halted:
+            if isinstance(item, DImport):
+                i += 1  # the failed read of the imported file
+            assert i < len(reports), f"{name}: declaration at line {item.span.line} has no report"
+            report = reports[i]
+            assert report.kind != "parse", f"{name}: {report.render()}"
+            halted = not report.ok and isinstance(item, Processor._BINDING)
+            i += 1
+    assert i == len(reports), f"{name}: {len(reports) - i} reports more than the parse result"
 
 
 def random_token(rng: random.Random) -> str:

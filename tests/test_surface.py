@@ -232,12 +232,34 @@ def test_parse_expr_rejects_trailing_tokens():
         parse_expr("f x x x :")
 
 
+@pytest.mark.parametrize(
+    "text, found",
+    [('Nat "abc"', "'\"abc\"'"), ("Nat )", "')'"), ('Nat "" x', "'\"\"'")],
+    ids=["string", "punctuation", "empty-string"],
+)
+def test_parse_expr_shows_the_trailing_token_as_written(text, found):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert err.value.message == f"expected the end of the expression, found {found}"
+    assert err.value.span.col == 5
+
+
 def test_expression_spans_are_positioned():
     e = parse_expr("plus 1 2")
     assert (e.span.line, e.span.col) == (1, 1)
 
 
 # --- declarations -----------------------------------------------------------------
+
+
+def split(text, filename):
+    """The declarations and the parse errors of ``text``, each in order."""
+    items = parse_file(text, filename)
+    return (
+        tuple(i for i in items if isinstance(i, Declaration)),
+        tuple(i for i in items if isinstance(i, ParseError)),
+    )
+
 
 
 def test_declaration_forms():
@@ -252,37 +274,33 @@ fail TypeMismatch check A : A
 entail e : A => A = \\x. x
 import "other.tel"
 """
-    parsed = parse_file(text, "decls.tel")
-    assert parsed.errors == ()
-    shapes = [type(d) for d in parsed.declarations]
+    decls, errors = split(text, "decls.tel")
+    assert errors == ()
+    shapes = [type(d) for d in decls]
     assert shapes == [
         DAxiom, DAxiom, DDef, DRewrite, DCheck, DNorm, DFail, DEntail, DImport,
     ]
-    ax = parsed.declarations[0]
+    ax = decls[0]
     assert ax.name == "A" and not ax.primitive
-    assert parsed.declarations[1].primitive
-    fail = parsed.declarations[6]
+    assert decls[1].primitive
+    fail = decls[6]
     assert fail.code == "TypeMismatch" and isinstance(fail.inner, DCheck)
-    ent = parsed.declarations[7]
+    ent = decls[7]
     assert ent.name == "e"
-    imp = parsed.declarations[8]
+    imp = decls[8]
     assert imp.path == "other.tel"
 
 
 def test_rewrite_colon_is_optional():
-    with_colon = parse_file("rewrite (x : A) : f x = x", "a.tel")
-    without = parse_file("rewrite (x : A) f x = x", "b.tel")
-    assert with_colon.errors == () and without.errors == ()
-    d1 = with_colon.declarations[0]
-    d2 = without.declarations[0]
+    (d1,) = parse_file("rewrite (x : A) : f x = x", "a.tel")
+    (d2,) = parse_file("rewrite (x : A) f x = x", "b.tel")
     assert isinstance(d1, DRewrite) and isinstance(d2, DRewrite)
     assert d1.lhs == d2.lhs and d1.rhs == d2.rhs
 
 
 def test_fail_requires_known_error_code():
-    parsed = parse_file("fail NoSuchCode check A : Type", "x.tel")
-    assert len(parsed.errors) == 1
-    assert "NoSuchCode" in parsed.errors[0].message
+    (err,) = split("fail NoSuchCode check A : Type", "x.tel")[1]
+    assert "NoSuchCode" in err.message
 
 
 def test_parser_recovers_at_next_declaration():
@@ -291,10 +309,9 @@ postulate A : Type
 check : :
 postulate B : Type
 """
-    parsed = parse_file(text, "rec.tel")
-    assert len(parsed.errors) == 1
-    names = [d.name for d in parsed.declarations if isinstance(d, DAxiom)]
-    assert names == ["A", "B"]
+    a, err, b = parse_file(text, "rec.tel")
+    assert isinstance(err, ParseError)
+    assert [a.name, b.name] == ["A", "B"]
 
 
 @pytest.mark.parametrize(
@@ -308,13 +325,12 @@ postulate B : Type
     ids=["empty-string", "string", "punctuation", "eof"],
 )
 def test_parse_errors_show_the_token_as_written(text, found):
-    (err,) = parse_file(text, "m.tel").errors
+    (err,) = split(text, "m.tel")[1]
     assert err.message == f"expected an expression, found {found}"
 
 
 def test_declaration_spans_point_at_source():
-    parsed = parse_file("postulate A : Type\npostulate B : Type", "sp.tel")
-    d1, d2 = parsed.declarations
+    d1, d2 = parse_file("postulate A : Type\npostulate B : Type", "sp.tel")
     assert (d1.span.line, d2.span.line) == (1, 2)
     assert d1.span.file == "sp.tel"
 
@@ -352,7 +368,7 @@ def test_spans_point_at_their_source_text(path):
     text = path.read_text(encoding="utf-8")
     lines = text.split("\n")
     checked = 0
-    for node in nodes(parse_file(text, path.name).declarations):
+    for node in nodes(parse_file(text, path.name)):
         assert node.span.file == path.name
         at = lines[node.span.line - 1][node.span.col - 1:]
         if isinstance(node, DAxiom):
@@ -372,9 +388,8 @@ def test_spans_point_at_their_source_text(path):
 
 
 def test_tokenize_failure_becomes_parse_error_report():
-    parsed = parse_file("postulate A : Type\n@", "bad.tel")
-    assert parsed.declarations == ()
-    assert len(parsed.errors) == 1
+    (err,) = parse_file("postulate A : Type\n@", "bad.tel")
+    assert isinstance(err, ParseError)
 
 
 @pytest.mark.parametrize(
@@ -390,9 +405,8 @@ def test_tokenize_failure_becomes_parse_error_report():
 )
 def test_lexical_error_spoils_only_its_declaration(bad, code, col):
     text = f"postulate a : Type\n{bad}\npostulate c : Type\n"
-    parsed = parse_file(text, "lex.tel")
-    assert [d.name for d in parsed.declarations] == ["a", "c"]
-    (err,) = parsed.errors
+    a, err, c = parse_file(text, "lex.tel")
+    assert [a.name, c.name] == ["a", "c"]
     assert err.code == code
     assert (err.span.line, err.span.col) == (2, col)
     # direct callers of the lexer still get the exception
@@ -403,7 +417,7 @@ def test_lexical_error_spoils_only_its_declaration(bad, code, col):
 def test_numerals_of_any_length_parse():
     # longer than the 4,300 digits CPython converts in one go
     digits = "9" * 5000
-    (decl,) = parse_file(f"check {digits} : Nat\n", "big.tel").declarations
+    (decl,) = parse_file(f"check {digits} : Nat\n", "big.tel")
     assert decl.term.value == 10**5000 - 1
     assert parse_expr("0" * 300 + "12").value == 12
 
@@ -417,8 +431,6 @@ def test_only_ascii_digits_make_numerals():
 
 
 def test_lexical_error_after_a_complete_declaration_spoils_it():
-    parsed = parse_file("postulate a : Type $\npostulate b : Type\n", "lex.tel")
-    assert [d.name for d in parsed.declarations] == ["b"]
-    assert [(e.code, e.span.line, e.span.col) for e in parsed.errors] == [
-        ("IllegalCharacter", 1, 20)
-    ]
+    err, b = parse_file("postulate a : Type $\npostulate b : Type\n", "lex.tel")
+    assert b.name == "b"
+    assert (err.code, err.span.line, err.span.col) == ("IllegalCharacter", 1, 20)
