@@ -15,10 +15,10 @@ reports come in source order, a parse error's where it stands. Failed
 bindings (postulate, primitive, def, entail, import) stop the rest of the
 file's declarations, since everything after them is likely poisoned, but
 its parse errors are still reported; failed queries (check, norm, fail,
-rewrite) are reported and processing continues. An entailment
-``entail n : H => C = w`` is checked and stored as ``def n : H -> C = w``
-with no implicit arguments, and a primitive as a postulate: they differ
-only in their reports' kind.
+rewrite) are reported and processing continues. A report takes its kind
+and name from the declaration's: an entailment arrives as the def of its
+arrow and a primitive as a postulate, and each is checked and stored as
+such.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .surface import (
     DAxiom,
     DCheck,
     DDef,
-    DEntail,
     DFail,
     DImport,
     DNorm,
@@ -382,7 +381,7 @@ class Processor:
 
     # - single declarations -
 
-    _BINDING = (DAxiom, DDef, DEntail, DImport)
+    _BINDING = (DAxiom, DDef, DImport)
 
     def run_declaration(
         self, decl: Declaration, reports: list[Report], base: Path
@@ -394,34 +393,25 @@ class Processor:
             return report, False
         except TelicError as e:
             e.with_span(decl.span)
-            kind, name = _describe(decl)
-            report = Report(e.span, kind, name, e.code, e.message)
+            report = Report(e.span, decl.kind, decl.name, e.code, e.message)
             return report, isinstance(decl, self._BINDING)
 
     def _dispatch(self, decl: Declaration, reports: list[Report], base: Path) -> Report:
         """Check and store ``decl``; a declaration too deep for Python's
         recursion limit raises ``DepthExceeded``."""
         try:
-            kind, name = _describe(decl)
-            sp = decl.span
+            sp, name = decl.span, decl.name
             match decl:
-                case DAxiom(name=n, type=ty):
+                case DAxiom(type=ty) | DDef(type=ty):
                     mask = implicit_mask_of(ty)
                     ty_t = self.elab.elab(ty, [])
                     self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
-                    self.kernel.declare_axiom(n, *self._closed(sp, ty_t), mask)
-                case DDef(name=n, type=ty, body=body):
-                    mask = implicit_mask_of(ty)
-                    ty_t = self.elab.elab(ty, [])
-                    self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
-                    self._define(n, ty_t, body, mask, sp)
-                case DEntail(name=n, hypothesis=hyp, conclusion=concl, witness=wit):
-                    # `def n : hyp -> concl = wit`, with no implicit arguments
-                    hyp_t = self.elab.elab(hyp, [])
-                    self.kernel.check_is_type(EMPTY_CONTEXT, hyp_t)
-                    concl_t = self.elab.elab(concl, [None])
-                    self.kernel.check_is_type(ctx_extend(EMPTY_CONTEXT, "x", hyp_t), concl_t)
-                    self._define(n, Pi(hyp_t, concl_t, None), wit, (), sp)
+                    if isinstance(decl, DAxiom):
+                        self.kernel.declare_axiom(name, *self._closed(sp, ty_t), mask)
+                    else:
+                        body_t = self.elab.elab(decl.body, [])
+                        self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
+                        self.kernel.declare_definition(name, *self._closed(sp, ty_t, body_t), mask)
                 case DCheck(term=tm, type=ty):
                     ty_t = self.elab.elab(ty, [])
                     self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
@@ -436,18 +426,17 @@ class Processor:
                             f"declaration claims `{pretty(want, self.kernel.sig)}`",
                             span=sp,
                         )
-                    return Report(sp, kind, name, normal_form=pretty(got, self.kernel.sig))
+                    return Report(sp, decl.kind, name, normal_form=pretty(got, self.kernel.sig))
                 case DRewrite(telescope=tele, lhs=lhs, rhs=rhs):
                     self._run_rewrite(tele, lhs, rhs, sp)
                 case DFail(code=code, inner=inner):
                     return self._run_fail(code, inner, sp, base)
-                case DImport(path=rel):
-                    ok = self._load_file(base / rel, reports, sp)
-                    if not ok:
-                        raise ParseError(f"import of {rel} failed", span=sp)
+                case DImport():
+                    if not self._load_file(base / name, reports, sp):
+                        raise ParseError(f"import of {name} failed", span=sp)
                 case _:
                     raise AssertionError(f"unhandled declaration {decl!r}")
-            return Report(sp, kind, name)
+            return Report(sp, decl.kind, name)
         except RecursionError:
             raise DepthExceeded(
                 "declaration nests too deeply to check", span=decl.span
@@ -458,15 +447,6 @@ class Processor:
         declaration is solved."""
         self.kernel.require_solved(span)
         return [self.kernel.zonk(t) for t in terms]
-
-    def _define(
-        self, name: str, ty_t: Term, body: SExpr, mask: tuple[bool, ...], span: Span
-    ) -> None:
-        """Elaborate ``body``, check it against ``ty_t``, a type already
-        checked, and declare the definition."""
-        body_t = self.elab.elab(body, [])
-        self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
-        self.kernel.declare_definition(name, *self._closed(span, ty_t, body_t), mask)
 
     def _run_norm(self, lhs: SExpr, rhs: SExpr, sp: Span) -> tuple[Term, Term]:
         lhs_t = self.elab.elab(lhs, [])
@@ -522,15 +502,14 @@ class Processor:
         sp: Span,
         base: Path,
     ) -> Report:
-        inner_kind, inner_name = _describe(inner)
-        label = inner_kind + (f" {inner_name}" if inner_name else "")
+        label = inner.kind + (f" {inner.name}" if inner.name else "")
         try:
             with self.rollback():
                 self._dispatch(inner, [], base)
         except TelicError as e:
             if e.code == code:
                 return Report(
-                    sp, "fail", inner_name, message=f"{label} rejected with {code} as expected"
+                    sp, "fail", inner.name, message=f"{label} rejected with {code} as expected"
                 )
             raise TypeMismatch(
                 f"expected {code} but {label} was rejected with {e.code}: {e.message}",
@@ -539,27 +518,6 @@ class Processor:
         raise TypeMismatch(
             f"expected {code} but {label} was accepted", span=sp
         )
-
-
-def _describe(decl: Declaration) -> tuple[str, str | None]:
-    match decl:
-        case DAxiom(name=n, primitive=prim):
-            return ("primitive" if prim else "postulate", n)
-        case DDef(name=n):
-            return ("def", n)
-        case DEntail(name=n):
-            return ("entail", n)
-        case DCheck():
-            return ("check", None)
-        case DNorm():
-            return ("norm", None)
-        case DRewrite():
-            return ("rewrite", None)
-        case DFail():
-            return ("fail", None)
-        case DImport(path=p):
-            return ("import", p)
-    return ("declaration", None)
 
 
 def render_reports(reports: list[Report], fmt: str = "plain") -> str:

@@ -12,6 +12,11 @@ where it starts. Spans (the file, line and column that reports print) are
 built only where they are kept: on expressions, declarations and errors.
 An expression or declaration starts where its first token does.
 
+A declaration keeps its keyword as its kind, and the name it declares or
+imports. The parser reads `primitive` as a postulate and
+`entail n : H => C = w` as `def n : H -> C = w`; only the kind tells them
+apart.
+
 Parsing is recursive descent with token-position backtracking only for the
 binder-group lookahead. A parse error inside one declaration takes that
 declaration's place in the file's source-ordered result, and parsing
@@ -55,8 +60,10 @@ _PUNCTUATION = {
     "_": "HOLE",
 }
 
-# token kinds the parser resumes at after an error
-_RESUME_KINDS = frozenset({k.upper() for k in DECL_KEYWORDS} | {"EOF"})
+# token kinds that start a declaration, and those the parser resumes at
+# after an error
+_DECL_KINDS = frozenset(k.upper() for k in DECL_KEYWORDS)
+_RESUME_KINDS = _DECL_KINDS | {"EOF"}
 
 
 class Token(NamedTuple):
@@ -214,18 +221,17 @@ class SPair(SExpr):
 @dataclass(frozen=True, slots=True)
 class Declaration:
     span: Span = field(compare=False)
+    kind: str  # the keyword as written, which is the kind of its report
+    name: str | None  # what it declares or imports; None for the rest
 
 
 @dataclass(frozen=True, slots=True)
 class DAxiom(Declaration):
-    name: str
     type: SExpr
-    primitive: bool
 
 
 @dataclass(frozen=True, slots=True)
 class DDef(Declaration):
-    name: str
     type: SExpr
     body: SExpr
 
@@ -256,16 +262,8 @@ class DNorm(Declaration):
 
 
 @dataclass(frozen=True, slots=True)
-class DEntail(Declaration):
-    name: str
-    hypothesis: SExpr
-    conclusion: SExpr
-    witness: SExpr
-
-
-@dataclass(frozen=True, slots=True)
 class DImport(Declaration):
-    path: str
+    """Its name is the path as written."""
 
 
 # --- parser ------------------------------------------------------------------
@@ -338,7 +336,7 @@ class _Parser:
         end = self.pos
         while self.tokens[end].kind not in _RESUME_KINDS:
             end += 1
-        return next((e for k, e in self.lex_errors.items() if start <= k < end), None)
+        return next((self.lex_errors[k] for k in range(start, end) if k in self.lex_errors), None)
 
     def recover(self) -> None:
         while self.peek().kind not in _RESUME_KINDS:
@@ -346,69 +344,43 @@ class _Parser:
 
     def declaration(self) -> Declaration:
         t = self.peek()
-        match t.kind:
-            case "POSTULATE" | "PRIMITIVE":
-                return self.axiom_decl(primitive=t.kind == "PRIMITIVE")
-            case "DEF":
-                return self.def_decl()
-            case "REWRITE":
-                return self.rewrite_decl()
-            case "CHECK":
-                start = self.span(self.next())
-                term = self.expr()
+        if t.kind not in _DECL_KINDS:
+            raise self.expected("a declaration", t)
+        start, kind = self.span(self.next()), t.text
+        match kind:
+            case "postulate" | "primitive" | "def" | "entail":
+                name = self.expect("IDENT", "a name").text
                 self.expect("COLON", "':'")
                 ty = self.expr()
-                return DCheck(start, term, ty)
-            case "FAIL":
-                start = self.span(self.next())
+                if kind == "entail":
+                    # `entail n : H => C = w` is `def n : H -> C = w`
+                    self.expect("DARROW", "'=>'")
+                    ty = SPi(ty.span, None, False, ty, self.expr())
+                if kind in ("postulate", "primitive"):
+                    return DAxiom(start, kind, name, ty)
+                self.expect("EQUALS", "'='")
+                return DDef(start, kind, name, ty, self.expr())
+            case "rewrite":
+                return self.rewrite_decl(start)
+            case "check":
+                term = self.expr()
+                self.expect("COLON", "':'")
+                return DCheck(start, kind, None, term, self.expr())
+            case "fail":
                 code = self.expect("IDENT", "an error code")
                 if code.text not in ERROR_CODES:
                     raise ParseError(
                         f"unknown error code `{code.text}`", span=self.span(code)
                     )
-                inner = self.declaration()
-                return DFail(start, code.text, inner)
-            case "NORM":
-                start = self.span(self.next())
+                return DFail(start, kind, None, code.text, self.declaration())
+            case "norm":
                 lhs = self.expr()
                 self.expect("EQUALS", "'='")
-                rhs = self.expr()
-                return DNorm(start, lhs, rhs)
-            case "ENTAIL":
-                start = self.span(self.next())
-                name = self.expect("IDENT", "a name")
-                self.expect("COLON", "':'")
-                hyp = self.expr()
-                self.expect("DARROW", "'=>'")
-                concl = self.expr()
-                self.expect("EQUALS", "'='")
-                wit = self.expr()
-                return DEntail(start, name.text, hyp, concl, wit)
-            case "IMPORT":
-                start = self.span(self.next())
-                path = self.expect("STRING", "a quoted file path")
-                return DImport(start, path.text)
-            case _:
-                raise self.expected("a declaration", t)
+                return DNorm(start, kind, None, lhs, self.expr())
+            case _:  # import
+                return DImport(start, kind, self.expect("STRING", "a quoted file path").text)
 
-    def axiom_decl(self, primitive: bool) -> Declaration:
-        start = self.span(self.next())
-        name = self.expect("IDENT", "a name")
-        self.expect("COLON", "':'")
-        ty = self.expr()
-        return DAxiom(start, name.text, ty, primitive)
-
-    def def_decl(self) -> Declaration:
-        start = self.span(self.next())
-        name = self.expect("IDENT", "a name")
-        self.expect("COLON", "':'")
-        ty = self.expr()
-        self.expect("EQUALS", "'='")
-        body = self.expr()
-        return DDef(start, name.text, ty, body)
-
-    def rewrite_decl(self) -> Declaration:
-        start = self.span(self.next())
+    def rewrite_decl(self, start: Span) -> Declaration:
         telescope: list[tuple[str, SExpr]] = []
         while self.at("LPAREN") and self.looks_like_group():
             self.next()
@@ -424,7 +396,7 @@ class _Parser:
         lhs = self.expr()
         self.expect("EQUALS", "'='")
         rhs = self.expr()
-        return DRewrite(start, tuple(telescope), lhs, rhs)
+        return DRewrite(start, "rewrite", None, tuple(telescope), lhs, rhs)
 
     # - expressions -
 

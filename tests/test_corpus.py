@@ -17,7 +17,7 @@ from telic.corpus import (
     uncovered_names,
 )
 from telic.prelude import load_prelude, prelude_self_check
-from telic.surface import DDef, DEntail, SPi, parse_file
+from telic.surface import DDef, SPi, parse_file
 
 
 # The audit's expected failures per case, as (label, code): case19 declares
@@ -70,8 +70,8 @@ def test_signature_after_case_passes_the_audit(prelude, case):
 
 
 def test_entailment_is_a_def_of_its_arrow(prelude):
-    # `entail n : H => C = w` stores what `def n' : H -> C = w` stores, and
-    # takes no braced arguments.
+    # `entail n : H => C = w` parses to `def n : H -> C = w` under its own
+    # keyword, and stores what a `def` of that arrow stores.
     proc = prelude[0]
     checked = 0
     for case in CASES:
@@ -80,16 +80,21 @@ def test_entailment_is_a_def_of_its_arrow(prelude):
             for file in case.files:
                 text = (corpus_dir() / file).read_text(encoding="utf-8")
                 for decl in parse_file(text, file):
-                    if not isinstance(decl, DEntail):
+                    if getattr(decl, "kind", None) != "entail":
                         continue
-                    arrow = SPi(decl.hypothesis.span, None, False, decl.hypothesis, decl.conclusion)
-                    as_def = DDef(decl.span, f"{decl.name}_as_def", arrow, decl.witness)
+                    assert isinstance(decl, DDef), decl
+                    arrow = decl.type
+                    assert isinstance(arrow, SPi), arrow
+                    assert (arrow.binder, arrow.implicit) == (None, False)
+                    as_def = DDef(decl.span, "def", f"{decl.name}_as_def", arrow, decl.body)
                     report, _ = proc.run_declaration(as_def, [], corpus_dir())
                     assert report.ok, report.render()
                     entries = proc.kernel.sig.entries
                     entail, defined = entries[decl.name], entries[as_def.name]
-                    assert (defined.type, defined.body) == (entail.type, entail.body), decl.name
-                    assert entail.implicit_mask == ()
+                    assert (defined.type, defined.body, defined.implicit_mask) == (
+                        entail.type, entail.body, entail.implicit_mask
+                    ), decl.name
+                    assert entail.implicit_mask == (False,)
                     checked += 1
     assert checked == 11
 

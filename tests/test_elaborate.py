@@ -58,6 +58,17 @@ def test_norm_claim_side_is_taken_as_written(bare_processor):
     assert reports[-1].status == "error"
 
 
+def test_entailment_takes_its_argument_as_a_def_does(bare_processor):
+    # An entailment is the def of its arrow, so a braced argument gets the
+    # def's message.
+    reports = run(bare_processor, "entail e : A => A = \\x. x\ndef d : A -> A = \\x. x\n"
+                                  "check e {a0} : A\ncheck d {a0} : A")
+    assert [r.kind for r in reports[-4:]] == ["entail", "def", "check", "check"]
+    for report, name in zip(reports[-2:], "ed"):
+        assert report.code == "TypeMismatch"
+        assert report.message == f"`{name}` expects an explicit argument here, not a braced one"
+
+
 def test_literals_without_nat_primitive(tmp_path):
     proc = Processor()
     reports = proc.process_text("norm 3 = 3", "bare.tel")

@@ -16,7 +16,6 @@ from telic.surface import (
     Declaration,
     DCheck,
     DDef,
-    DEntail,
     DFail,
     DImport,
     DNorm,
@@ -278,17 +277,15 @@ import "other.tel"
     assert errors == ()
     shapes = [type(d) for d in decls]
     assert shapes == [
-        DAxiom, DAxiom, DDef, DRewrite, DCheck, DNorm, DFail, DEntail, DImport,
+        DAxiom, DAxiom, DDef, DRewrite, DCheck, DNorm, DFail, DDef, DImport,
     ]
-    ax = decls[0]
-    assert ax.name == "A" and not ax.primitive
-    assert decls[1].primitive
+    assert [d.kind for d in decls] == [
+        "postulate", "primitive", "def", "rewrite", "check", "norm", "fail", "entail", "import",
+    ]
+    assert [d.name for d in decls] == ["A", "N", "idA", None, None, None, None, "e", "other.tel"]
     fail = decls[6]
     assert fail.code == "TypeMismatch" and isinstance(fail.inner, DCheck)
-    ent = decls[7]
-    assert ent.name == "e"
-    imp = decls[8]
-    assert imp.path == "other.tel"
+    assert decls[7].type == SPi(None, None, False, SName(None, "A"), SName(None, "A"))
 
 
 def test_rewrite_colon_is_optional():
@@ -342,11 +339,6 @@ SOURCES = [
     Path(__file__).resolve().parent / "data" / "equalities.tel",
 ]
 
-# What the text at a declaration's span starts with.
-KEYWORD_OF = {
-    DCheck: "check", DDef: "def", DEntail: "entail", DFail: "fail",
-    DImport: "import", DNorm: "norm", DRewrite: "rewrite",
-}
 # The operators that desugar to applications of these primitives.
 OPERATORS = {"plus": ("+",), "oplus": ("(+)", "\u2295")}
 
@@ -371,10 +363,8 @@ def test_spans_point_at_their_source_text(path):
     for node in nodes(parse_file(text, path.name)):
         assert node.span.file == path.name
         at = lines[node.span.line - 1][node.span.col - 1:]
-        if isinstance(node, DAxiom):
-            assert at.startswith("primitive" if node.primitive else "postulate"), node
-        elif isinstance(node, Declaration):
-            assert at.startswith(KEYWORD_OF[type(node)]), node
+        if isinstance(node, Declaration):
+            assert at.startswith(node.kind), node
         elif isinstance(node, SNat):
             assert int(re.match(r"[0-9]+", at).group()) == node.value, node
         elif isinstance(node, SName):
