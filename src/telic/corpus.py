@@ -11,17 +11,16 @@ exercise every prelude entry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path, PurePath
+from typing import NamedTuple
 
 from .elaborate import Report
 from .prelude import LoadedPrelude
 from .surface import tokenize
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusCase:
+class CorpusCase(NamedTuple):
     """One corpus entry.
 
     ``files`` lists the case's source files relative to the corpus

@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     DepthExceeded,
@@ -85,8 +85,7 @@ from .terms import (
 
 # --- reports -------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Report:
+class Report(NamedTuple):
     span: Span
     kind: str  # postulate | primitive | def | rewrite | check | fail | norm | entail | import | parse
     name: str | None

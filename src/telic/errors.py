@@ -1,17 +1,17 @@
-"""Error hierarchy.
+"""Error hierarchy, and the source positions errors and reports carry.
 
 Every user-visible failure carries a stable ``code`` string; the surface
 language's ``fail`` declarations match on these codes, so the set below is a
-closed enumeration as far as `.tel` files are concerned.
+closed enumeration as far as `.tel` files are concerned. A ``Span`` is a
+named tuple ``(file, line, col)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(NamedTuple):
     """Where a token, expression or declaration starts: the position that
     reports print as ``file:line:col``."""
 

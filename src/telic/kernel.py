@@ -38,6 +38,10 @@ with a fresh MetaStore and a full fuel budget, and every meta must be solved
 before the declaration's results are stored, so the signature never
 contains metas.
 
+Records are plain: a ``SignatureEntry`` is a named tuple, and a
+``RewriteRule`` (its compiled matcher and builder beside its two sides) and
+a ``MetaEntry`` (filled in as checking meets the hole) are slotted classes.
+
 ``declare_*`` store what the elaborating ``Processor`` has already checked,
 enforcing only closed terms (a rule's telescope and right-hand side closed
 over its slots), fresh names and the shape of rule left-hand sides;
@@ -47,8 +51,8 @@ over its slots), fresh names and the shape of rule left-hand sides;
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from operator import is_
+from typing import NamedTuple
 
 from .errors import (
     CannotInfer,
@@ -100,8 +104,7 @@ _PRIM_HEADS = frozenset({"plus", "BdElim", "J"})
 
 # --- signature ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SignatureEntry:
+class SignatureEntry(NamedTuple):
     type: Term  # closed, checks against a universe
     body: Term | None = None  # a definition's; an axiom has none
     implicit_mask: tuple[bool, ...] = ()
@@ -200,23 +203,20 @@ def _compile_fire(
     return fire
 
 
-@dataclass(frozen=True, slots=True)
 class RewriteRule:
-    lhs: Const  # over the telescope; its arguments are the patterns
-    rhs: Term  # over the telescope: Var(0) is the innermost slot
-    telescope: tuple[tuple[str, Term], ...]  # (hint, type), outermost first
-    # the instance of ``rhs`` for a match environment, Var(0)'s value first
-    instantiate: Callable[[Sequence[Term]], Term] = field(init=False, repr=False, compare=False)
-    # the instance for the arguments of ``lhs.name``, or None (``_compile_fire``)
-    fire: Callable[[tuple[Term, ...], Callable[[Term], Term]], Term | None] = field(
-        init=False, repr=False, compare=False
-    )
+    """A stored rewrite rule, its two sides compiled once."""
 
-    def __post_init__(self) -> None:
-        n_slots = len(self.telescope)
-        instantiate = compile_subst(self.rhs, n_slots)
-        object.__setattr__(self, "instantiate", instantiate)
-        object.__setattr__(self, "fire", _compile_fire(self.lhs.args, n_slots, instantiate))
+    __slots__ = ("lhs", "rhs", "telescope", "instantiate", "fire")
+
+    def __init__(self, lhs: Const, rhs: Term, telescope: tuple[tuple[str, Term], ...]) -> None:
+        self.lhs = lhs  # over the telescope; its arguments are the patterns
+        self.rhs = rhs  # over the telescope: Var(0) is the innermost slot
+        self.telescope = telescope  # (hint, type), outermost first
+        n_slots = len(telescope)
+        # the instance of ``rhs`` for a match environment, Var(0)'s value first
+        self.instantiate = compile_subst(rhs, n_slots)
+        # the instance for the arguments of ``lhs.name``, or None (``_compile_fire``)
+        self.fire = _compile_fire(lhs.args, n_slots, self.instantiate)
 
 
 class Signature:
@@ -243,13 +243,19 @@ class Signature:
 
 # --- metavariables -----------------------------------------------------------
 
-@dataclass
 class MetaEntry:
-    id: int
-    span: Span | None = None
-    type: Term | None = None  # in creation-context coordinates
-    ctx: Context | None = None
-    solution: Term | None = None  # over the creation context
+    """A hole of the current declaration. Checking fills in its type and
+    context when it first meets the hole, and its solution when it finds
+    one."""
+
+    __slots__ = ("id", "span", "type", "ctx", "solution")
+
+    def __init__(self, id: int, span: Span | None = None) -> None:
+        self.id = id
+        self.span = span
+        self.type: Term | None = None  # in creation-context coordinates
+        self.ctx: Context | None = None
+        self.solution: Term | None = None  # over the creation context
 
 
 class MetaStore:

@@ -13,9 +13,9 @@ elaborating ``Processor``; it applies to any loaded signature.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .elaborate import Processor, Report
 from .errors import TelicError
@@ -48,8 +48,7 @@ def load_prelude(processor: Processor | None = None) -> LoadedPrelude:
     return proc, reports
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     label: str
     ok: bool
     detail: str = ""

@@ -12,10 +12,14 @@ where it starts. Spans (the file, line and column that reports print) are
 built only where they are kept: on expressions, declarations and errors.
 An expression or declaration starts where its first token does.
 
+Expressions and declarations are named tuples whose first field is their
+span. ``==`` and ``hash`` leave the span out, so equal parses at different
+places are equal, and nodes of different classes are never equal.
+
 A declaration keeps its keyword as its kind, and the name it declares or
-imports. The parser reads `primitive` as a postulate and
-`entail n : H => C = w` as `def n : H -> C = w`; only the kind tells them
-apart.
+imports; a `fail` takes its inner declaration's name. The parser reads
+`primitive` as a postulate and `entail n : H => C = w` as
+`def n : H -> C = w`; only the kind tells them apart.
 
 Parsing is recursive descent with token-position backtracking only for the
 binder-group lookahead. A parse error inside one declaration takes that
@@ -28,7 +32,7 @@ unterminated string) is the parse error of the declaration it falls in.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import ERROR_CODES, IllegalCharacter, ParseError, Span
@@ -150,120 +154,66 @@ def tokenize(
     return tokens
 
 
-# --- surface expressions -----------------------------------------------------
+# --- surface nodes -----------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SExpr:
-    span: Span = field(compare=False)
+class _Node(tuple):
+    """A surface node: a named tuple whose first field is its span.
 
+    The span is left out of ``==`` and ``hash``, so two parses of the same
+    expression at different places are equal, and nodes of different
+    classes never are."""
 
-@dataclass(frozen=True, slots=True)
-class SName(SExpr):
-    name: str
+    __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and self[1:] == other[1:]
 
-@dataclass(frozen=True, slots=True)
-class SUniverse(SExpr):
-    level: int
+    def __ne__(self, other: object) -> bool:  # tuple's own `!=` counts the span
+        return not self == other
 
-
-@dataclass(frozen=True, slots=True)
-class SNat(SExpr):
-    value: int
-
-
-@dataclass(frozen=True, slots=True)
-class SHole(SExpr):
-    pass
+    def __hash__(self) -> int:
+        return hash((type(self), self[1:]))
 
 
-@dataclass(frozen=True, slots=True)
-class SProj(SExpr):
-    which: str  # "fst" | "snd"
+class SExpr(_Node):
+    """Base of the expression nodes."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SLambda(SExpr):
-    binder: str
-    body: SExpr
+class Declaration(_Node):
+    """Base of the declaration nodes. Each starts with ``span``, ``kind``,
+    the keyword as written (which is the kind of its report), and ``name``,
+    what it declares or imports (None for the rest)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SPi(SExpr):
-    binder: str | None  # None for a plain arrow
-    implicit: bool
-    domain: SExpr
-    codomain: SExpr
+def _node(base: type, name: str, fields: str) -> type:
+    """The node class ``name`` under ``base``: a named tuple of ``fields``."""
+    return type(name, (base, namedtuple(name, fields)), {"__slots__": ()})
 
 
-@dataclass(frozen=True, slots=True)
-class SSigma(SExpr):
-    binder: str
-    first: SExpr
-    second: SExpr
+SName = _node(SExpr, "SName", "span name")
+SUniverse = _node(SExpr, "SUniverse", "span level")
+SNat = _node(SExpr, "SNat", "span value")
+SHole = _node(SExpr, "SHole", "span")
+SProj = _node(SExpr, "SProj", "span which")  # which: "fst" | "snd"
+SLambda = _node(SExpr, "SLambda", "span binder body")
+# binder: None for a plain arrow; implicit: the binder is in braces
+SPi = _node(SExpr, "SPi", "span binder implicit domain codomain")
+SSigma = _node(SExpr, "SSigma", "span binder first second")
+SApp = _node(SExpr, "SApp", "span fn arg implicit")  # implicit: the argument is in braces
+SPair = _node(SExpr, "SPair", "span first second")
 
-
-@dataclass(frozen=True, slots=True)
-class SApp(SExpr):
-    fn: SExpr
-    arg: SExpr
-    implicit: bool
-
-
-@dataclass(frozen=True, slots=True)
-class SPair(SExpr):
-    first: SExpr
-    second: SExpr
-
-
-# --- declarations ------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Declaration:
-    span: Span = field(compare=False)
-    kind: str  # the keyword as written, which is the kind of its report
-    name: str | None  # what it declares or imports; None for the rest
-
-
-@dataclass(frozen=True, slots=True)
-class DAxiom(Declaration):
-    type: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class DDef(Declaration):
-    type: SExpr
-    body: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class DRewrite(Declaration):
-    telescope: tuple[tuple[str, SExpr], ...]
-    lhs: SExpr
-    rhs: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class DCheck(Declaration):
-    term: SExpr
-    type: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class DFail(Declaration):
-    code: str
-    inner: Declaration
-
-
-@dataclass(frozen=True, slots=True)
-class DNorm(Declaration):
-    lhs: SExpr
-    rhs: SExpr
-
-
-@dataclass(frozen=True, slots=True)
-class DImport(Declaration):
-    """Its name is the path as written."""
+DAxiom = _node(Declaration, "DAxiom", "span kind name type")
+DDef = _node(Declaration, "DDef", "span kind name type body")
+# telescope: (name, type) pairs, outermost first
+DRewrite = _node(Declaration, "DRewrite", "span kind name telescope lhs rhs")
+DCheck = _node(Declaration, "DCheck", "span kind name term type")
+DFail = _node(Declaration, "DFail", "span kind name code inner")  # name: the inner one's
+DNorm = _node(Declaration, "DNorm", "span kind name lhs rhs")
+DImport = _node(Declaration, "DImport", "span kind name")  # name: the path as written
 
 
 # --- parser ------------------------------------------------------------------
@@ -372,7 +322,8 @@ class _Parser:
                     raise ParseError(
                         f"unknown error code `{code.text}`", span=self.span(code)
                     )
-                return DFail(start, kind, None, code.text, self.declaration())
+                inner = self.declaration()
+                return DFail(start, kind, inner.name, code.text, inner)
             case "norm":
                 lhs = self.expr()
                 self.expect("EQUALS", "'='")

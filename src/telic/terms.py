@@ -139,29 +139,76 @@ class NatLit(Term):
 
 # CPython refuses to convert an int of more than 4,300 decimal digits to or
 # from text (``sys.set_int_max_str_digits``, a setting of the whole process),
-# so a literal's digits are converted a chunk at a time. The parser reads
+# and before 3.12 it converts in time quadratic in the number of digits. So a
+# literal of more than 256 digits is converted by divide and conquer: split
+# off a low block, convert both parts, and join them with a power of the
+# base, each power computed once per conversion. Reading splits the digits
+# in blocks of 256 * 2**j and joins with powers of ten; printing splits the
+# bits in blocks of 512 * 2**j and joins with powers of two. The parser reads
 # with the first function and the printer writes with the second.
 _CHUNK_DIGITS = 256
 _CHUNK_BASE = 10**_CHUNK_DIGITS
+_CHUNK_BITS = 512
+
+
+def _block(size: int, chunk: int) -> int:
+    """The largest block ``chunk * 2**j`` less than ``size``, which must be
+    more than ``chunk``: between half of ``size`` and all of it."""
+    k = chunk
+    while 2 * k < size:
+        k *= 2
+    return k
+
+
+def _power(powers: dict, base, k: int, chunk: int):
+    """``base ** k`` for a block ``k = chunk * 2**j``: the square of the
+    block below, each kept in ``powers``."""
+    p = powers.get(k)
+    if p is None:
+        p = powers[k] = base**k if k == chunk else _power(powers, base, k // 2, chunk) ** 2
+    return p
 
 
 def nat_of_digits(digits: str) -> int:
     """The value of a string of decimal digits, of any length."""
-    head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
-    value = int(digits[:head])
-    for i in range(head, len(digits), _CHUNK_DIGITS):
-        value = value * _CHUNK_BASE + int(digits[i : i + _CHUNK_DIGITS])
-    return value
+    return _int_of(digits, {})
+
+
+def _int_of(digits: str, powers: dict[int, int]) -> int:
+    n = len(digits)
+    if n <= _CHUNK_DIGITS:
+        return int(digits)
+    k = _block(n, _CHUNK_DIGITS)
+    high, low = _int_of(digits[:-k], powers), _int_of(digits[-k:], powers)
+    return high * _power(powers, 10, k, _CHUNK_DIGITS) + low
 
 
 def nat_digits(value: int) -> str:
-    """The decimal digits of a natural number, of any size."""
-    chunks = []
-    while value >= _CHUNK_BASE:
-        value, low = divmod(value, _CHUNK_BASE)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    chunks.append(str(value))
-    return "".join(reversed(chunks))
+    """The decimal digits of a natural number, of any size.
+
+    A number of more than 256 digits is built up as a ``decimal.Decimal``,
+    whose arithmetic is exact at full precision and which prints in linear
+    time: dividing by powers of ten instead would take quadratic time in
+    ``int`` division before CPython 3.12."""
+    if value < _CHUNK_BASE:
+        return str(value)
+    import decimal  # only here, so that importing telic does not pay for it
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return str(_decimal_of(value, value.bit_length(), decimal.Decimal, {}))
+
+
+def _decimal_of(value: int, bits: int, dec, powers: dict):
+    """``value``, of at most ``bits`` bits, as a ``dec``."""
+    if bits <= _CHUNK_BITS:
+        return dec(value)
+    k = _block(bits, _CHUNK_BITS)
+    high = value >> k
+    low = value - (high << k)
+    scale = _power(powers, dec(2), k, _CHUNK_BITS)
+    return _decimal_of(high, bits - k, dec, powers) * scale + _decimal_of(low, k, dec, powers)
 
 
 @_slot_init

@@ -222,6 +222,21 @@ postulate ghost : A
     assert reports[-1].ok
 
 
+
+@pytest.mark.parametrize(
+    "text, status",
+    [
+        ("fail UnboundVariable postulate x : y", "ok"),
+        ("fail TypeMismatch postulate x : y", "error"),  # rejected with another code
+        ("fail TypeMismatch postulate x : Type", "error"),  # accepted
+    ],
+    ids=["holds", "other-code", "accepted"],
+)
+def test_fail_names_its_inner_declaration_on_both_outcomes(bare_processor, text, status):
+    (report,) = bare_processor.process_text(text, "f.tel")
+    assert (report.status, report.kind, report.name) == (status, "fail", "x")
+    assert f": {status}: fail x" in report.render()
+
 # --- imports -------------------------------------------------------------------------
 
 

@@ -6,8 +6,8 @@ processor. The report stream must follow the parse result in source order:
 one `parse` report per parse error where it stands, and one report per
 declaration up to and including the first failed binding declaration
 (which stops the rest of its file's declarations); after that binding only
-`parse` reports follow. A declaration's report has its kind, and its name
-too outside `fail`. An import names a file that does not exist under
+`parse` reports follow. A declaration's report has its kind and its name
+(a `fail`'s is its inner declaration's). An import names a file that does not exist under
 the empty base directory, so a top-level import adds the report of the
 failed read in front of its own; under `fail` that report is dropped with
 the rest of the inner declaration's. The reports' spans never go back in
@@ -99,8 +99,7 @@ def check_reports(proc: Processor, text: str, name: str, base) -> None:
             assert i < len(reports), f"{name}: declaration at line {item.span.line} has no report"
             report = reports[i]
             assert report.kind == item.kind, f"{name}: {report.render()}"
-            if item.kind != "fail":
-                assert report.name == item.name, f"{name}: {report.render()}"
+            assert report.name == item.name, f"{name}: {report.render()}"
             halted = not report.ok and isinstance(item, Processor._BINDING)
             i += 1
     assert i == len(reports), f"{name}: {len(reports) - i} reports more than the parse result"

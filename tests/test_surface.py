@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from pathlib import Path
 
@@ -171,6 +170,18 @@ def test_arrows_are_right_associative():
     assert isinstance(e, SPi) and e.binder is None and not e.implicit
     assert isinstance(e.codomain, SPi)
     assert e.codomain.codomain == SName(e.span, "C")
+
+
+def test_node_equality_ignores_spans_and_never_crosses_classes():
+    a, b = parse_expr("f (x, _)"), parse_expr("\n  f   ( x ,_ )")
+    assert a.span != b.span
+    assert a == b and not a != b and hash(a) == hash(b)
+    sp = a.span
+    # same fields, different classes
+    assert SName(sp, "fst") != SProj(sp, "fst")
+    assert SUniverse(sp, 0) != SNat(sp, 0)
+    assert SName(sp, "x") != (sp, "x") and (sp, "x") != SName(sp, "x")
+    assert len({SName(sp, "x"), SProj(sp, "x"), SName(b.span, "x")}) == 2
 
 
 def test_named_and_implicit_binders():
@@ -350,7 +361,7 @@ def nodes(root):
         x = stack.pop()
         if isinstance(x, (Declaration, SExpr)):
             yield x
-            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+            stack.extend(getattr(x, name) for name in x._fields)
         elif isinstance(x, tuple):
             stack.extend(x)
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from telic.terms import (
@@ -23,6 +25,8 @@ from telic.terms import (
     ctx_extend,
     ctx_lookup,
     free_meta_ids,
+    nat_digits,
+    nat_of_digits,
     scope_ok,
     shift,
     subst,
@@ -183,3 +187,32 @@ def test_subst_many_agrees_with_iterated_subst(t):
     # Simultaneous substitution of a closed block equals substituting
     # one variable at a time from the inside out.
     assert subst_many(t, env) == subst(subst(t, Const("b"), 1), Const("a"), 0)
+
+
+def _horner(digits: str) -> int:
+    """The value of ``digits`` one digit at a time, under CPython's limit
+    on converting long text to int."""
+    value = 0
+    for c in digits:
+        value = value * 10 + ord(c) - ord("0")
+    return value
+
+
+# 256 digits convert in one call, longer numerals in blocks; CPython
+# converts at most 4,300 digits to or from text at once
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 512, 513, 4300, 4301, 9000])
+def test_numerals_round_trip_at_the_chunk_boundaries(n):
+    rng = random.Random(n)
+    random_digits = rng.choice("123456789") + "".join(rng.choice("0123456789") for _ in range(n - 1))
+    for digits in ("9" * n, "1" + "0" * (n - 1), random_digits):
+        value = _horner(digits)
+        assert nat_of_digits(digits) == value
+        assert nat_digits(value) == digits
+        assert nat_of_digits("0" * n + digits) == value  # leading zeros
+
+
+def test_all_zero_numerals_read_as_zero():
+    for n in (1, 256, 257, 4301):
+        assert nat_of_digits("0" * n) == 0
+    assert nat_of_digits("0" * 4300 + "7") == 7
+    assert nat_digits(0) == "0"
