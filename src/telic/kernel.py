@@ -24,10 +24,12 @@ instance from that environment (``terms.compile_subst``) instead of
 substituting into it; subterms that mention no pattern variable are
 shared, not rebuilt.
 
-Primitive computation (Bd elimination on B/U, J on refl, literal addition) is
-built into whnf by head name rather than stored as rules, so a signature
-entry is only a type, a body when it is a definition, and an implicit mask:
-a primitive is stored like any postulate.
+The one computation built into whnf is literal addition: ``plus`` on two
+numerals is their sum. Every other computation is a rewrite rule of the
+signature (the prelude declares those of ``BdElim`` and ``J``), so a
+signature entry is only a type, a body when it is a definition, and an
+implicit mask: a primitive is stored like any postulate. ``plus`` and
+``Nat``, the type of numerals, are the only constants the kernel names.
 
 Metavariables: holes inserted by the elaborator, solved by first-order
 pattern unification only; anything harder raises UnsolvedMeta. Every hole is
@@ -97,9 +99,6 @@ from .terms import (
 )
 
 DEFAULT_FUEL = 100_000
-
-# heads the kernel computes directly
-_PRIM_HEADS = frozenset({"plus", "BdElim", "J"})
 
 
 # --- signature ---------------------------------------------------------------
@@ -345,7 +344,7 @@ class Kernel:
     def whnf(self, t: Term, unfold: bool = True) -> Term:
         """Reduce until the head is rigid.
 
-        Performs beta, projections of pairs, primitive computation, rewrite
+        Performs beta, projections of pairs, literal addition, rewrite
         firing, and (when ``unfold``) unfolding of head definitions. Matching
         always unfolds, regardless of ``unfold``.
 
@@ -372,10 +371,11 @@ class Kernel:
             cls = type(t)
             if cls is Const:
                 n = t.name
-                if n in _PRIM_HEADS:
-                    stepped = self._prim_step(n, t.args)
-                    if stepped is not None:
-                        t = stepped
+                if n == "plus" and len(t.args) >= 2:
+                    a = self.whnf(t.args[0])
+                    b = self.whnf(t.args[1])
+                    if type(a) is NatLit and type(b) is NatLit:
+                        t = _apply_args(NatLit(a.value + b.value), t.args[2:])
                         continue
                 head_rules = rules.get(n)
                 if head_rules:
@@ -427,25 +427,6 @@ class Kernel:
                 t = _inst_solution(sol, t.spine)
                 continue
             return t
-
-    def _prim_step(self, name: str, args: tuple[Term, ...]) -> Term | None:
-        if name == "plus" and len(args) >= 2:
-            a = self.whnf(args[0])
-            b = self.whnf(args[1])
-            if isinstance(a, NatLit) and isinstance(b, NatLit):
-                return _apply_args(NatLit(a.value + b.value), args[2:])
-        elif name == "BdElim" and len(args) >= 4:
-            scrutinee = self.whnf(args[3])
-            if isinstance(scrutinee, Const) and not scrutinee.args:
-                if scrutinee.name == "B":
-                    return _apply_args(args[1], args[4:])
-                if scrutinee.name == "U":
-                    return _apply_args(args[2], args[4:])
-        elif name == "J" and len(args) >= 6:
-            scrutinee = self.whnf(args[5])
-            if isinstance(scrutinee, Const) and scrutinee.name == "refl":
-                return _apply_args(args[3], args[6:])
-        return None
 
     def normalize(self, t: Term) -> Term:
         """Full normal form: no beta redex, pair projection, or rule lhs remains.
@@ -828,7 +809,9 @@ class Kernel:
         linearity; this checks the shape of the left-hand side, whose
         arguments are matched as they are. Each telescope type must be
         closed over the slots before it, and the right-hand side over all
-        of them."""
+        of them. Matching unfolds the definitions in its targets, so a
+        left-hand side that mentions one could never match and is
+        refused."""
         n_slots = len(telescope)
         for i, (_, ty) in enumerate(telescope):
             self.assert_closed(ty, i)
@@ -851,7 +834,14 @@ class Kernel:
                 if not 0 <= t.index < n_slots:
                     raise InvalidRewrite("left-hand side mentions a foreign variable")
                 bound.add(t.index)
-            elif cls is not Const and cls is not Pair and cls is not NatLit:
+            elif cls is Const:
+                below = self.sig.entries.get(t.name)
+                if below is not None and below.body is not None:
+                    raise InvalidRewrite(
+                        f"left-hand side mentions the definition `{t.name}`, which "
+                        f"matching unfolds, so the rule could never fire"
+                    )
+            elif cls is not Pair and cls is not NatLit:
                 raise InvalidRewrite(
                     "left-hand side patterns may only contain constants, pattern "
                     "variables, pairs, and numeric literals"

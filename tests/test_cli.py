@@ -149,7 +149,7 @@ def test_fuel_bounds_the_users_files_not_the_prelude(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "prelude: 83/83 audits ok" in out
+    assert "prelude: 86/86 audits ok" in out
     for case in CASES:
         assert f"ok   {case.name}:" in out
     assert "coverage" in out

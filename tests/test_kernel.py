@@ -1,8 +1,8 @@
 """Kernel behavior: reduction, conversion, typing, rewrite rules, and holes.
 
 Every test builds its own scratch signature through the kernel API (or, for
-the typing of rewrite rules, a bare Processor), so nothing here depends on
-the prelude.
+the typing of rewrite rules, a bare Processor), except the two that reduce
+the eliminators whose computation rules the prelude declares.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def test_whnf_addition_stuck_on_neutral():
     assert isinstance(out, Const) and out.name == "plus"
 
 
-def test_whnf_boundedness_eliminator():
-    k = Kernel()
+def test_whnf_boundedness_eliminator(loaded_processor):
+    k = loaded_processor.kernel
     c, cb, cu = Const("C"), Const("cb"), Const("cu")
     assert k.whnf(Const("BdElim", (c, cb, cu, Const("B")))) == cb
     assert k.whnf(Const("BdElim", (c, cb, cu, Const("U")))) == cu
@@ -101,11 +101,29 @@ def test_whnf_boundedness_eliminator():
     assert k.whnf(applied) == Const("cb", (NatLit(9),))
 
 
-def test_whnf_identity_eliminator():
-    k = Kernel()
+def test_whnf_identity_eliminator(loaded_processor):
+    k = loaded_processor.kernel
     args = (Const("A"), Const("a"), Const("motive"), Const("base"), Const("a"),
             Const("refl", (Const("A"), Const("a"))))
     assert k.whnf(Const("J", args)) == Const("base")
+
+
+def test_eliminators_of_a_bare_signature_stay_neutral(bare_processor):
+    # Only `plus` computes by its name: constants that merely share the
+    # prelude eliminators' names reduce by no rule of their own.
+    text = (
+        "primitive Nat : Type\n"
+        "postulate refl : Nat\n"
+        "postulate J : Nat -> Nat -> Nat -> Nat -> Nat -> Nat -> Nat\n"
+        "norm J 1 2 3 4 5 refl = J 1 2 3 4 5 refl\n"
+        "postulate Bd : Type\n"
+        "postulate B : Bd\n"
+        "postulate BdElim : Nat -> Type -> Nat -> Bd -> Nat\n"
+        "norm BdElim 0 Nat 0 B = BdElim 0 Nat 0 B\n"
+    )
+    reports = bare_processor.process_text(text, "bare.tel")
+    assert [r.render() for r in reports if not r.ok] == []
+    assert len(reports) == 8
 
 
 def test_whnf_unfolds_definitions_only_when_asked():
@@ -264,6 +282,24 @@ def test_rewrite_rhs_must_preserve_type(bare_processor):
     reports = bare_processor.process_text(text, "rewrite.tel")
     assert [r.status for r in reports] == ["ok", "ok", "error"]
     assert reports[-1].code == RewriteTypeMismatch.code
+
+
+def test_rewrite_mentioning_a_definition_is_rejected(bare_processor):
+    # Matching unfolds `d` in every target, so `f d` could never match.
+    text = (
+        "postulate T : Type\npostulate c : T\ndef d : T = c\n"
+        "primitive Nat : Type\npostulate f : T -> Nat\n"
+        "fail InvalidRewrite rewrite : f d = 1\n"
+    )
+    reports = bare_processor.process_text(text, "dead.tel")
+    assert [r.render() for r in reports if not r.ok] == []
+    k = bare_processor.kernel
+    with pytest.raises(InvalidRewrite) as info:
+        k.declare_rewrite((), Const("f", (Const("d"),)), NatLit(1))
+    assert info.value.message == (
+        "left-hand side mentions the definition `d`, which matching unfolds, "
+        "so the rule could never fire"
+    )
 
 
 def test_rewrite_lambda_pattern_rejected():

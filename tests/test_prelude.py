@@ -23,13 +23,13 @@ CATALOG = (
     "und_NP", "und_star",
 )
 
-RULE_HEADS = {"El_NP": 2, "Prf": 1, "El_Evt": 1, "CulOrAtel": 2}
+RULE_HEADS = {"J": 1, "BdElim": 2, "El_NP": 2, "Prf": 1, "El_Evt": 1, "CulOrAtel": 2}
 
 
 def test_prelude_loads_cleanly():
     proc, reports = load_prelude()
     assert all(r.ok for r in reports), [r.render() for r in reports if not r.ok]
-    assert len(reports) == 83
+    assert len(reports) == 86
 
 
 def test_catalog_is_exactly_as_frozen(loaded_processor):
