@@ -24,17 +24,20 @@ from .kernel import DEFAULT_FUEL
 from .prelude import load_prelude, prelude_self_check
 
 
-def _fresh_processor(fuel: int, with_prelude: bool) -> tuple[Processor, list[Report]]:
-    """A processor that gives each later declaration ``fuel`` steps, plus
-    whatever prelude reports came back broken. The prelude itself loads at
-    the default budget: ``--fuel`` bounds the user's files only."""
+def _fresh_processor(args: argparse.Namespace) -> Processor | None:
+    """A processor that gives each later declaration ``args.fuel`` steps,
+    or None once the prelude's broken reports are printed to stderr in
+    ``args.format``. The prelude itself loads at the default budget:
+    ``--fuel`` bounds the user's files only."""
     proc = Processor()
-    broken: list[Report] = []
-    if with_prelude:
+    if not args.no_prelude:
         _, reports = load_prelude(proc)
         broken = [r for r in reports if not r.ok]
-    proc.kernel.fuel_limit = fuel
-    return proc, broken
+        if broken:
+            print(render_reports(broken, args.format), file=sys.stderr)
+            return None
+    proc.kernel.fuel_limit = args.fuel
+    return proc
 
 
 def _fuel(text: str) -> int:
@@ -49,9 +52,8 @@ def _fuel(text: str) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    proc, broken = _fresh_processor(args.fuel, not args.no_prelude)
-    if broken:
-        print(render_reports(broken, args.format), file=sys.stderr)
+    proc = _fresh_processor(args)
+    if proc is None:
         return 1
     reports: list[Report] = []
     for path in args.files:
@@ -63,9 +65,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
-    proc, broken = _fresh_processor(args.fuel, not args.no_prelude)
-    if broken:
-        print(render_reports(broken, "plain"), file=sys.stderr)
+    proc = _fresh_processor(args)
+    if proc is None:
         return 1
     for path in args.files:
         bad = [r for r in proc.process_path(path) if not r.ok]
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("-e", "--expr", required=True, help="the expression to normalize")
     norm.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL, help="reduction step budget per declaration, prelude excepted")
     norm.add_argument("--no-prelude", action="store_true", help="start from an empty signature")
-    norm.set_defaults(run=_cmd_norm)
+    norm.set_defaults(run=_cmd_norm, format="plain")
 
     selftest = sub.add_parser("selftest", help="audit the prelude and replay the corpus against its goldens")
     selftest.add_argument("--format", choices=("plain", "structured"), default="plain", help="plain lines or one JSON object per case")

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from .elaborate import Processor, Report
 from .errors import TelicError
-from .kernel import RewriteRule
-from .terms import EMPTY_CONTEXT, Const, Term, subst_many
+from .kernel import RewriteRule, _inst_solution
+from .terms import EMPTY_CONTEXT, Const
 
 ENV_PRELUDE = "TELIC_PRELUDE"
 
@@ -59,31 +59,23 @@ class CheckResult(NamedTuple):
         return f"{mark:4} {self.label}{tail}"
 
 
-def _close_over(temps: list[str], t: Term) -> Term:
-    """Instantiate telescope variables with scratch constants.
-
-    ``temps`` lists the scratch names outermost first; ``Var(0)`` refers to
-    the innermost slot, so the substitution environment is reversed.
-    """
-    env = tuple(Const(n, ()) for n in reversed(temps))
-    return subst_many(t, env, 0)
-
-
 def _check_rule(proc: Processor, rule: RewriteRule, index: int) -> CheckResult:
     label = f"rule {rule.lhs.name} #{index}"
     kernel = proc.kernel
     kernel.begin()
     try:
         with proc.rollback():
-            temps: list[str] = []
+            # a scratch constant for each telescope slot, outermost first:
+            # the slots are instantiated as a hole's spine is
+            probes: list[Const] = []
             for k, (hint, ty) in enumerate(rule.telescope):
                 name = f"_probe_{hint}_{k}"
-                probe_ty = _close_over(temps, ty)
+                probe_ty = _inst_solution(ty, tuple(probes))
                 kernel.check_is_type(EMPTY_CONTEXT, probe_ty)
                 kernel.declare_axiom(name, probe_ty)
-                temps.append(name)
-            lhs = _close_over(temps, rule.lhs)
-            rhs = _close_over(temps, rule.rhs)
+                probes.append(Const(name))
+            lhs = _inst_solution(rule.lhs, tuple(probes))
+            rhs = _inst_solution(rule.rhs, tuple(probes))
             fired = kernel.whnf(lhs)
             if fired == lhs:
                 return CheckResult(label, False, "rule does not fire on a fresh instance")

@@ -41,23 +41,20 @@ def pretty(t: Term, sig=None, names: list[str] | None = None) -> str:
 
 class _Printer:
     def __init__(self, sig):
-        self.sig = sig
-        # binder names must not shadow a constant; only read, so no copy
-        self.avoid = sig.entries if sig is not None else {}
+        # binder names must not shadow a constant, and a constant's mask
+        # braces its implicit arguments; only read, so no copy
+        self.entries = sig.entries if sig is not None else {}
 
     def fresh(self, hint: str | None, env: list[str]) -> str:
         base = hint or "x"
         name = base
-        while name in self.avoid or name in env:
+        while name in self.entries or name in env:
             name += "'"
         return name
 
     def mask(self, name: str) -> tuple[bool, ...]:
-        if self.sig is not None:
-            entry = self.sig.entries.get(name)
-            if entry is not None:
-                return entry.implicit_mask
-        return ()
+        entry = self.entries.get(name)
+        return () if entry is None else entry.implicit_mask
 
     def show(self, t: Term, env: list[str], prec: int) -> str:
         match t:

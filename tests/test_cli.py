@@ -11,6 +11,7 @@ import pytest
 from telic import corpus
 from telic.cli import main
 from telic.corpus import CASES, corpus_dir
+from telic.prelude import prelude_path
 
 
 def test_check_clean_file_exits_zero(tmp_path, capsys):
@@ -163,6 +164,42 @@ def test_selftest_structured_is_json_lines(capsys):
         json.loads(line)
 
 
+def test_selftest_reports_each_kind_of_drift(tmp_path, monkeypatch, capsys):
+    # A prelude entry no case mentions, and goldens that are missing, one
+    # report short, and different in one report.
+    extended = tmp_path / "prelude.tel"
+    extended.write_text(prelude_path().read_text(encoding="utf-8") + "postulate unmentioned : Type\n")
+    monkeypatch.setenv("TELIC_PRELUDE", str(extended))
+    goldens = {c.name: json.loads(corpus.golden_path(c).read_text()) for c in CASES}
+    missing, short, different = (c.name for c in CASES[:3])
+    del goldens[missing]
+    goldens[short].pop()
+    goldens[different][0]["line"] += 1
+    for name, data in goldens.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    monkeypatch.setattr(corpus, "golden_path", lambda case: tmp_path / f"{case.name}.json")
+
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "prelude: 87/87 audits ok" in out
+    n_short = len(goldens[short])
+    want = goldens[different][0]
+    got = dict(want, line=want["line"] - 1)
+    for line in (
+        f"FAIL {missing}:",
+        f"     {missing}: golden file missing: {missing}.json",
+        f"FAIL {short}:",
+        f"     {short}: {n_short + 1} reports, golden has {n_short}",
+        f"FAIL {different}:",
+        f"     {different}[0]: got {json.dumps(got, sort_keys=True)}",
+        f"     {different}[0]: want {json.dumps(want, sort_keys=True)}",
+        "FAIL coverage: prelude entries never exercised: unmentioned",
+    ):
+        assert line in out
+    for case in CASES[3:]:
+        assert f"ok   {case.name}:" in out
+
+
 def test_selftest_regen_golden_round_trips(tmp_path, monkeypatch, capsys):
     # Regenerate into a scratch directory: the tracked goldens are only read,
     # so a run on drifted behaviour cannot leave drifted goldens behind.
@@ -185,13 +222,46 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("fuel", ["0", "-5"])
+@pytest.mark.parametrize(
+    "fuel, message",
+    [
+        ("0", "must be at least 1, not 0"),
+        ("-5", "must be at least 1, not -5"),
+        ("x", "invalid int value: 'x'"),
+    ],
+    ids=["0", "-5", "x"],
+)
 @pytest.mark.parametrize("command", [["check", "x.tel"], ["norm", "-e", "1"]], ids=["check", "norm"])
-def test_fuel_below_one_is_a_usage_error(command, fuel, capsys):
+def test_fuel_below_one_is_a_usage_error(command, fuel, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command[0], "--fuel", fuel, *command[1:]])
     assert exc.value.code == 2
-    assert f"--fuel: must be at least 1, not {fuel}" in capsys.readouterr().err
+    assert f"--fuel: {message}" in capsys.readouterr().err
+
+
+BROKEN_PRELUDE = "primitive Nat : Type\npostulate bad : Missing\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "one.tel"], ["check", "--format", "structured", "one.tel"], ["norm", "-e", "1"]],
+    ids=["check", "check-structured", "norm"],
+)
+def test_a_broken_prelude_is_reported_on_stderr_and_stops_the_command(
+    argv, tmp_path, monkeypatch, capsys
+):
+    broken = tmp_path / "prelude.tel"
+    broken.write_text(BROKEN_PRELUDE)
+    monkeypatch.setenv("TELIC_PRELUDE", str(broken))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one.tel").write_text("check 1 : Nat\n")
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    if "structured" in argv:
+        assert json.loads(err)["code"] == "UnboundVariable"
+    else:
+        assert err == f"{broken}:2:17: error: postulate bad [UnboundVariable]: `Missing` is not in scope\n"
 
 
 NOT_UTF8 = b"postulate a : Nat\n\xff\n"

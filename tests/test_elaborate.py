@@ -69,6 +69,46 @@ def test_entailment_takes_its_argument_as_a_def_does(bare_processor):
         assert report.message == f"`{name}` expects an explicit argument here, not a braced one"
 
 
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("check fst {a0} : A", "`fst` takes its argument explicitly"),
+        ("check i {a0} {a0} : A", "`i` has no implicit argument left to fill"),
+        ("check \\g. g {g} : A -> A", "only declared constants take braced arguments"),
+    ],
+)
+def test_a_braced_argument_nothing_takes_is_reported_where_it_stands(
+    bare_processor, query, message
+):
+    reports = run(bare_processor, f"postulate i : {{x : A}} -> A\n{query}")
+    assert (reports[-1].code, reports[-1].message) == ("TypeMismatch", message)
+    assert reports[-1].span.col == query.rindex("{") + 2
+
+
+@pytest.mark.parametrize(
+    "lhs, code",
+    [
+        ("f x (\\y. x)", "NonlinearPattern"),
+        ("F x ((y : A) -> P x)", "NonlinearPattern"),
+        ("F x (A -> P x)", "NonlinearPattern"),
+        ("F x (Σ (y : A). P x)", "NonlinearPattern"),
+        # a binder of the same name shadows the pattern variable, and the
+        # binder itself is no pattern
+        ("f x (\\x. x)", "InvalidRewrite"),
+        ("F x ((x : A) -> P x)", "InvalidRewrite"),
+        ("F x (Σ (x : A). P x)", "InvalidRewrite"),
+    ],
+)
+def test_pattern_variables_are_counted_under_binders_that_do_not_shadow_them(
+    bare_processor, lhs, code
+):
+    text = (
+        "postulate P : A -> Type\npostulate f : A -> (A -> A) -> A\n"
+        f"postulate F : A -> Type -> A\nrewrite (x : A) : {lhs} = x"
+    )
+    assert run(bare_processor, text)[-1].code == code
+
+
 def test_literals_without_nat_primitive(tmp_path):
     proc = Processor()
     reports = proc.process_text("norm 3 = 3", "bare.tel")

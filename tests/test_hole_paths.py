@@ -4,13 +4,15 @@ met twice, application against application, holes under ``infer`` and
 ``check``, and a neutral application under ``normalize``.
 
 Each test builds a scratch signature with ``Nat``, ``plus`` and
-``f : Nat -> Nat`` and talks to the kernel directly.
+``f : Nat -> Nat`` and talks to the kernel directly, except the last, which
+reaches the hole paths that lexicon text can reach through a processor.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from telic.elaborate import Processor
 from telic.errors import CannotInfer, TypeMismatch, UnsolvedMeta
 from telic.kernel import Kernel
 from telic.terms import (
@@ -124,3 +126,47 @@ def test_solved_hole_checks_as_its_solution(k):
 def test_normalize_reduces_the_argument_of_a_neutral_application(k):
     t = Lambda(App(Var(0), plus(NatLit(1), NatLit(1))), "x")
     assert k.normalize(t) == Lambda(App(Var(0), NatLit(2)), "x")
+
+
+# --- the same paths from lexicon text ----------------------------------------------
+
+LEXICON = """postulate A : Type
+postulate a : A
+postulate P : A -> Type
+postulate p : P a
+postulate g : A -> A -> A
+postulate h : A -> A
+postulate k : (x : A) -> P x -> A -> A
+postulate id : {T : Type} -> T -> T
+"""
+
+
+@pytest.mark.parametrize(
+    "decl, code, message",
+    [
+        # the hole of `id`'s type argument is all there is to check against
+        (
+            "check id (\\x. x) : A",
+            "UnsolvedMeta",
+            "checking a function against an unsolved hole; annotate the type",
+        ),
+        (
+            "check id (a , a) : A",
+            "UnsolvedMeta",
+            "checking a pair against an unsolved hole; annotate the type",
+        ),
+        # beta copies the hole, so the second copy is checked against the
+        # type the first gave it, and nothing solves it
+        ("check (\\x. g x x) (h _) : A", "UnsolvedMeta", "1 unsolved hole(s) remain; first is ?0 : A"),
+        # `p` solves the hole before the copy in `(\y. y) x` is inferred
+        ("check (\\x. k x p ((\\y. y) x)) _ : A", None, None),
+        # `T`'s type is a hole standing for a type: using `T` as a type
+        # solves it to `Type`
+        ("postulate f : (T : _) -> T -> T", None, None),
+    ],
+)
+def test_hole_paths_from_lexicon_text(decl, code, message):
+    proc = Processor()
+    reports = proc.process_text(LEXICON + decl)
+    assert all(r.ok for r in reports[:-1])
+    assert (reports[-1].code, reports[-1].message) == (code, message)

@@ -34,14 +34,32 @@ from telic.terms import (
 )
 
 
+# Right-hand sides that put a slot under a lambda and under each
+# projection, which no prelude or corpus rule does; each norm fires one.
+BUILDERS = r"""
+postulate A : Type
+postulate a : A
+postulate b : A
+postulate k : A -> A -> A -> A
+postulate s : (Sigma (x : A). A) -> A
+postulate t : (Sigma (x : A). A) -> A
+rewrite (x y : A) : k x y = \z. y
+rewrite (p : Sigma (x : A). A) : s p = fst p
+rewrite (p : Sigma (x : A). A) : t p = snd p
+norm k a b = \z. b
+norm s (a , b) = a
+norm t (a , b) = b
+"""
+
+
 def _rules_of(proc):
     return [r for rules in proc.kernel.sig.rules_by_head.values() for r in rules]
 
 
 @pytest.fixture(scope="module")
 def all_rules():
-    """Every rule of the prelude and of each corpus case, each case loaded
-    on the prelude inside a rollback of its own."""
+    """Every rule of the prelude, of each corpus case and of ``BUILDERS``,
+    each file loaded on the prelude inside a rollback of its own."""
     proc, reports = load_prelude()
     assert all(r.ok for r in reports)
     seen = {id(r): r for r in _rules_of(proc)}
@@ -49,6 +67,10 @@ def all_rules():
         with proc.rollback():
             proc.process_path(corpus_dir() / case.entry)
             seen.update((id(r), r) for r in _rules_of(proc))
+    with proc.rollback():
+        reports = proc.process_text(BUILDERS)
+        assert all(r.ok for r in reports), [r.render() for r in reports if not r.ok]
+        seen.update((id(r), r) for r in _rules_of(proc))
     return list(seen.values())
 
 
@@ -98,6 +120,7 @@ def test_rule_set_covers_the_binder_and_corpus_rules(all_rules):
     assert {"El_NP", "El_Evt", "CulOrAtel", "Prf", "Result", "loop"} <= heads
     assert any(_slot_under_binder(r.rhs) for r in all_rules if r.lhs.name == "El_NP")
     assert any(_slot_under_binder(r.rhs) for r in all_rules if r.lhs.name == "El_Evt")
+    assert {Lambda, Fst, Snd} <= {type(r.rhs) for r in all_rules}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -40,6 +40,7 @@ from telic.terms import (
     Snd,
     Universe,
     Var,
+    ctx_extend,
     subterms,
 )
 
@@ -169,6 +170,21 @@ def test_a_growing_loop_exhausts_its_fuel():
     with pytest.raises(FuelExhausted):
         k.whnf(Const("grow", (NatLit(0),)))
     assert k._steps == 5001
+
+
+def test_a_type_whose_normal_form_runs_out_of_fuel_is_shown_as_it_stands(bare_processor):
+    # The terms match no rule and are not equal, so the mismatch is found
+    # at once; only the message's normal form of `F (loop 0)` never ends.
+    text = (
+        "primitive Nat : Type\npostulate A : Type\npostulate a : A\n"
+        "postulate F : Nat -> Type\npostulate loop : Nat -> Nat\n"
+        "rewrite (n : Nat) : loop n = loop n\ncheck a : F (loop 0)\n"
+    )
+    report = bare_processor.process_text(text)[-1]
+    assert (report.code, report.message) == (
+        "TypeMismatch",
+        "term has type `A` but `F (loop 0)` was expected",
+    )
 
 
 # --- rewrite rules ---------------------------------------------------------------
@@ -519,6 +535,16 @@ def test_bare_binders_cannot_be_inferred():
         k.infer(EMPTY_CONTEXT, Lambda(Var(0)))
     with pytest.raises(CannotInfer):
         k.infer(EMPTY_CONTEXT, Pair(NatLit(1), NatLit(2)))
+
+
+def test_a_variable_beyond_the_context_is_unbound():
+    # The elaborator makes only bound variables; a caller of the kernel may not.
+    k = nat_kernel()
+    ctx = ctx_extend(EMPTY_CONTEXT, "n", NAT)
+    assert k.infer(ctx, Var(0)) == NAT
+    for i in (1, -1):
+        with pytest.raises(UnboundVariable, match=f"^variable index {i} exceeds context depth 1$"):
+            k.infer(ctx, Var(i))
 
 
 def test_check_lambda_and_pair():

@@ -77,6 +77,24 @@ def test_self_check_catches_an_ill_formed_rule_telescope(bare_processor):
     assert failed[0].startswith("FAIL rule f #0: [UniverseMismatch]")
 
 
+def test_self_check_catches_a_rule_that_never_fires_and_one_that_is_shadowed(bare_processor):
+    # Matching reduces `g x` to `c` before it compares it with `f (g x)`'s
+    # pattern, and `h`'s first rule always fires before its second.
+    text = (
+        "postulate A : Type\npostulate c : A\npostulate d : A\n"
+        "postulate f : A -> A\npostulate g : A -> A\npostulate h : A -> A\n"
+        "rewrite (x : A) : g x = c\nrewrite (x : A) : f (g x) = d\n"
+        "rewrite (x : A) : h x = c\nrewrite (x : A) : h x = d\n"
+    )
+    reports = bare_processor.process_text(text)
+    assert all(r.ok for r in reports)
+    failed = [c.render() for c in prelude_self_check((bare_processor, reports)) if not c.ok]
+    assert failed == [
+        "FAIL rule f #0: rule does not fire on a fresh instance",
+        "FAIL rule h #1: fired instance differs from right-hand side",
+    ]
+
+
 def test_loading_twice_is_deterministic():
     _, first = load_prelude()
     _, second = load_prelude()

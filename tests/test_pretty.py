@@ -9,7 +9,7 @@ from telic.elaborate import Elaborator
 from telic.kernel import Kernel
 from telic.pretty import pretty
 from telic.surface import parse_expr
-from telic.terms import App, Const, Fst, Lambda, NatLit, Pair, Snd, Term
+from telic.terms import App, Const, Fst, Lambda, NatLit, Pair, Snd, Term, Var
 
 # Names for TermGen's three free variables, outermost (Var(2)) first.
 OPEN_NAMES = ["s", "y", "n"]
@@ -73,3 +73,9 @@ def test_long_numerals_round_trip():
         assert parse_expr(pretty(NatLit(value))).value == value
         t = Const("plus", (NatLit(value), NatLit(1)))
         assert round_trip(kernel, t, []) == t
+
+
+def test_without_a_signature_no_argument_is_braced_and_a_free_variable_shows_its_index():
+    # What a caller of the API may print; the checker's own messages always
+    # pass the signature and name every binder.
+    assert pretty(App(Var(1), Const("f", (Var(0), NatLit(2)))), names=["x"]) == "#1 (f x 2)"
