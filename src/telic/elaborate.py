@@ -16,9 +16,9 @@ bindings (postulate, primitive, def, entail, import) stop the rest of the
 file's declarations, since everything after them is likely poisoned, but
 its parse errors are still reported; failed queries (check, norm, fail,
 rewrite) are reported and processing continues. A report takes its kind
-and name from the declaration's: an entailment arrives as the def of its
-arrow and a primitive as a postulate, and each is checked and stored as
-such.
+and name from the declaration's. Every typing claim arrives as a `DDef`:
+a postulate (no body) is stored as an axiom, a def or entail as a
+definition, and a check (no name) is only checked.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .errors import (
 from .kernel import Kernel
 from .pretty import pretty
 from .surface import (
-    DAxiom,
-    DCheck,
     DDef,
     DFail,
     DImport,
@@ -380,7 +378,11 @@ class Processor:
 
     # - single declarations -
 
-    _BINDING = (DAxiom, DDef, DImport)
+    @staticmethod
+    def binds(decl: Declaration) -> bool:
+        """Whether ``decl`` binds a name, so that its failure stops the rest
+        of its file: an import, or a ``DDef`` other than a check."""
+        return type(decl) is DImport or (type(decl) is DDef and decl.name is not None)
 
     def run_declaration(
         self, decl: Declaration, reports: list[Report], base: Path
@@ -393,7 +395,7 @@ class Processor:
         except TelicError as e:
             e.with_span(decl.span)
             report = Report(e.span, decl.kind, decl.name, e.code, e.message)
-            return report, isinstance(decl, self._BINDING)
+            return report, self.binds(decl)
 
     def _dispatch(self, decl: Declaration, reports: list[Report], base: Path) -> Report:
         """Check and store ``decl``; a declaration too deep for Python's
@@ -401,22 +403,19 @@ class Processor:
         try:
             sp, name = decl.span, decl.name
             match decl:
-                case DAxiom(type=ty) | DDef(type=ty):
+                case DDef(type=ty, body=body):
                     mask = implicit_mask_of(ty)
                     ty_t = self.elab.elab(ty, [])
                     self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
-                    if isinstance(decl, DAxiom):
+                    if body is not None:
+                        body_t = self.elab.elab(body, [])
+                        self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
+                    if name is None:  # a check stores nothing
+                        self.kernel.require_solved(sp)
+                    elif body is None:
                         self.kernel.declare_axiom(name, *self._closed(sp, ty_t), mask)
                     else:
-                        body_t = self.elab.elab(decl.body, [])
-                        self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
                         self.kernel.declare_definition(name, *self._closed(sp, ty_t, body_t), mask)
-                case DCheck(term=tm, type=ty):
-                    ty_t = self.elab.elab(ty, [])
-                    self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
-                    tm_t = self.elab.elab(tm, [])
-                    self.kernel.check(EMPTY_CONTEXT, tm_t, ty_t)
-                    self.kernel.require_solved(sp)
                 case DNorm(lhs=lhs, rhs=rhs):
                     got, want = self._run_norm(lhs, rhs, sp)
                     if got != want:

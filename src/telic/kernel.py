@@ -35,7 +35,8 @@ Metavariables: holes inserted by the elaborator, solved by first-order
 pattern unification only; anything harder raises UnsolvedMeta. Every hole is
 solved in one place, ``Kernel._solve``: a bare hole against a term, and a
 hole applied to arguments (``_solve_applied``, tried on the left side of a
-conversion, then on the right). ``Kernel.begin`` starts each declaration
+conversion, then on the right). A hole whose type is known takes only a
+solution of that type. ``Kernel.begin`` starts each declaration
 with a fresh MetaStore and a full fuel budget, and every meta must be solved
 before the declaration's results are stored, so the signature never
 contains metas.
@@ -583,7 +584,10 @@ class Kernel:
             sol = self._solution(hole, rhs, rename)
         for _ in extras:
             sol = Lambda(sol, None)
-        self.metas.entry(hole.id).solution = sol
+        entry = self.metas.entry(hole.id)
+        if entry.type is not None:
+            self.check(entry.ctx, sol, entry.type)
+        entry.solution = sol
         return True
 
     def zonk(self, t: Term) -> Term:
@@ -758,8 +762,6 @@ class Kernel:
         ty = self.whnf(self.infer(ctx, t))
         if isinstance(ty, Universe):
             return ty.level
-        if isinstance(ty, Meta) and self._unify(ty, Universe(0)):
-            return 0
         raise UniverseMismatch(
             f"expected a type, found a term of type `{self._show(ctx, ty)}`"
         )

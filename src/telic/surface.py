@@ -17,9 +17,10 @@ span. ``==`` and ``hash`` leave the span out, so equal parses at different
 places are equal, and nodes of different classes are never equal.
 
 A declaration keeps its keyword as its kind, and the name it declares or
-imports; a `fail` takes its inner declaration's name. The parser reads
-`primitive` as a postulate and `entail n : H => C = w` as
-`def n : H -> C = w`; only the kind tells them apart.
+imports; a `fail` takes its inner declaration's name. Every typing claim
+is a `DDef`: a `postulate` or `primitive` has no body, `check t : T` no
+name, and `entail n : H => C = w` is `def n : H -> C = w`; only the kind
+tells a primitive from a postulate and an entail from a def.
 
 Parsing is recursive descent with token-position backtracking only for the
 binder-group lookahead. A parse error inside one declaration takes that
@@ -206,11 +207,10 @@ SSigma = _node(SExpr, "SSigma", "span binder first second")
 SApp = _node(SExpr, "SApp", "span fn arg implicit")  # implicit: the argument is in braces
 SPair = _node(SExpr, "SPair", "span first second")
 
-DAxiom = _node(Declaration, "DAxiom", "span kind name type")
+# body: None for a postulate or primitive; name: None for a check
 DDef = _node(Declaration, "DDef", "span kind name type body")
 # telescope: (name, type) pairs, outermost first
 DRewrite = _node(Declaration, "DRewrite", "span kind name telescope lhs rhs")
-DCheck = _node(Declaration, "DCheck", "span kind name term type")
 DFail = _node(Declaration, "DFail", "span kind name code inner")  # name: the inner one's
 DNorm = _node(Declaration, "DNorm", "span kind name lhs rhs")
 DImport = _node(Declaration, "DImport", "span kind name")  # name: the path as written
@@ -307,7 +307,7 @@ class _Parser:
                     self.expect("DARROW", "'=>'")
                     ty = SPi(ty.span, None, False, ty, self.expr())
                 if kind in ("postulate", "primitive"):
-                    return DAxiom(start, kind, name, ty)
+                    return DDef(start, kind, name, ty, None)
                 self.expect("EQUALS", "'='")
                 return DDef(start, kind, name, ty, self.expr())
             case "rewrite":
@@ -315,7 +315,7 @@ class _Parser:
             case "check":
                 term = self.expr()
                 self.expect("COLON", "':'")
-                return DCheck(start, kind, None, term, self.expr())
+                return DDef(start, kind, None, self.expr(), term)
             case "fail":
                 code = self.expect("IDENT", "an error code")
                 if code.text not in ERROR_CODES:
@@ -333,14 +333,9 @@ class _Parser:
 
     def rewrite_decl(self, start: Span) -> Declaration:
         telescope: list[tuple[str, SExpr]] = []
-        while self.at("LPAREN") and self.looks_like_group():
-            self.next()
-            names = [self.expect("IDENT", "a pattern variable").text]
-            while self.at("IDENT"):
-                names.append(self.next().text)
-            self.expect("COLON", "':'")
-            ty = self.expr()
-            self.expect("RPAREN", "')'")
+        for names, ty, implicit, gspan in self.binder_groups():
+            if implicit:
+                raise ParseError("pattern variables are written in parentheses", span=gspan)
             telescope += [(nm, ty) for nm in names]
         if self.at("COLON"):
             self.next()
@@ -355,14 +350,12 @@ class _Parser:
         t = self.peek()
         if t.kind == "LAMBDA":
             self.next()
-            binders = [self.expect("IDENT", "a binder")]
-            while self.at("IDENT"):
-                binders.append(self.next())
+            names = self.names()
             self.expect("DOT", "'.'")
             out = self.expr()
             sp = self.span(t)
-            for b in reversed(binders):
-                out = SLambda(sp, b.text, out)
+            for nm in reversed(names):
+                out = SLambda(sp, nm, out)
             return out
         if t.kind == "SIGMA":
             self.next()
@@ -398,22 +391,25 @@ class _Parser:
             close = "RPAREN" if t.kind == "LPAREN" else "RBRACE"
             implicit = t.kind == "LBRACE"
             self.next()
-            names = [self.expect("IDENT", "a binder").text]
-            while self.at("IDENT"):
-                names.append(self.next().text)
+            names = self.names()
             self.expect("COLON", "':'")
             ty = self.expr()
             self.expect(close, "')'" if close == "RPAREN" else "'}'")
             groups.append((names, ty, implicit, self.span(t)))
         return groups
 
+    def names(self) -> list[str]:
+        """The one or more names a lambda or a binder group binds."""
+        names = [self.expect("IDENT", "a binder").text]
+        while self.at("IDENT"):
+            names.append(self.next().text)
+        return names
+
     def looks_like_group(self) -> bool:
         k = self.pos + 1
-        saw_ident = False
         while self.tokens[k].kind == "IDENT":
-            saw_ident = True
             k += 1
-        return saw_ident and self.tokens[k].kind == "COLON"
+        return k > self.pos + 1 and self.tokens[k].kind == "COLON"
 
     def sum_expr(self) -> SExpr:
         left = self.app_expr()

@@ -9,8 +9,11 @@ Every line of every code object of every ``src/telic`` module counts,
 module and class bodies included, so tracing starts before conftest
 imports telic. Tracing stops for good when a test reaches the recursion
 limit, since the trace function cannot be called then, so the tracer is
-installed again before each test. At the end of the session every line
-that never ran and is not on the allow-list is listed, and the run fails.
+installed again before each test, as long as some line that must run has
+not yet run; once every such line has run, tracing is switched off, since
+later tests can only add lines that ran. At the end of the session every
+line that never ran and is not on the allow-list is listed, and the run
+fails.
 
 The allow-list matches statements by what they say, not by line number, so
 it holds across Python versions. A statement on it, all its lines, may go
@@ -107,9 +110,11 @@ class LineCollector:
 
     def __init__(self, paths) -> None:
         self.hits: dict[Path, set[int]] = {Path(p).resolve(): set() for p in paths}
-        self._allowed = {
-            path: allowed_lines(path.read_text(encoding="utf-8")).keys() for path in self.hits
-        }
+        # per file, the lines that must run: executable and not allow-listed
+        self._required: dict[Path, set[int]] = {}
+        for path in self.hits:
+            source = path.read_text(encoding="utf-8")
+            self._required[path] = executable_lines(source, str(path)) - allowed_lines(source).keys()
         # per code object met, its local trace function, or None once it
         # needs none: outside the files, or every line it must run has run
         self._tracers: dict[object, object] = {}
@@ -140,7 +145,7 @@ class LineCollector:
         if path is None:
             return None
         lines = self.hits[path]
-        needed = _lines_of(code) - self._allowed[path]
+        needed = _lines_of(code) & self._required[path]
         tracers = self._tracers
 
         def local(frame, event, arg):
@@ -152,12 +157,15 @@ class LineCollector:
 
         return local
 
+    def complete(self) -> bool:
+        """Whether every line that must run has run."""
+        return all(required <= self.hits[path] for path, required in self._required.items())
+
     def unrun(self) -> dict[Path, list[int]]:
         """Per file, the lines that never ran and are not allow-listed."""
         out = {}
-        for path, lines in self.hits.items():
-            source = path.read_text(encoding="utf-8")
-            missing = executable_lines(source, str(path)) - lines - self._allowed[path]
+        for path, required in self._required.items():
+            missing = required - self.hits[path]
             if missing:
                 out[path] = sorted(missing)
         return out
@@ -181,8 +189,9 @@ def pytest_load_initial_conftests(early_config, parser, args):
 
 def pytest_runtest_setup(item):
     """Install the tracer again, in case the last test hit the recursion
-    limit and stopped it."""
-    sys.settrace(_collector._call)
+    limit and stopped it, or switch tracing off once every line that must
+    run has run."""
+    sys.settrace(None if _collector.complete() else _collector._call)
 
 
 def pytest_sessionfinish(session, exitstatus):

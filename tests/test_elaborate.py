@@ -9,6 +9,7 @@ import pytest
 from telic import kernel, terms
 from telic.elaborate import Processor, Report, render_reports
 from telic.errors import CannotInfer, TelicError, UnsolvedMeta
+from telic.surface import parse_file
 
 BASE = """
 primitive Nat : Type
@@ -217,6 +218,31 @@ def test_query_failure_continues(bare_processor):
     assert ("check", "error") in kinds
     assert ("postulate", "ok") in kinds
     assert reports[-1].name == "later"
+
+
+def test_a_failed_check_goes_on_and_a_failed_postulate_stops(bare_processor):
+    # both are `DDef`s; only the one that binds a name stops the file
+    text = "check a0 : Nat\npostulate p : a0\npostulate later : Type\n"
+    assert [Processor.binds(d) for d in parse_file(text, "x.tel")] == [False, True, True]
+    reports = run(bare_processor, text)[4:]
+    assert [(r.kind, r.name, r.code) for r in reports] == [
+        ("check", None, "TypeMismatch"), ("postulate", "p", "UniverseMismatch"),
+    ]
+
+
+def test_only_declarations_that_bind_a_name_stop_the_file():
+    text = """postulate A : Type
+primitive N : Type
+def d : Type = A
+entail e : A => A = \\x. x
+import "other.tel"
+check A : Type
+norm A = A
+rewrite (x : A) : x = x
+fail TypeMismatch postulate q : A
+"""
+    binds = [Processor.binds(d) for d in parse_file(text, "x.tel")]
+    assert binds == [True] * 5 + [False] * 4
 
 
 def test_expected_failure_is_ok(bare_processor):

@@ -100,7 +100,7 @@ def check_reports(proc: Processor, text: str, name: str, base) -> None:
             report = reports[i]
             assert report.kind == item.kind, f"{name}: {report.render()}"
             assert report.name == item.name, f"{name}: {report.render()}"
-            halted = not report.ok and isinstance(item, Processor._BINDING)
+            halted = not report.ok and Processor.binds(item)
             i += 1
     assert i == len(reports), f"{name}: {len(reports) - i} reports more than the parse result"
 

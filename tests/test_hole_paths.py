@@ -160,9 +160,14 @@ postulate id : {T : Type} -> T -> T
         ("check (\\x. g x x) (h _) : A", "UnsolvedMeta", "1 unsolved hole(s) remain; first is ?0 : A"),
         # `p` solves the hole before the copy in `(\y. y) x` is inferred
         ("check (\\x. k x p ((\\y. y) x)) _ : A", None, None),
-        # `T`'s type is a hole standing for a type: using `T` as a type
-        # solves it to `Type`
-        ("postulate f : (T : _) -> T -> T", None, None),
+        # `T`'s type is a hole standing for a type, so the hole is itself a
+        # `Type`; using `T` as a type would need it to be `Type`, which is
+        # a `Type1`, so nothing solves it
+        (
+            "postulate f : (T : _) -> T -> T",
+            "UniverseMismatch",
+            "expected a type, found a term of type `?0`",
+        ),
     ],
 )
 def test_hole_paths_from_lexicon_text(decl, code, message):
@@ -170,3 +175,53 @@ def test_hole_paths_from_lexicon_text(decl, code, message):
     reports = proc.process_text(LEXICON + decl)
     assert all(r.ok for r in reports[:-1])
     assert (reports[-1].code, reports[-1].message) == (code, message)
+
+
+# --- a hole's solution has the hole's type ------------------------------------------
+
+SMALL = """primitive Nat : Type
+postulate id : (A : Type) -> A -> A
+"""
+
+TYPE1_IS_NOT_TYPE = "term has type `Type1` but `Type` was expected"
+
+
+@pytest.mark.parametrize(
+    "decl, twin, code, message",
+    [
+        # the hole has `id`'s domain, `Type`, as its type, so `Type` cannot
+        # solve it, just as it cannot be written there
+        (
+            "check id _ : Type -> Type",
+            "check id Type : Type -> Type",
+            "TypeMismatch",
+            TYPE1_IS_NOT_TYPE,
+        ),
+        # the binder's domain is a hole of type `Type`, which no universe
+        # solves, so `T` is no type; written out, the domain makes the
+        # whole a `Type1`
+        (
+            "check ((T : _) -> T -> T) : Type",
+            "check ((T : Type) -> T -> T) : Type",
+            "UniverseMismatch",
+            "expected a type, found a term of type `?0`",
+        ),
+        (
+            "def Poly : Type = (T : _) -> T -> T",
+            "def Poly : Type = (T : Type) -> T -> T",
+            "UniverseMismatch",
+            "expected a type, found a term of type `?0`",
+        ),
+    ],
+)
+def test_a_hole_cannot_let_type1_pass_as_type(decl, twin, code, message):
+    *ok, hole = Processor().process_text(SMALL + decl)
+    *twin_ok, annotated = Processor().process_text(SMALL + twin)
+    assert all(r.ok for r in ok + twin_ok)
+    assert (hole.code, hole.message) == (code, message)
+    assert (annotated.code, annotated.message) == ("TypeMismatch", TYPE1_IS_NOT_TYPE)
+
+
+def test_a_hole_takes_a_solution_of_its_type():
+    *_, report = Processor().process_text(SMALL + "postulate n : Nat\ncheck id _ n : Nat")
+    assert report.ok

@@ -1,10 +1,12 @@
 """The line check (``tests/linecheck.py``) on a toy module: it flags a line
-that never ran, lets each kind of allow-listed statement go unrun, and
-counts a class-body line that ran at import."""
+that never ran, lets each kind of allow-listed statement go unrun, counts
+a class-body line that ran at import, and stops tracing once every line
+that must run has run."""
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import linecheck
@@ -51,15 +53,25 @@ def _line(text: str) -> int:
     return TOY.splitlines().index(text) + 1
 
 
-def test_the_check_flags_an_unrun_line_and_no_allowed_one(tmp_path):
+def _toy(tmp_path):
+    """The toy module's path and a collector for it."""
     path = tmp_path / "toy.py"
     path.write_text(TOY)
-    collector = linecheck.LineCollector([path])
+    return path, linecheck.LineCollector([path])
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location("linecheck_toy", path)
+    toy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(toy)
+    return toy
+
+
+def test_the_check_flags_an_unrun_line_and_no_allowed_one(tmp_path):
+    path, collector = _toy(tmp_path)
     collector.start()
     try:
-        spec = importlib.util.spec_from_file_location("linecheck_toy", path)
-        toy = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(toy)
+        toy = _load(path)
         assert toy.Toy().run(1) == 1
         assert toy.pick(1) == "one"
         assert toy.guarded(lambda: 3) == 3
@@ -74,6 +86,26 @@ def test_the_check_flags_an_unrun_line_and_no_allowed_one(tmp_path):
     assert kinds[_line('    raise AssertionError("unreachable")')] == "AssertionError fallback"
     assert kinds[_line("        return None")] == "RecursionError handler"
     assert kinds[_line("    print(Toy().run(0))")].startswith("subprocess only, run by tests/")
+
+
+def test_tracing_stops_once_every_line_that_must_run_has_run(tmp_path, monkeypatch):
+    path, collector = _toy(tmp_path)
+    monkeypatch.setattr(linecheck, "_collector", collector)
+    previous = sys.gettrace()
+    try:
+        linecheck.pytest_runtest_setup(None)
+        assert sys.gettrace() == collector._call
+        toy = _load(path)
+        assert (toy.Toy().run(1), toy.pick(1), toy.guarded(lambda: 3)) == (1, "one", 3)
+        assert not collector.complete()
+        linecheck.pytest_runtest_setup(None)  # `return 2` has not run
+        assert sys.gettrace() == collector._call
+        assert (toy.Toy().run(0), toy.last(4)) == (2, 4)
+        linecheck.pytest_runtest_setup(None)
+        assert sys.gettrace() is None
+    finally:
+        sys.settrace(previous)
+    assert collector.complete() and collector.unrun() == {}
 
 
 def test_each_subprocess_only_statement_is_in_the_source_and_names_a_test():

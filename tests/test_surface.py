@@ -11,9 +11,7 @@ from telic.corpus import corpus_dir
 from telic.errors import IllegalCharacter, ParseError
 from telic.prelude import prelude_path
 from telic.surface import (
-    DAxiom,
     Declaration,
-    DCheck,
     DDef,
     DFail,
     DImport,
@@ -288,15 +286,22 @@ import "other.tel"
     assert errors == ()
     shapes = [type(d) for d in decls]
     assert shapes == [
-        DAxiom, DAxiom, DDef, DRewrite, DCheck, DNorm, DFail, DDef, DImport,
+        DDef, DDef, DDef, DRewrite, DDef, DNorm, DFail, DDef, DImport,
     ]
     assert [d.kind for d in decls] == [
         "postulate", "primitive", "def", "rewrite", "check", "norm", "fail", "entail", "import",
     ]
     assert [d.name for d in decls] == ["A", "N", "idA", None, None, None, None, "e", "other.tel"]
+    # a postulate or primitive is a def without a body
+    assert decls[0] == DDef(None, "postulate", "A", SUniverse(None, 0), None)
+    assert decls[1].body is None
+    # a check is a def without a name: `check idA : A -> A`
+    arrow = SPi(None, None, False, SName(None, "A"), SName(None, "A"))
+    assert decls[4] == DDef(None, "check", None, arrow, SName(None, "idA"))
     fail = decls[6]
-    assert fail.code == "TypeMismatch" and isinstance(fail.inner, DCheck)
-    assert decls[7].type == SPi(None, None, False, SName(None, "A"), SName(None, "A"))
+    assert fail.code == "TypeMismatch"
+    assert fail.inner == DDef(None, "check", None, SName(None, "A"), SName(None, "A"))
+    assert decls[7].type == arrow
 
 
 def test_rewrite_colon_is_optional():
@@ -304,6 +309,15 @@ def test_rewrite_colon_is_optional():
     (d2,) = parse_file("rewrite (x : A) f x = x", "b.tel")
     assert isinstance(d1, DRewrite) and isinstance(d2, DRewrite)
     assert d1.lhs == d2.lhs and d1.rhs == d2.rhs
+
+
+def test_rewrite_pattern_variables_are_parenthesised():
+    text = "postulate A : Type\npostulate f : A -> A\nrewrite {x : A} : f x = x\n"
+    *decls, err = parse_file(text, "braced.tel")
+    assert [d.name for d in decls] == ["A", "f"]
+    assert isinstance(err, ParseError)
+    assert err.message == "pattern variables are written in parentheses"
+    assert (err.span.line, err.span.col) == (3, 9)  # the brace
 
 
 def test_fail_requires_known_error_code():
@@ -419,7 +433,7 @@ def test_numerals_of_any_length_parse():
     # longer than the 4,300 digits CPython converts in one go
     digits = "9" * 5000
     (decl,) = parse_file(f"check {digits} : Nat\n", "big.tel")
-    assert decl.term.value == 10**5000 - 1
+    assert decl.body.value == 10**5000 - 1
     assert parse_expr("0" * 300 + "12").value == 12
 
 
