@@ -21,7 +21,7 @@ from .corpus import CASES, check_case, uncovered_names, write_golden
 from .elaborate import Processor, Report, render_reports
 from .errors import TelicError
 from .kernel import DEFAULT_FUEL
-from .prelude import load_prelude, prelude_self_check
+from .prelude import CheckResult, load_prelude, prelude_self_check
 
 
 def _fresh_processor(args: argparse.Namespace) -> Processor | None:
@@ -115,20 +115,20 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         except RuntimeError as err:
             reports, problems = [], [f"{case.name}: {err}"]
         failures += len(problems)
-        mark = "ok" if not problems else "FAIL"
         emit(
             {"case": case.name, "ok": not problems, "reports": len(reports), "problems": problems},
-            f"{mark:4} {case.name}: {len(reports)} reports ({case.title})",
+            CheckResult(case.name, not problems, f"{len(reports)} reports ({case.title})").render(),
             *[f"     {line}" for line in problems],
         )
 
     leftover = sorted(uncovered_names(prelude))
-    if leftover:
-        failures += 1
-        covered = f"FAIL coverage: prelude entries never exercised: {', '.join(leftover)}"
-    else:
-        covered = "ok   coverage: every prelude entry appears in the corpus"
-    emit({"uncovered": leftover}, covered)
+    failures += bool(leftover)
+    covered = (
+        f"prelude entries never exercised: {', '.join(leftover)}"
+        if leftover
+        else "every prelude entry appears in the corpus"
+    )
+    emit({"uncovered": leftover}, CheckResult("coverage", not leftover, covered).render())
     return 0 if failures == 0 else 1
 
 

@@ -24,6 +24,7 @@ definition, and a check (no name) is only checked.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -69,6 +70,7 @@ from .terms import (
     Context,
     Fst,
     Lambda,
+    Meta,
     NatLit,
     Pair,
     Pi,
@@ -78,6 +80,8 @@ from .terms import (
     Universe,
     Var,
     ctx_extend,
+    map_term,
+    subterms,
 )
 
 
@@ -253,29 +257,6 @@ def implicit_mask_of(ty: SExpr) -> tuple[bool, ...]:
     return tuple(mask)
 
 
-def _count_names(e: SExpr, counts: dict[str, int], shadowed: frozenset[str]) -> None:
-    match e:
-        case SName(name=n):
-            if n in counts and n not in shadowed:
-                counts[n] += 1
-        case SApp(fn=f, arg=a):
-            _count_names(f, counts, shadowed)
-            _count_names(a, counts, shadowed)
-        case SLambda(binder=b, body=body):
-            _count_names(body, counts, shadowed | {b})
-        case SPi(binder=b, domain=d, codomain=c):
-            _count_names(d, counts, shadowed)
-            _count_names(c, counts, shadowed | ({b} if b else frozenset()))
-        case SSigma(binder=b, first=a, second=s):
-            _count_names(a, counts, shadowed)
-            _count_names(s, counts, shadowed | {b})
-        case SPair(first=a, second=s):
-            _count_names(a, counts, shadowed)
-            _count_names(s, counts, shadowed)
-        case _:
-            pass
-
-
 # --- declaration processing ------------------------------------------------------
 
 class Processor:
@@ -303,7 +284,10 @@ class Processor:
 
     def process_path(self, path: str | Path) -> list[Report]:
         reports: list[Report] = []
-        self._load_file(Path(path), reports, via=None)
+        try:
+            self._load_file(Path(path), reports)
+        except ParseError as e:
+            reports.append(Report(Span(str(path), 1, 1), "import", str(path), e.code, e.message))
         return reports
 
     def process_text(
@@ -336,23 +320,15 @@ class Processor:
                 "expression nests too deeply to check", span=sexpr.span
             ) from None
 
-    def _load_file(self, path: Path, reports: list[Report], via: Span | None) -> bool:
+    def _load_file(self, path: Path, reports: list[Report]) -> bool:
         """Parse and process one file. Returns False when the file failed in a
-        way that poisons whatever imported it."""
+        way that poisons whatever imported it; raises ``ParseError``, without
+        a span, when it cannot be read."""
         try:
             resolved = path.resolve()
             text = resolved.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as e:
-            reports.append(
-                Report(
-                    via or Span(str(path), 1, 1),
-                    "import",
-                    str(path),
-                    "ParseError",
-                    f"cannot read {path}: {getattr(e, 'strerror', None) or e}",
-                )
-            )
-            return False
+            raise ParseError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
         if str(resolved) in self._loaded:
             return True
         self._loaded.add(str(resolved))
@@ -430,7 +406,7 @@ class Processor:
                 case DFail(code=code, inner=inner):
                     return self._run_fail(code, inner, sp, base)
                 case DImport():
-                    if not self._load_file(base / name, reports, sp):
+                    if not self._load_file(base / name, reports):
                         raise ParseError(f"import of {name} failed", span=sp)
                 case _:
                     raise AssertionError(f"unhandled declaration {decl!r}")
@@ -461,15 +437,6 @@ class Processor:
         rhs: SExpr,
         sp: Span,
     ) -> None:
-        counts = {nm: 0 for nm, _ in tele}
-        _count_names(lhs, counts, frozenset())
-        repeated = [nm for nm, c in counts.items() if c > 1]
-        if repeated:
-            raise NonlinearPattern(
-                f"pattern variable `{repeated[0]}` occurs {counts[repeated[0]]} "
-                f"times on the left-hand side; patterns must be linear",
-                span=lhs.span,
-            )
         env: list[str] = []
         tele_types: list[Term] = []
         ctx: Context = EMPTY_CONTEXT
@@ -480,6 +447,21 @@ class Processor:
             ctx = ctx_extend(ctx, nm, ty_t)
             env.append(nm)
         lhs_t = self.elab.elab(lhs, env)
+        # Linearity counts the slots the user wrote, by telescope position.
+        # A hole's spine lists every slot, so each hole (an inserted
+        # implicit argument is one) loses its spine first.
+        masked = map_term(lhs_t, lambda i, d: None, meta=lambda m, spine: Meta(m))
+        last = len(env) - 1
+        uses = Counter(
+            last - s.index + d for s, d in subterms(masked) if type(s) is Var and s.index >= d
+        )
+        for k, nm in enumerate(env):
+            if uses[k] > 1:
+                raise NonlinearPattern(
+                    f"pattern variable `{nm}` occurs {uses[k]} times on the "
+                    f"left-hand side; patterns must be linear",
+                    span=lhs.span,
+                )
         lhs_ty = self.kernel.infer(ctx, lhs_t)
         rhs_t = self.elab.elab(rhs, env)
         try:

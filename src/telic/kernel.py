@@ -19,10 +19,13 @@ fuel; the reductions matching needs cost their own. Both sides of a rule
 are compiled once, when it is declared. The left-hand side becomes a
 matcher (``RewriteRule.fire``) that checks its constant, pair and literal
 patterns in order and takes the variables' values from their first
-occurrences. The right-hand side becomes a builder that makes each
-instance from that environment (``terms.compile_subst``) instead of
-substituting into it; subterms that mention no pattern variable are
-shared, not rebuilt.
+occurrences. Compiling the left-hand side is also the rule's shape check:
+it refuses a variable outside the telescope, a definition (matching unfolds
+it, so the rule could never fire), any other node that is no pattern, and a
+telescope slot that never occurs. The right-hand side becomes a builder
+that makes each instance from that environment (``terms.compile_subst``)
+instead of substituting into it; subterms that mention no pattern variable
+are shared, not rebuilt.
 
 The one computation built into whnf is literal addition: ``plus`` on two
 numerals is their sum. Every other computation is a rewrite rule of the
@@ -47,8 +50,9 @@ a ``MetaEntry`` (filled in as checking meets the hole) are slotted classes.
 
 ``declare_*`` store what the elaborating ``Processor`` has already checked,
 enforcing only closed terms (a rule's telescope and right-hand side closed
-over its slots), fresh names and the shape of rule left-hand sides;
-``prelude_self_check`` re-verifies a stored signature independently.
+over its slots), fresh names and, by compiling them, the shape of rule
+left-hand sides; ``prelude_self_check`` re-verifies a stored signature
+independently.
 """
 
 from __future__ import annotations
@@ -112,12 +116,18 @@ class SignatureEntry(NamedTuple):
 
 # --- rewrite rules -----------------------------------------------------------
 
-def _compile_patterns(
-    pats: Sequence[Term], seen: set[int]
-) -> Callable[[Sequence[Term], list, Callable[[Term], Term]], bool]:
-    """A matcher for a sequence of patterns: it matches them against a
-    sequence of targets of the same length, storing the values of the
-    variables they bind in the environment.
+def _compile_fire(
+    pats: tuple[Term, ...],
+    telescope: tuple[tuple[str, Term], ...],
+    instantiate: Callable[[Sequence[Term]], Term],
+    entries: dict[str, SignatureEntry],
+) -> Callable[[tuple[Term, ...], Callable[[Term], Term]], Term | None]:
+    """``fire(args, whnf)``: the instance of a rule for the arguments of its
+    head, with any arguments beyond the patterns applied to it, or ``None``
+    when the patterns do not match. Compiling is the rule's shape check: it
+    reads the patterns in preorder and raises ``InvalidRewrite`` at the
+    first one that is not a slot, literal, pair or constant without a body
+    in ``entries``, then at any slot that never occurs.
 
     Constant, pair and literal patterns are checked in order, each
     weak-head-normalizing its target, and the first mismatch ends the match.
@@ -125,71 +135,83 @@ def _compile_patterns(
     (``seen`` holds the slots bound so far); a repeat is forced by
     elaboration and matches anything, so it is dropped here. Binding
     reduces nothing, so the bindings are stored after the checks."""
-    checks = []
-    binds = []
-    for i, p in enumerate(pats):
-        if type(p) is Var:
-            if p.index not in seen:
-                seen.add(p.index)
-                binds.append((i, p.index))
-        else:
-            checks.append((i, _compile_check(p, seen)))
+    n_slots = len(telescope)
+    seen: set[int] = set()
 
-    def match_all(targets, env, whnf):
-        for i, check in checks:
-            if not check(targets[i], env, whnf):
-                return False
-        for i, slot in binds:
-            env[slot] = targets[i]
-        return True
+    def patterns(seq: Sequence[Term]):
+        # a matcher for a sequence of patterns against as many targets,
+        # storing the values of the variables they bind in the environment
+        checks = []
+        binds = []
+        for i, p in enumerate(seq):
+            if type(p) is Var:
+                if not 0 <= p.index < n_slots:
+                    raise InvalidRewrite("left-hand side mentions a foreign variable")
+                if p.index not in seen:
+                    seen.add(p.index)
+                    binds.append((i, p.index))
+            else:
+                checks.append((i, pattern(p)))
 
-    return match_all
+        def match_all(targets, env, whnf):
+            for i, check in checks:
+                if not check(targets[i], env, whnf):
+                    return False
+            for i, slot in binds:
+                env[slot] = targets[i]
+            return True
 
+        return match_all
 
-def _compile_check(
-    pat: Term, seen: set[int]
-) -> Callable[[Term, list, Callable[[Term], Term]], bool]:
-    """A matcher for one constant, pair or literal pattern: it
-    weak-head-normalizes its target, compares the head, then matches the
-    subpatterns."""
-    cls = type(pat)
-    if cls is NatLit:
-        value = pat.value
-        return lambda target, env, whnf: type(w := whnf(target)) is NatLit and w.value == value
-    if cls is Const:
-        name, arity = pat.name, len(pat.args)
-        match_args = _compile_patterns(pat.args, seen)
+    def pattern(pat: Term):
+        # a matcher for one constant, pair or literal pattern: it
+        # weak-head-normalizes its target, compares the head, then matches
+        # the subpatterns
+        cls = type(pat)
+        if cls is NatLit:
+            value = pat.value
+            return lambda target, env, whnf: type(w := whnf(target)) is NatLit and w.value == value
+        if cls is Const:
+            name, arity = pat.name, len(pat.args)
+            entry = entries.get(name)
+            if entry is not None and entry.body is not None:
+                raise InvalidRewrite(
+                    f"left-hand side mentions the definition `{name}`, which "
+                    f"matching unfolds, so the rule could never fire"
+                )
+            match_args = patterns(pat.args)
 
-        def check_const(target, env, whnf):
-            w = whnf(target)
-            return (
-                type(w) is Const
-                and w.name == name
-                and len(w.args) == arity
-                and match_args(w.args, env, whnf)
-            )
+            def check_const(target, env, whnf):
+                w = whnf(target)
+                return (
+                    type(w) is Const
+                    and w.name == name
+                    and len(w.args) == arity
+                    and match_args(w.args, env, whnf)
+                )
 
-        return check_const
-    if cls is Pair:
-        match_parts = _compile_patterns((pat.first, pat.second), seen)
+            return check_const
+        if cls is Pair:
+            match_parts = patterns((pat.first, pat.second))
 
-        def check_pair(target, env, whnf):
-            w = whnf(target)
-            return type(w) is Pair and match_parts((w.first, w.second), env, whnf)
+            def check_pair(target, env, whnf):
+                w = whnf(target)
+                return type(w) is Pair and match_parts((w.first, w.second), env, whnf)
 
-        return check_pair
-    raise AssertionError(f"unhandled pattern {pat!r}")
+            return check_pair
+        raise InvalidRewrite(
+            "left-hand side patterns may only contain constants, pattern "
+            "variables, pairs, and numeric literals"
+        )
 
-
-def _compile_fire(
-    pats: tuple[Term, ...], n_slots: int, instantiate: Callable[[Sequence[Term]], Term]
-) -> Callable[[tuple[Term, ...], Callable[[Term], Term]], Term | None]:
-    """``fire(args, whnf)``: the instance of a rule for the arguments of its
-    head, with any arguments beyond the patterns applied to it, or ``None``
-    when the patterns do not match (``_compile_patterns``). Patterns that
-    are all variables check nothing and only bind."""
     n = len(pats)
-    match_args = _compile_patterns(pats, set())
+    match_args = patterns(pats)
+    missing = [hint for i, (hint, _) in enumerate(telescope) if n_slots - 1 - i not in seen]
+    if missing:
+        raise InvalidRewrite(
+            f"pattern variable(s) {', '.join(missing)} never occur on the "
+            f"left-hand side"
+        )
 
     def fire(args, whnf):
         if len(args) < n:
@@ -208,15 +230,21 @@ class RewriteRule:
 
     __slots__ = ("lhs", "rhs", "telescope", "instantiate", "fire")
 
-    def __init__(self, lhs: Const, rhs: Term, telescope: tuple[tuple[str, Term], ...]) -> None:
+    def __init__(
+        self,
+        lhs: Const,
+        rhs: Term,
+        telescope: tuple[tuple[str, Term], ...],
+        entries: dict[str, SignatureEntry],
+    ) -> None:
         self.lhs = lhs  # over the telescope; its arguments are the patterns
         self.rhs = rhs  # over the telescope: Var(0) is the innermost slot
         self.telescope = telescope  # (hint, type), outermost first
-        n_slots = len(telescope)
         # the instance of ``rhs`` for a match environment, Var(0)'s value first
-        self.instantiate = compile_subst(rhs, n_slots)
-        # the instance for the arguments of ``lhs.name``, or None (``_compile_fire``)
-        self.fire = _compile_fire(lhs.args, n_slots, self.instantiate)
+        self.instantiate = compile_subst(rhs, len(telescope))
+        # the instance for the arguments of ``lhs.name``, or None; compiling
+        # it is the shape check of ``lhs`` (``_compile_fire``)
+        self.fire = _compile_fire(lhs.args, telescope, self.instantiate, entries)
 
 
 class Signature:
@@ -603,14 +631,17 @@ class Kernel:
         pending = self.metas.unsolved()
         if pending:
             e = pending[0]
-            what = f"?{e.id}"
-            if e.type is not None:
-                names = [c.hint for c in (e.ctx or ())]
-                what += f" : {pretty(self.zonk(e.type), self.sig, names)}"
             raise UnsolvedMeta(
-                f"{len(pending)} unsolved hole(s) remain; first is {what}",
+                f"{len(pending)} unsolved hole(s) remain; first is {self._show_hole(e)}",
                 span=e.span or span,
             )
+
+    def _show_hole(self, e: MetaEntry) -> str:
+        """``?n``, followed by `` : T`` once checking has given the hole a type."""
+        if e.type is None:
+            return f"?{e.id}"
+        names = [c.hint for c in (e.ctx or ())]
+        return f"?{e.id} : {pretty(self.zonk(e.type), self.sig, names)}"
 
     # - typing -
 
@@ -762,9 +793,9 @@ class Kernel:
         ty = self.whnf(self.infer(ctx, t))
         if isinstance(ty, Universe):
             return ty.level
-        raise UniverseMismatch(
-            f"expected a type, found a term of type `{self._show(ctx, ty)}`"
-        )
+        # an unsolved hole's own type says why no universe solves it
+        shown = self._show_hole(self.metas.entry(ty.id)) if type(ty) is Meta else self._show(ctx, ty)
+        raise UniverseMismatch(f"expected a type, found a term of type `{shown}`")
 
     def _show(self, ctx: Context, t: Term) -> str:
         names = [e.hint for e in ctx]
@@ -807,17 +838,14 @@ class Kernel:
     ) -> RewriteRule:
         """Store an already-checked directed equation. The caller has
         elaborated both sides under the telescope, checked that the
-        right-hand side has the left-hand side's type, and checked surface
-        linearity; this checks the shape of the left-hand side, whose
-        arguments are matched as they are. Each telescope type must be
-        closed over the slots before it, and the right-hand side over all
-        of them. Matching unfolds the definitions in its targets, so a
-        left-hand side that mentions one could never match and is
-        refused."""
-        n_slots = len(telescope)
+        right-hand side has the left-hand side's type, and checked
+        linearity; compiling the rule checks the shape of the left-hand
+        side, whose arguments are matched as they are (``_compile_fire``).
+        Each telescope type must be closed over the slots before it, and
+        the right-hand side over all of them."""
         for i, (_, ty) in enumerate(telescope):
             self.assert_closed(ty, i)
-        self.assert_closed(rhs, n_slots)
+        self.assert_closed(rhs, len(telescope))
         if not isinstance(lhs, Const) or not lhs.args:
             raise InvalidRewrite(
                 "rewrite left-hand side must be a constant applied to patterns"
@@ -829,32 +857,7 @@ class Kernel:
             raise RewriteHeadIsDefinition(
                 f"rewrite head `{lhs.name}` is a definition; unfold it instead"
             )
-        bound: set[int] = set()
-        for t, _ in subterms(lhs):
-            cls = type(t)
-            if cls is Var:
-                if not 0 <= t.index < n_slots:
-                    raise InvalidRewrite("left-hand side mentions a foreign variable")
-                bound.add(t.index)
-            elif cls is Const:
-                below = self.sig.entries.get(t.name)
-                if below is not None and below.body is not None:
-                    raise InvalidRewrite(
-                        f"left-hand side mentions the definition `{t.name}`, which "
-                        f"matching unfolds, so the rule could never fire"
-                    )
-            elif cls is not Pair and cls is not NatLit:
-                raise InvalidRewrite(
-                    "left-hand side patterns may only contain constants, pattern "
-                    "variables, pairs, and numeric literals"
-                )
-        missing = [hint for i, (hint, _) in enumerate(telescope) if n_slots - 1 - i not in bound]
-        if missing:
-            raise InvalidRewrite(
-                f"pattern variable(s) {', '.join(missing)} never occur on the "
-                f"left-hand side"
-            )
-        rule = RewriteRule(lhs, rhs, telescope)
+        rule = RewriteRule(lhs, rhs, telescope, self.sig.entries)
         self.sig.rules_by_head.setdefault(lhs.name, []).append(rule)
         return rule
 

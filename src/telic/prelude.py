@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from .elaborate import Processor, Report
 from .errors import TelicError
-from .kernel import RewriteRule, _inst_solution
-from .terms import EMPTY_CONTEXT, Const
+from .kernel import RewriteRule
+from .terms import EMPTY_CONTEXT, Const, subst_many
 
 ENV_PRELUDE = "TELIC_PRELUDE"
 
@@ -65,17 +65,16 @@ def _check_rule(proc: Processor, rule: RewriteRule, index: int) -> CheckResult:
     kernel.begin()
     try:
         with proc.rollback():
-            # a scratch constant for each telescope slot, outermost first:
-            # the slots are instantiated as a hole's spine is
-            probes: list[Const] = []
+            # a scratch constant for each telescope slot, declared outermost
+            # first; ``env`` holds them innermost first, as Var(0) is
+            env: list[Const] = []
             for k, (hint, ty) in enumerate(rule.telescope):
                 name = f"_probe_{hint}_{k}"
-                probe_ty = _inst_solution(ty, tuple(probes))
+                probe_ty = subst_many(ty, env)
                 kernel.check_is_type(EMPTY_CONTEXT, probe_ty)
                 kernel.declare_axiom(name, probe_ty)
-                probes.append(Const(name))
-            lhs = _inst_solution(rule.lhs, tuple(probes))
-            rhs = _inst_solution(rule.rhs, tuple(probes))
+                env.insert(0, Const(name))
+            lhs, rhs = subst_many(rule.lhs, env), subst_many(rule.rhs, env)
             fired = kernel.whnf(lhs)
             if fired == lhs:
                 return CheckResult(label, False, "rule does not fire on a fresh instance")

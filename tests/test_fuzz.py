@@ -26,7 +26,7 @@ from telic.elaborate import Processor, Report
 from telic.errors import ParseError
 from telic.kernel import Kernel
 from telic.prelude import load_prelude
-from telic.surface import _KEYWORDS, _PUNCTUATION, DImport, parse_file, tokenize
+from telic.surface import _KEYWORDS, _PUNCTUATION, parse_file, tokenize
 
 # A fuel budget well below the default keeps the non-terminating `loop`
 # declarations of the corpus (and whatever mutations make of them) cheap.
@@ -94,8 +94,6 @@ def check_reports(proc: Processor, text: str, name: str, base) -> None:
             assert (reports[i].kind, reports[i].message) == ("parse", item.message)
             i += 1
         elif not halted:
-            if isinstance(item, DImport):
-                i += 1  # the failed read of the imported file
             assert i < len(reports), f"{name}: declaration at line {item.span.line} has no report"
             report = reports[i]
             assert report.kind == item.kind, f"{name}: {report.render()}"

@@ -166,7 +166,7 @@ postulate id : {T : Type} -> T -> T
         (
             "postulate f : (T : _) -> T -> T",
             "UniverseMismatch",
-            "expected a type, found a term of type `?0`",
+            "expected a type, found a term of type `?0 : Type`",
         ),
     ],
 )
@@ -204,13 +204,13 @@ TYPE1_IS_NOT_TYPE = "term has type `Type1` but `Type` was expected"
             "check ((T : _) -> T -> T) : Type",
             "check ((T : Type) -> T -> T) : Type",
             "UniverseMismatch",
-            "expected a type, found a term of type `?0`",
+            "expected a type, found a term of type `?0 : Type`",
         ),
         (
             "def Poly : Type = (T : _) -> T -> T",
             "def Poly : Type = (T : Type) -> T -> T",
             "UniverseMismatch",
-            "expected a type, found a term of type `?0`",
+            "expected a type, found a term of type `?0 : Type`",
         ),
     ],
 )
