@@ -143,7 +143,7 @@ def case_mentions(case: CorpusCase) -> frozenset[str]:
     """
     names: set[str] = set()
     for fname in case.files:
-        text = (corpus_dir() / fname).read_text()
+        text = (corpus_dir() / fname).read_text(encoding="utf-8-sig")
         for tok in tokenize(text, fname):
             match tok.kind:
                 case "IDENT":

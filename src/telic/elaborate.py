@@ -154,7 +154,7 @@ class Elaborator:
             case SProj():
                 return self._application(e, [], env)
             case SHole(span=sp):
-                return self.kernel.metas.fresh(len(env), sp)
+                return self.kernel.hole(len(env), sp)
             case SNat(value=v):
                 return NatLit(v)
             case SUniverse(level=l):
@@ -216,7 +216,7 @@ class Elaborator:
                     out_args.append(self.elab(args[i].arg, env))
                     i += 1
                 else:
-                    out_args.append(self.kernel.metas.fresh(len(env), span))
+                    out_args.append(self.kernel.hole(len(env), span))
             else:
                 if i >= len(args):
                     break
@@ -309,7 +309,7 @@ class Processor:
         try:
             t = self.elab.elab(sexpr, [])
             ty = self.kernel.infer(EMPTY_CONTEXT, t)
-            t, ty = map(self.kernel.assert_closed, self._closed(sexpr.span, t, ty))
+            t, ty = self.kernel.close(sexpr.span, t, ty)
             sig = self.kernel.sig
             return pretty(self.kernel.normalize(t), sig), pretty(ty, sig)
         except TelicError as e:
@@ -321,12 +321,13 @@ class Processor:
             ) from None
 
     def _load_file(self, path: Path, reports: list[Report]) -> bool:
-        """Parse and process one file. Returns False when the file failed in a
-        way that poisons whatever imported it; raises ``ParseError``, without
-        a span, when it cannot be read."""
+        """Parse and process one UTF-8 file, skipping a leading byte-order
+        mark. Returns False when the file failed in a way that poisons
+        whatever imported it; raises ``ParseError``, without a span, when it
+        cannot be read."""
         try:
             resolved = path.resolve()
-            text = resolved.read_text(encoding="utf-8")
+            text = resolved.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as e:
             raise ParseError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
         if str(resolved) in self._loaded:
@@ -387,11 +388,11 @@ class Processor:
                         body_t = self.elab.elab(body, [])
                         self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
                     if name is None:  # a check stores nothing
-                        self.kernel.require_solved(sp)
+                        self.kernel.close(sp)
                     elif body is None:
-                        self.kernel.declare_axiom(name, *self._closed(sp, ty_t), mask)
+                        self.kernel.declare_axiom(name, *self.kernel.close(sp, ty_t), mask)
                     else:
-                        self.kernel.declare_definition(name, *self._closed(sp, ty_t, body_t), mask)
+                        self.kernel.declare_definition(name, *self.kernel.close(sp, ty_t, body_t), mask)
                 case DNorm(lhs=lhs, rhs=rhs):
                     got, want = self._run_norm(lhs, rhs, sp)
                     if got != want:
@@ -416,18 +417,12 @@ class Processor:
                 "declaration nests too deeply to check", span=decl.span
             ) from None
 
-    def _closed(self, span: Span, *terms: Term) -> list[Term]:
-        """The terms with their holes filled in, once every hole of the
-        declaration is solved."""
-        self.kernel.require_solved(span)
-        return [self.kernel.zonk(t) for t in terms]
-
     def _run_norm(self, lhs: SExpr, rhs: SExpr, sp: Span) -> tuple[Term, Term]:
         lhs_t = self.elab.elab(lhs, [])
         lhs_ty = self.kernel.infer(EMPTY_CONTEXT, lhs_t)
         rhs_t = self.elab.elab(rhs, [])
         self.kernel.check(EMPTY_CONTEXT, rhs_t, lhs_ty)
-        lhs_t, rhs_t = map(self.kernel.assert_closed, self._closed(sp, lhs_t, rhs_t))
+        lhs_t, rhs_t = self.kernel.close(sp, lhs_t, rhs_t)
         return self.kernel.normalize(lhs_t), rhs_t
 
     def _run_rewrite(
@@ -472,7 +467,7 @@ class Processor:
                 f"{e.message}",
                 span=e.span,
             ) from None
-        *tele_types, lhs_t, rhs_t = self._closed(sp, *tele_types, lhs_t, rhs_t)
+        *tele_types, lhs_t, rhs_t = self.kernel.close(sp, *tele_types, lhs_t, rhs_t)
         self.kernel.declare_rewrite(tuple(zip(env, tele_types)), lhs_t, rhs_t)
 
     def _run_fail(

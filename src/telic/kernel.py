@@ -39,10 +39,10 @@ pattern unification only; anything harder raises UnsolvedMeta. Every hole is
 solved in one place, ``Kernel._solve``: a bare hole against a term, and a
 hole applied to arguments (``_solve_applied``, tried on the left side of a
 conversion, then on the right). A hole whose type is known takes only a
-solution of that type. ``Kernel.begin`` starts each declaration
-with a fresh MetaStore and a full fuel budget, and every meta must be solved
-before the declaration's results are stored, so the signature never
-contains metas.
+solution of that type. ``Kernel.begin`` starts each declaration with no
+holes and a full fuel budget; ``Kernel.hole`` makes each hole, and
+``Kernel.close`` ends the declaration: it requires every hole solved and
+fills them in, so the signature never contains holes.
 
 Records are plain: a ``SignatureEntry`` is a named tuple, and a
 ``RewriteRule`` (its compiled matcher and builder beside its two sides) and
@@ -286,22 +286,6 @@ class MetaEntry:
         self.solution: Term | None = None  # over the creation context
 
 
-class MetaStore:
-    def __init__(self) -> None:
-        self._entries: list[MetaEntry] = []
-
-    def fresh(self, depth: int, span: Span | None = None) -> Meta:
-        mid = len(self._entries)
-        self._entries.append(MetaEntry(mid, span))
-        return Meta(mid, tuple(Var(depth - 1 - k) for k in range(depth)))
-
-    def entry(self, mid: int) -> MetaEntry:
-        return self._entries[mid]
-
-    def unsolved(self) -> list[MetaEntry]:
-        return [e for e in self._entries if e.solution is None]
-
-
 def _inst_solution(sol: Term, spine: tuple[Term, ...]) -> Term:
     n = len(spine)
     return subst_many(sol, [spine[n - 1 - j] for j in range(n)])
@@ -356,8 +340,15 @@ class Kernel:
 
     def begin(self) -> None:
         """Start a declaration: no holes yet, and the full fuel budget."""
-        self.metas = MetaStore()
+        self.metas: list[MetaEntry] = []  # the declaration's holes, by id
         self._steps = 0
+
+    def hole(self, depth: int, span: Span | None = None) -> Meta:
+        """A fresh hole under ``depth`` binders, applied to each of them,
+        outermost first."""
+        mid = len(self.metas)
+        self.metas.append(MetaEntry(mid, span))
+        return Meta(mid, tuple(Var(depth - 1 - k) for k in range(depth)))
 
     def _tick(self) -> None:
         """Count one step; the only place that raises ``FuelExhausted``."""
@@ -450,7 +441,7 @@ class Kernel:
                     continue
                 return t if p is t.pair else cls(p)
             if cls is Meta:
-                sol = self.metas.entry(t.id).solution
+                sol = self.metas[t.id].solution
                 if sol is None:
                     return t
                 t = _inst_solution(sol, t.spine)
@@ -612,7 +603,7 @@ class Kernel:
             sol = self._solution(hole, rhs, rename)
         for _ in extras:
             sol = Lambda(sol, None)
-        entry = self.metas.entry(hole.id)
+        entry = self.metas[hole.id]
         if entry.type is not None:
             self.check(entry.ctx, sol, entry.type)
         entry.solution = sol
@@ -622,19 +613,23 @@ class Kernel:
         """Replace solved metavariables by their solutions, recursively."""
 
         def meta(m: int, spine: tuple[Term, ...]) -> Term | None:
-            sol = self.metas.entry(m).solution
+            sol = self.metas[m].solution
             return None if sol is None else self.zonk(_inst_solution(sol, spine))
 
         return map_term(t, lambda i, d: None, meta=meta)
 
-    def require_solved(self, span: Span | None = None) -> None:
-        pending = self.metas.unsolved()
+    def close(self, span: Span | None, *terms: Term) -> list[Term]:
+        """End the declaration: ``terms`` with their holes filled in. Raises
+        ``UnsolvedMeta`` at the first pending hole (at ``span`` when that
+        hole has none) unless every hole is solved."""
+        pending = [e for e in self.metas if e.solution is None]
         if pending:
             e = pending[0]
             raise UnsolvedMeta(
                 f"{len(pending)} unsolved hole(s) remain; first is {self._show_hole(e)}",
                 span=e.span or span,
             )
+        return [self.zonk(t) for t in terms]
 
     def _show_hole(self, e: MetaEntry) -> str:
         """``?n``, followed by `` : T`` once checking has given the hole a type."""
@@ -724,7 +719,7 @@ class Kernel:
                     raise UnknownConstant("numeric literals need `Nat` declared")
                 return Const("Nat")
             case Meta(id=m, spine=sp):
-                entry = self.metas.entry(m)
+                entry = self.metas[m]
                 if entry.solution is not None:
                     return self.infer(ctx, _inst_solution(entry.solution, sp))
                 if entry.type is not None:
@@ -759,7 +754,7 @@ class Kernel:
                     )
                 raise TypeMismatch(f"a pair cannot have type `{self._show(ctx, ew)}`")
             case Meta(id=m, spine=sp):
-                entry = self.metas.entry(m)
+                entry = self.metas[m]
                 if entry.solution is not None:
                     self.check(ctx, _inst_solution(entry.solution, sp), expected)
                     return
@@ -784,7 +779,7 @@ class Kernel:
     def check_is_type(self, ctx: Context, t: Term) -> int:
         """The universe level of ``t``, which must be a type."""
         tw = self.whnf(t)
-        if isinstance(tw, Meta) and self.metas.entry(tw.id).type is None:
+        if isinstance(tw, Meta) and self.metas[tw.id].type is None:
             # a hole standing where a type is needed defaults to Type
             self.check(ctx, tw, Universe(0))
             return 0
@@ -794,7 +789,7 @@ class Kernel:
         if isinstance(ty, Universe):
             return ty.level
         # an unsolved hole's own type says why no universe solves it
-        shown = self._show_hole(self.metas.entry(ty.id)) if type(ty) is Meta else self._show(ctx, ty)
+        shown = self._show_hole(self.metas[ty.id]) if type(ty) is Meta else self._show(ctx, ty)
         raise UniverseMismatch(f"expected a type, found a term of type `{shown}`")
 
     def _show(self, ctx: Context, t: Term) -> str:

@@ -64,7 +64,7 @@ class _Printer:
                 return f"#{i}"
             case Const(name=n, args=()):
                 return n
-            case Const(name="plus", args=(a, b)):
+            case Const(name="plus", args=(a, b)) if not any(self.mask("plus")[:2]):
                 s = f"{self.show(a, env, _SUM)} + {self.show(b, env, _APP)}"
                 return _wrap(s, prec, _SUM)
             case Const(name=n, args=args):

@@ -290,6 +290,23 @@ def test_check_reports_an_import_that_is_not_utf8(tmp_path, capsys):
     ]
 
 
+def test_a_leading_byte_order_mark_is_not_part_of_the_file(tmp_path, capsys):
+    # one U+FEFF later in the file is still an illegal character
+    f = tmp_path / "bom.tel"
+    text = "postulate a : Type\ncheck  b : a\npostulate c : a \ufeff\n"
+    outs = []
+    for prefix in ("", "\ufeff"):
+        f.write_text(prefix + text, encoding="utf-8")
+        assert main(["check", "--no-prelude", str(f)]) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines() == [
+        f"{f}:1:1: ok: postulate a",
+        f"{f}:2:8: error: check [UnboundVariable]: `b` is not in scope",
+        f"{f}:3:17: error: parse [IllegalCharacter]: illegal character '\\ufeff'",
+    ]
+
+
 def test_closed_stdout_ends_quietly():
     # The reader of the pipe is gone before the first line is written, as
     # in `telic selftest | head -0`.

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from telic import corpus
 from telic.corpus import (
     CASES,
+    CorpusCase,
     case_mentions,
     check_case,
     corpus_dir,
@@ -116,6 +118,12 @@ def test_coverage_counts_sugar_operators():
     by_name = {c.name: c for c in CASES}
     merge_case = by_name["case04_merge_units"]
     assert {"plus", "oplus"} <= case_mentions(merge_case)
+
+
+def test_coverage_skips_a_leading_byte_order_mark(tmp_path, monkeypatch):
+    (tmp_path / "bom.tel").write_text("\ufeffpostulate a : b + c\n", encoding="utf-8")
+    monkeypatch.setattr(corpus, "corpus_dir", lambda: tmp_path)
+    assert case_mentions(CorpusCase("bom", "", ("bom.tel",))) == {"a", "b", "c", "plus"}
 
 
 def test_negative_claim_rejected_predication(prelude):

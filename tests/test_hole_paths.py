@@ -53,23 +53,23 @@ def plus(a, b):
 
 
 def test_applied_hole_on_the_right_solves_as_a_function(k):
-    m = k.metas.fresh(0)
+    m = k.hole(0)
     assert k.convertible(f(Var(0)), App(m, Var(0)))
-    assert k.metas.entry(m.id).solution == Lambda(f(Var(0)), None)
+    assert k.metas[m.id].solution == Lambda(f(Var(0)), None)
     assert k.whnf(App(m, Var(0))) == f(Var(0))
 
 
 def test_applied_hole_on_the_right_needs_variable_arguments(k):
-    m = k.metas.fresh(0)
+    m = k.hole(0)
     assert not k.convertible(f(NatLit(1)), App(m, NatLit(1)))
-    assert k.metas.entry(m.id).solution is None
+    assert k.metas[m.id].solution is None
 
 
 # --- one hole met twice -----------------------------------------------------------
 
 
 def test_one_hole_with_different_spines_is_not_first_order(k):
-    m = k.metas.fresh(2)
+    m = k.hole(2)
     assert m.spine == (Var(1), Var(0))
     with pytest.raises(
         UnsolvedMeta,
@@ -79,9 +79,9 @@ def test_one_hole_with_different_spines_is_not_first_order(k):
 
 
 def test_one_hole_with_convertible_spines_is_convertible(k):
-    m = k.metas.fresh(2)
+    m = k.hole(2)
     assert k.convertible(m, Meta(m.id, (Var(1), Fst(Pair(Var(0), NatLit(0))))))
-    assert k.metas.entry(m.id).solution is None
+    assert k.metas[m.id].solution is None
 
 
 # --- application against application ------------------------------------------------
@@ -96,7 +96,7 @@ def test_neutral_applications_compare_function_and_argument(k):
 
 
 def test_checked_hole_remembers_its_type(k):
-    m = k.metas.fresh(0)
+    m = k.hole(0)
     k.check(EMPTY_CONTEXT, m, NAT)
     assert k.infer(EMPTY_CONTEXT, m) == NAT
     with pytest.raises(
@@ -107,11 +107,11 @@ def test_checked_hole_remembers_its_type(k):
 
 def test_unconstrained_hole_cannot_be_inferred(k):
     with pytest.raises(CannotInfer, match="unconstrained hole"):
-        k.infer(EMPTY_CONTEXT, k.metas.fresh(0))
+        k.infer(EMPTY_CONTEXT, k.hole(0))
 
 
 def test_solved_hole_checks_as_its_solution(k):
-    m = k.metas.fresh(0)
+    m = k.hole(0)
     assert k.convertible(m, NatLit(3))
     k.check(EMPTY_CONTEXT, m, NAT)
     with pytest.raises(

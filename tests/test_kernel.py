@@ -18,6 +18,7 @@ from telic.errors import (
     NotAPair,
     RewriteHeadIsDefinition,
     RewriteTypeMismatch,
+    Span,
     TypeMismatch,
     UnboundVariable,
     UniverseMismatch,
@@ -395,8 +396,8 @@ UNBOUND = "internal: unbound variable escaped elaboration"
     "make, error, message",
     [
         (lambda k: ((("n", NAT),), Var(7)), UnboundVariable, UNBOUND),
-        (lambda k: ((("n", NAT),), k.metas.fresh(0)), UnsolvedMeta, "internal: holes [0] escaped solving"),
-        (lambda k: ((("n", k.metas.fresh(0)),), Var(0)), UnsolvedMeta, "internal: holes [0] escaped solving"),
+        (lambda k: ((("n", NAT),), k.hole(0)), UnsolvedMeta, "internal: holes [0] escaped solving"),
+        (lambda k: ((("n", k.hole(0)),), Var(0)), UnsolvedMeta, "internal: holes [0] escaped solving"),
         (lambda k: ((("n", Var(0)),), Var(0)), UnboundVariable, UNBOUND),
     ],
     ids=["rhs-foreign-variable", "rhs-hole", "telescope-hole", "telescope-foreign-variable"],
@@ -580,7 +581,7 @@ def test_duplicate_names_rejected():
 def test_assert_closed():
     k = Kernel()
     with pytest.raises(UnsolvedMeta):
-        k.assert_closed(k.metas.fresh(0))
+        k.assert_closed(k.hole(0))
     with pytest.raises(UnboundVariable):
         k.assert_closed(Var(0))
     assert k.assert_closed(NatLit(1)) == NatLit(1)
@@ -597,29 +598,32 @@ def test_assert_closed():
 
 def test_meta_solves_by_unification():
     k = nat_kernel()
-    m = k.metas.fresh(0)
+    m = k.hole(0)
     assert k._unify(m, NatLit(3))
     assert k.zonk(m) == NatLit(3)
-    k.require_solved()
+    # closing returns the terms it is given, holes filled in, and no more
+    assert k.close(None) == []
+    filled = [Pi(NatLit(3), Const("g", (NatLit(3),))), NAT]
+    assert k.close(None, Pi(m, Const("g", (m,))), NAT) == filled
 
 
 def test_meta_occurs_check():
     k = nat_kernel()
-    m = k.metas.fresh(0)
+    m = k.hole(0)
     with pytest.raises(UnsolvedMeta):
         k._unify(m, Const("g", (m,)))
 
 
 def test_meta_scope_check():
     k = nat_kernel()
-    m = k.metas.fresh(0)
+    m = k.hole(0)
     with pytest.raises(UnsolvedMeta):
         k._unify(m, Var(0))
 
 
 def test_meta_spine_inversion():
     k = nat_kernel()
-    m = k.metas.fresh(2)
+    m = k.hole(2)
     assert m == Meta(0, (Var(1), Var(0)))
     assert k._unify(m, Const("pairup", (Var(0), Var(1))))
     out = k.zonk(Meta(0, (NatLit(1), NatLit(2))))
@@ -628,7 +632,7 @@ def test_meta_spine_inversion():
 
 def test_meta_repeated_spine_rejected():
     k = nat_kernel()
-    k.metas.fresh(2)
+    k.hole(2)
     bad = Meta(0, (Var(0), Var(0)))
     with pytest.raises(UnsolvedMeta):
         k._unify(bad, NatLit(1))
@@ -636,7 +640,7 @@ def test_meta_repeated_spine_rejected():
 
 def test_meta_applied_to_variable_solves_as_function():
     k = nat_kernel()
-    m = k.metas.fresh(0)
+    m = k.hole(0)
     assert k._unify(App(m, Var(0)), Const("g", (Var(0),)))
     applied = k.whnf(k.zonk(App(m, NatLit(7))))
     assert applied == Const("g", (NatLit(7),))
@@ -644,12 +648,22 @@ def test_meta_applied_to_variable_solves_as_function():
 
 def test_meta_applied_to_non_variable_does_not_solve():
     k = nat_kernel()
-    m = k.metas.fresh(0)
+    m = k.hole(0)
     assert not k._unify(App(m, NatLit(1)), Const("g", (NatLit(1),)))
 
 
-def test_require_solved_reports_pending_holes():
+def test_close_reports_the_first_pending_hole():
     k = nat_kernel()
-    k.metas.fresh(0)
-    with pytest.raises(UnsolvedMeta, match="1 unsolved hole"):
-        k.require_solved()
+    given, own = Span("a.tel", 1, 1), Span("a.tel", 2, 5)
+    first = k.hole(0)
+    k.check(EMPTY_CONTEXT, k.hole(0, own), NAT)
+    # the first pending hole has no span, so the error takes the given one
+    with pytest.raises(UnsolvedMeta, match=r"^2 unsolved hole\(s\) remain; first is \?0$") as info:
+        k.close(given, NAT)
+    assert info.value.span == given
+    assert k._unify(first, NatLit(1))
+    with pytest.raises(
+        UnsolvedMeta, match=r"^1 unsolved hole\(s\) remain; first is \?1 : Nat$"
+    ) as info:
+        k.close(given)
+    assert info.value.span == own

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from proputil import TermGen, scratch_processor
-from telic.elaborate import Elaborator
+from telic.elaborate import Elaborator, Processor
 from telic.kernel import Kernel
 from telic.pretty import pretty
 from telic.surface import parse_expr
@@ -79,3 +79,14 @@ def test_without_a_signature_no_argument_is_braced_and_a_free_variable_shows_its
     # What a caller of the API may print; the checker's own messages always
     # pass the signature and name every binder.
     assert pretty(App(Var(1), Const("f", (Var(0), NatLit(2)))), names=["x"]) == "#1 (f x 2)"
+
+
+def test_a_plus_with_an_implicit_argument_prints_as_an_application():
+    # `a + b` elaborates to a `plus` with no braced argument, so a `plus`
+    # that braces one must print its arguments as written
+    proc = Processor()
+    text = "primitive Nat : Type\nprimitive plus : {A : Type} -> A -> A\npostulate z : Nat"
+    assert all(r.ok for r in proc.process_text(text))
+    t = Const("plus", (Const("Nat"), Const("z")))
+    assert pretty(t, proc.kernel.sig) == "plus {Nat} z"
+    assert round_trip(proc.kernel, t, []) == t

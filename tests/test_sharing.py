@@ -29,7 +29,7 @@ def test_zonk_of_a_meta_free_term_is_the_same_object(loaded_processor):
 
 def test_unsolved_metas_survive_zonk_unrebuilt():
     k = Kernel()
-    hole = k.metas.fresh(2)
+    hole = k.hole(2)
     t = Pi(hole, App(Var(0), Const("B")))
     assert k.zonk(t) is t
 
