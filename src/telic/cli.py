@@ -7,7 +7,9 @@ replays the bundled corpus against its golden expectations.
 
 Exit status is 0 when everything succeeded, 1 when any report failed or
 a golden diverged, and 2 for usage errors. Set the ``TELIC_PRELUDE``
-environment variable to load a different prelude file.
+environment variable to load a different prelude file. A prelude that
+fails to load stops every command before it starts: its failing reports
+go to stderr and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -85,10 +87,12 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     # Loaded once; the audit and every case leave it as they found it.
-    prelude = load_prelude()
+    proc = _fresh_processor(args)
+    if proc is None:
+        return 1
     if args.regen_golden:
         for case in CASES:
-            path = write_golden(case, prelude)
+            path = write_golden(case, proc)
             print(f"wrote {path.name}")
         return 0
 
@@ -100,7 +104,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             for line in lines:
                 print(line)
 
-    audits = prelude_self_check(prelude)
+    audits = prelude_self_check(proc)
     broken_audits = [c.render() for c in audits if not c.ok]
     failures = len(broken_audits)
     emit(
@@ -110,10 +114,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     )
 
     for case in CASES:
-        try:
-            reports, problems = check_case(case, prelude)
-        except RuntimeError as err:
-            reports, problems = [], [f"{case.name}: {err}"]
+        reports, problems = check_case(case, proc)
         failures += len(problems)
         emit(
             {"case": case.name, "ok": not problems, "reports": len(reports), "problems": problems},
@@ -121,7 +122,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             *[f"     {line}" for line in problems],
         )
 
-    leftover = sorted(uncovered_names(prelude))
+    leftover = sorted(uncovered_names(proc))
     failures += bool(leftover)
     covered = (
         f"prelude entries never exercised: {', '.join(leftover)}"
@@ -157,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser("selftest", help="audit the prelude and replay the corpus against its goldens")
     selftest.add_argument("--format", choices=("plain", "structured"), default="plain", help="plain lines or one JSON object per case")
     selftest.add_argument("--regen-golden", action="store_true", help="rewrite the golden files from current behavior")
-    selftest.set_defaults(run=_cmd_selftest)
+    selftest.set_defaults(run=_cmd_selftest, fuel=DEFAULT_FUEL, no_prelude=False)
 
     return parser
 

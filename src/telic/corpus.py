@@ -15,8 +15,7 @@ from importlib import resources
 from pathlib import Path, PurePath
 from typing import NamedTuple
 
-from .elaborate import Report
-from .prelude import LoadedPrelude
+from .elaborate import Processor, Report
 from .surface import tokenize
 
 
@@ -77,14 +76,10 @@ def golden_path(case: CorpusCase) -> Path:
     return corpus_dir() / "golden" / f"{case.name}.json"
 
 
-def run_case(case: CorpusCase, prelude: LoadedPrelude) -> list[Report]:
-    """Process one case on the processor of ``prelude``, a
-    ``load_prelude()`` result, inside a rollback: the processor is left as
-    it was, so every case starts from the prelude alone."""
-    proc, prelude_reports = prelude
-    broken = [r for r in prelude_reports if not r.ok]
-    if broken:
-        raise RuntimeError(f"prelude failed to load: {broken[0].render()}")
+def run_case(case: CorpusCase, proc: Processor) -> list[Report]:
+    """Process one case on ``proc``, a processor with the prelude loaded,
+    inside a rollback: ``proc`` is left as it was, so every case starts
+    from the prelude alone."""
     with proc.rollback():
         return proc.process_path(corpus_dir() / case.entry)
 
@@ -96,18 +91,23 @@ def portable(report: Report) -> dict[str, object]:
     return data
 
 
-def check_case(case: CorpusCase, prelude: LoadedPrelude) -> tuple[list[Report], list[str]]:
+def check_case(case: CorpusCase, proc: Processor) -> tuple[list[Report], list[str]]:
     """Run a case (see ``run_case``) and diff it against its golden file.
 
     Returns the reports and a list of human-readable mismatch lines,
     empty when the case matches its golden exactly.
     """
-    reports = run_case(case, prelude)
+    reports = run_case(case, proc)
     got = [portable(r) for r in reports]
     path = golden_path(case)
     if not path.exists():
         return reports, [f"{case.name}: golden file missing: {path.name}"]
-    want = json.loads(path.read_text())
+    try:
+        want = json.loads(path.read_text())
+        if not isinstance(want, list):
+            raise ValueError("not a JSON list")
+    except ValueError as err:
+        return reports, [f"{case.name}: golden file unreadable: {path.name}: {err}"]
     problems: list[str] = []
     if len(got) != len(want):
         problems.append(f"{case.name}: {len(got)} reports, golden has {len(want)}")
@@ -118,8 +118,8 @@ def check_case(case: CorpusCase, prelude: LoadedPrelude) -> tuple[list[Report], 
     return reports, problems
 
 
-def write_golden(case: CorpusCase, prelude: LoadedPrelude) -> Path:
-    reports = run_case(case, prelude)
+def write_golden(case: CorpusCase, proc: Processor) -> Path:
+    reports = run_case(case, proc)
     path = golden_path(case)
     path.parent.mkdir(parents=True, exist_ok=True)
     data = [portable(r) for r in reports]
@@ -127,24 +127,19 @@ def write_golden(case: CorpusCase, prelude: LoadedPrelude) -> Path:
     return path
 
 
-def prelude_names(prelude: LoadedPrelude) -> frozenset[str]:
-    """The names ``prelude``, a ``load_prelude()`` result, declares."""
-    proc, _ = prelude
-    return frozenset(proc.kernel.sig.entries)
-
-
 def case_mentions(case: CorpusCase) -> frozenset[str]:
     """Identifiers a case's sources mention, as candidate signature names.
 
     The source text is tokenized rather than parsed so that names inside
-    deliberately failing declarations still count. Sum and merge syntax
+    deliberately failing declarations still count; a lexical error is left
+    for the case's golden diff to report. Sum and merge syntax
     desugar to applications of ``plus`` and ``oplus``, so those tokens
     count as mentions of the corresponding primitives.
     """
     names: set[str] = set()
     for fname in case.files:
         text = (corpus_dir() / fname).read_text(encoding="utf-8-sig")
-        for tok in tokenize(text, fname):
+        for tok in tokenize(text, fname, {}):
             match tok.kind:
                 case "IDENT":
                     names.add(tok.text)
@@ -155,6 +150,7 @@ def case_mentions(case: CorpusCase) -> frozenset[str]:
     return frozenset(names)
 
 
-def uncovered_names(prelude: LoadedPrelude) -> frozenset[str]:
-    """Prelude entries no corpus case mentions. Empty in a healthy tree."""
-    return prelude_names(prelude).difference(*(case_mentions(c) for c in CASES))
+def uncovered_names(proc: Processor) -> frozenset[str]:
+    """Entries of ``proc``'s signature, the prelude's, that no corpus case
+    mentions. Empty in a healthy tree."""
+    return frozenset(proc.kernel.sig.entries).difference(*(case_mentions(c) for c in CASES))

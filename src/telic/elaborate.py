@@ -297,14 +297,14 @@ class Processor:
         self._run_parsed(parse_file(text, filename), reports, Path(base or Path.cwd()))
         return reports
 
-    def normalize_expression(self, text: str, filename: str = "<expr>") -> tuple[str, str]:
+    def normalize_expression(self, text: str) -> tuple[str, str]:
         """Elaborate a closed expression and return it normalized with its type.
 
         Both halves come back pretty-printed; the type is shown as inferred
         rather than normalized, so signature heads stay folded. An error
         without a position of its own gets the expression's.
         """
-        sexpr = parse_expr(text, filename)
+        sexpr = parse_expr(text)
         self.kernel.begin()
         try:
             t = self.elab.elab(sexpr, [])

@@ -1,13 +1,14 @@
 """Loading and auditing the built-in signature.
 
 The distributed signature lives in ``data/prelude.tel`` and is processed
-like any other source file. ``prelude_self_check`` re-verifies the loaded
-signature from the kernel side: every entry must still be well typed; every
-rewrite rule's telescope must consist of types, and the rule must fire on a
+like any other source file; the command line stops on any failing report
+of that load. ``prelude_self_check`` re-verifies a processor's signature
+from the kernel side: every entry must still be well typed; every rewrite
+rule's telescope must consist of types, and the rule must fire on a
 synthetic instance of its left-hand side and produce something convertible
 with its right-hand side. ``Kernel.declare_*`` store declarations without
 re-checking them, so this audit is the one check independent of the
-elaborating ``Processor``; it applies to any loaded signature.
+elaborating ``Processor``; it applies to any signature.
 """
 
 from __future__ import annotations
@@ -37,12 +38,9 @@ def prelude_path() -> Path:
     return Path(str(resources.files("telic").joinpath("data/prelude.tel")))
 
 
-# A processor with the prelude processed into it, and the load's reports.
-LoadedPrelude = tuple[Processor, list[Report]]
-
-
-def load_prelude(processor: Processor | None = None) -> LoadedPrelude:
-    """Process the prelude into ``processor`` (a fresh one by default)."""
+def load_prelude(processor: Processor | None = None) -> tuple[Processor, list[Report]]:
+    """Process the prelude into ``processor`` (a fresh one by default);
+    return the processor and the load's reports."""
     proc = processor if processor is not None else Processor()
     reports = proc.process_path(str(prelude_path()))
     return proc, reports
@@ -85,21 +83,15 @@ def _check_rule(proc: Processor, rule: RewriteRule, index: int) -> CheckResult:
         return CheckResult(label, False, f"[{err.code}] {err.message}")
 
 
-def prelude_self_check(prelude: LoadedPrelude) -> list[CheckResult]:
-    """Audit the prelude, one result per entry and per rewrite rule.
+def prelude_self_check(proc: Processor) -> list[CheckResult]:
+    """Audit the signature of ``proc``, one result per entry and per
+    rewrite rule.
 
-    ``prelude`` is a ``load_prelude()`` result. The audit runs on its
-    processor and leaves it as it was: each rule probe declares its scratch
-    constants inside a rollback. Always returns the full list; a broken
-    entry is reported in place rather than aborting the audit.
+    The audit leaves ``proc`` as it was: each rule probe declares its
+    scratch constants inside a rollback. Always returns the full list; a
+    broken entry is reported in place rather than aborting the audit.
     """
-    proc, reports = prelude
     results: list[CheckResult] = []
-    for r in reports:
-        if not r.ok:
-            results.append(CheckResult(f"load {r.name or r.kind}", False, r.message))
-    if results:
-        return results
     kernel = proc.kernel
     for name, entry in kernel.sig.entries.items():
         kernel.begin()

@@ -36,13 +36,12 @@ def test_acceptance_1_prelude_integrity():
     def checker():
         problems = []
         start = time.perf_counter()
-        prelude = load_prelude()
+        proc, reports = load_prelude()
         elapsed = time.perf_counter() - start
-        _, reports = prelude
         for r in reports:
             if not r.ok:
                 problems.append(f"prelude entry failed: {r.render()}")
-        audits = prelude_self_check(prelude)
+        audits = prelude_self_check(proc)
         for a in audits:
             if not a.ok:
                 problems.append(f"audit failed: {a.render()}")
@@ -57,9 +56,9 @@ def test_acceptance_2_corpus_fidelity():
     def checker():
         problems = []
         by_name = {}
-        prelude = load_prelude()
+        proc, _ = load_prelude()
         for case in CASES:
-            reports, mismatches = check_case(case, prelude)
+            reports, mismatches = check_case(case, proc)
             by_name[case.name] = reports
             problems.extend(f"{case.name}: {m}" for m in mismatches)
 
@@ -123,10 +122,10 @@ WITNESSES = (
 def test_acceptance_4_entailment_witnesses():
     def checker():
         problems = []
-        prelude = load_prelude()
+        proc, _ = load_prelude()
         for case_name, names in WITNESSES:
             case = next(c for c in CASES if c.name == case_name)
-            reports = run_case(case, prelude)
+            reports = run_case(case, proc)
             for name in names:
                 hits = [r for r in reports if r.kind == "entail" and r.name == name]
                 if not hits:

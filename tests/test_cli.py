@@ -239,29 +239,48 @@ def test_fuel_below_one_is_a_usage_error(command, fuel, message, capsys):
     assert f"--fuel: {message}" in capsys.readouterr().err
 
 
-BROKEN_PRELUDE = "primitive Nat : Type\npostulate bad : Missing\n"
+BROKEN_PRELUDE = b"primitive Nat : Type\npostulate bad : Missing\n"
+NOT_UTF8_PRELUDE = b"primitive Nat : Type\n\xff\n"
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["check", "one.tel"], ["check", "--format", "structured", "one.tel"], ["norm", "-e", "1"]],
-    ids=["check", "check-structured", "norm"],
+    "argv, text",
+    [
+        (["check", "one.tel"], BROKEN_PRELUDE),
+        (["check", "--format", "structured", "one.tel"], BROKEN_PRELUDE),
+        (["norm", "-e", "1"], BROKEN_PRELUDE),
+        (["selftest"], BROKEN_PRELUDE),
+        (["selftest", "--format", "structured"], BROKEN_PRELUDE),
+        (["selftest", "--regen-golden"], BROKEN_PRELUDE),
+        (["selftest"], NOT_UTF8_PRELUDE),
+    ],
+    ids=[
+        "check", "check-structured", "norm",
+        "selftest", "selftest-structured", "selftest-regen-golden", "selftest-not-utf8",
+    ],
 )
 def test_a_broken_prelude_is_reported_on_stderr_and_stops_the_command(
-    argv, tmp_path, monkeypatch, capsys
+    argv, text, tmp_path, monkeypatch, capsys
 ):
     broken = tmp_path / "prelude.tel"
-    broken.write_text(BROKEN_PRELUDE)
+    broken.write_bytes(text)
     monkeypatch.setenv("TELIC_PRELUDE", str(broken))
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(corpus, "golden_path", lambda case: tmp_path / f"{case.name}.json")
     (tmp_path / "one.tel").write_text("check 1 : Nat\n")
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
+    assert not list(tmp_path.glob("*.json"))
     if "structured" in argv:
         assert json.loads(err)["code"] == "UnboundVariable"
-    else:
+    elif text == BROKEN_PRELUDE:
         assert err == f"{broken}:2:17: error: postulate bad [UnboundVariable]: `Missing` is not in scope\n"
+    else:
+        assert err == (
+            f"{broken}:1:1: error: import {broken} [ParseError]: cannot read {broken}: "
+            f"'utf-8' codec can't decode byte 0xff in position 21: invalid start byte\n"
+        )
 
 
 NOT_UTF8 = b"postulate a : Nat\n\xff\n"

@@ -29,7 +29,7 @@ AUDIT_FAILURES = {"case19_rejections": [("rule loop #0", "FuelExhausted")]}
 
 @pytest.fixture(scope="module")
 def prelude():
-    return load_prelude()
+    return load_prelude()[0]
 
 
 def find(reports, **fields):
@@ -61,11 +61,10 @@ def test_case_matches_golden(prelude, case):
 def test_signature_after_case_passes_the_audit(prelude, case):
     # Each declaration is checked once, before it is stored; the audit
     # re-checks every entry and rule of the signature a case leaves behind.
-    proc = prelude[0]
-    with proc.rollback():
-        reports = proc.process_path(corpus_dir() / case.entry)
-        results = prelude_self_check((proc, reports))
-        sig = proc.kernel.sig
+    with prelude.rollback():
+        prelude.process_path(corpus_dir() / case.entry)
+        results = prelude_self_check(prelude)
+        sig = prelude.kernel.sig
         assert len(results) == len(sig.entries) + sum(map(len, sig.rules_by_head.values()))
     failed = [(c.label, c.detail[1 : c.detail.index("]")]) for c in results if not c.ok]
     assert failed == AUDIT_FAILURES.get(case.name, [])
@@ -74,11 +73,10 @@ def test_signature_after_case_passes_the_audit(prelude, case):
 def test_entailment_is_a_def_of_its_arrow(prelude):
     # `entail n : H => C = w` parses to `def n : H -> C = w` under its own
     # keyword, and stores what a `def` of that arrow stores.
-    proc = prelude[0]
     checked = 0
     for case in CASES:
-        with proc.rollback():
-            proc.process_path(corpus_dir() / case.entry)
+        with prelude.rollback():
+            prelude.process_path(corpus_dir() / case.entry)
             for file in case.files:
                 text = (corpus_dir() / file).read_text(encoding="utf-8")
                 for decl in parse_file(text, file):
@@ -89,9 +87,9 @@ def test_entailment_is_a_def_of_its_arrow(prelude):
                     assert isinstance(arrow, SPi), arrow
                     assert (arrow.binder, arrow.implicit) == (None, False)
                     as_def = DDef(decl.span, "def", f"{decl.name}_as_def", arrow, decl.body)
-                    report, _ = proc.run_declaration(as_def, [], corpus_dir())
+                    report, _ = prelude.run_declaration(as_def, [], corpus_dir())
                     assert report.ok, report.render()
-                    entries = proc.kernel.sig.entries
+                    entries = prelude.kernel.sig.entries
                     entail, defined = entries[decl.name], entries[as_def.name]
                     assert (defined.type, defined.body, defined.implicit_mask) == (
                         entail.type, entail.body, entail.implicit_mask
@@ -121,9 +119,25 @@ def test_coverage_counts_sugar_operators():
 
 
 def test_coverage_skips_a_leading_byte_order_mark(tmp_path, monkeypatch):
-    (tmp_path / "bom.tel").write_text("\ufeffpostulate a : b + c\n", encoding="utf-8")
+    # The lexical error is the case's to report, in its golden diff.
+    (tmp_path / "bom.tel").write_text("\ufeffpostulate a : b + c\ncheck $ : d\n", encoding="utf-8")
     monkeypatch.setattr(corpus, "corpus_dir", lambda: tmp_path)
-    assert case_mentions(CorpusCase("bom", "", ("bom.tel",))) == {"a", "b", "c", "plus"}
+    assert case_mentions(CorpusCase("bom", "", ("bom.tel",))) == {"a", "b", "c", "d", "plus"}
+
+
+@pytest.mark.parametrize(
+    "text, why",
+    [("not json\n", "Expecting value: line 1 column 1 (char 0)"), ("5\n", "not a JSON list")],
+    ids=["not-json", "not-a-list"],
+)
+def test_an_unreadable_golden_is_a_problem_of_its_case(prelude, text, why, tmp_path, monkeypatch):
+    (tmp_path / "x.tel").write_text("check Nat : Type\n", encoding="utf-8")
+    (tmp_path / "golden").mkdir()
+    (tmp_path / "golden" / "x.json").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(corpus, "corpus_dir", lambda: tmp_path)
+    reports, problems = check_case(CorpusCase("x", "", ("x.tel",)), prelude)
+    assert [r.ok for r in reports] == [True]
+    assert problems == [f"x: golden file unreadable: x.json: {why}"]
 
 
 def test_negative_claim_rejected_predication(prelude):

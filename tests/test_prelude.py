@@ -50,7 +50,7 @@ def test_entry_kind_counts():
 
 
 def test_self_check_audits_every_entry_and_rule():
-    results = prelude_self_check(load_prelude())
+    results = prelude_self_check(load_prelude()[0])
     assert len(results) == len(CATALOG) + sum(RULE_HEADS.values())
     bad = [c.render() for c in results if not c.ok]
     assert not bad, bad
@@ -58,9 +58,9 @@ def test_self_check_audits_every_entry_and_rule():
 
 def test_self_check_catches_an_ill_typed_stored_definition():
     # `declare_definition` stores what it is given; the audit re-checks it.
-    proc, reports = load_prelude()
+    proc, _ = load_prelude()
     proc.kernel.declare_definition("bad", Const("Nat"), Universe(0))
-    failed = [c.render() for c in prelude_self_check((proc, reports)) if not c.ok]
+    failed = [c.render() for c in prelude_self_check(proc) if not c.ok]
     assert len(failed) == 1
     assert failed[0].startswith("FAIL entry bad: [TypeMismatch]")
 
@@ -68,11 +68,11 @@ def test_self_check_catches_an_ill_typed_stored_definition():
 def test_self_check_catches_an_ill_formed_rule_telescope(bare_processor):
     # A rule over a telescope slot whose type is not a type still fires and
     # converts; only the audit's check of the telescope rejects it.
-    reports = bare_processor.process_text("primitive Nat : Type\npostulate f : Nat -> Nat\n")
+    bare_processor.process_text("primitive Nat : Type\npostulate f : Nat -> Nat\n")
     bare_processor.kernel.declare_rewrite(
         (("n", NatLit(5)),), Const("f", (Var(0),)), Var(0)
     )
-    failed = [c.render() for c in prelude_self_check((bare_processor, reports)) if not c.ok]
+    failed = [c.render() for c in prelude_self_check(bare_processor) if not c.ok]
     assert len(failed) == 1
     assert failed[0].startswith("FAIL rule f #0: [UniverseMismatch]")
 
@@ -88,7 +88,7 @@ def test_self_check_catches_a_rule_that_never_fires_and_one_that_is_shadowed(bar
     )
     reports = bare_processor.process_text(text)
     assert all(r.ok for r in reports)
-    failed = [c.render() for c in prelude_self_check((bare_processor, reports)) if not c.ok]
+    failed = [c.render() for c in prelude_self_check(bare_processor) if not c.ok]
     assert failed == [
         "FAIL rule f #0: rule does not fire on a fresh instance",
         "FAIL rule h #1: fired instance differs from right-hand side",
