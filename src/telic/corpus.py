@@ -11,6 +11,7 @@ exercise every prelude entry.
 from __future__ import annotations
 
 import json
+from difflib import SequenceMatcher
 from importlib import resources
 from pathlib import Path, PurePath
 from typing import NamedTuple
@@ -91,11 +92,18 @@ def portable(report: Report) -> dict[str, object]:
     return data
 
 
+SHOWN_CHARS = 300  # the longest drifted report check_case prints whole
+
+
 def check_case(case: CorpusCase, proc: Processor) -> tuple[list[Report], list[str]]:
     """Run a case (see ``run_case``) and diff it against its golden file.
 
     Returns the reports and a list of human-readable mismatch lines,
-    empty when the case matches its golden exactly.
+    empty when the case matches its golden exactly. The two report lists
+    are aligned as sorted-key JSON, and every report the run dropped or
+    changed is shown as a ``-`` line from the golden, every report it
+    added or changed as a ``+`` line from the run, each at its index in
+    its own list and cut to ``SHOWN_CHARS`` characters.
     """
     reports = run_case(case, proc)
     got = [portable(r) for r in reports]
@@ -108,14 +116,24 @@ def check_case(case: CorpusCase, proc: Processor) -> tuple[list[Report], list[st
             raise ValueError("not a JSON list")
     except ValueError as err:
         return reports, [f"{case.name}: golden file unreadable: {path.name}: {err}"]
+    if got == want:
+        return reports, []
     problems: list[str] = []
     if len(got) != len(want):
         problems.append(f"{case.name}: {len(got)} reports, golden has {len(want)}")
-    for i, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            problems.append(f"{case.name}[{i}]: got {json.dumps(g, sort_keys=True)}")
-            problems.append(f"{case.name}[{i}]: want {json.dumps(w, sort_keys=True)}")
+    want_json = [json.dumps(w, sort_keys=True) for w in want]
+    got_json = [json.dumps(g, sort_keys=True) for g in got]
+    matcher = SequenceMatcher(None, want_json, got_json, autojunk=False)
+    for op, i1, i2, j1, j2 in matcher.get_opcodes():
+        if op != "equal":
+            problems += [f"{case.name}[{i}]: - {_shown(want_json[i])}" for i in range(i1, i2)]
+            problems += [f"{case.name}[{j}]: + {_shown(got_json[j])}" for j in range(j1, j2)]
     return reports, problems
+
+
+def _shown(line: str) -> str:
+    """``line``, cut to ``SHOWN_CHARS`` characters with a closing ``...``."""
+    return line if len(line) <= SHOWN_CHARS else line[: SHOWN_CHARS - 3] + "..."
 
 
 def write_golden(case: CorpusCase, proc: Processor) -> Path:

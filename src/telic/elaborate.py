@@ -10,9 +10,11 @@ remembers which of its leading arguments were declared in braces, and those
 positions are filled with holes (or with braced arguments) at use sites.
 
 Declaration processing turns each declaration into a Report: the span it
-is about, what was declared, and an error code when it failed. A file's
-reports come in source order, a parse error's where it stands. Failed
-bindings (postulate, primitive, def, entail, import) stop the rest of the
+is about, what was declared, and an error code when it failed. A file is
+parsed lazily, one declaration at a time, and each declaration is checked
+as it arrives, so only the current one's tokens and nodes are held. A
+file's reports come in source order, a parse error's where it stands.
+Failed bindings (postulate, primitive, def, entail, import) stop the rest of the
 file's declarations, since everything after them is likely poisoned, but
 its parse errors are still reported; failed queries (check, norm, fail,
 rewrite) are reported and processing continues. A report takes its kind
@@ -61,7 +63,7 @@ from .surface import (
     SSigma,
     SUniverse,
     parse_expr,
-    parse_file,
+    parse_stream,
 )
 from .terms import (
     EMPTY_CONTEXT,
@@ -294,7 +296,7 @@ class Processor:
         self, text: str, filename: str = "<input>", base: str | Path | None = None
     ) -> list[Report]:
         reports: list[Report] = []
-        self._run_parsed(parse_file(text, filename), reports, Path(base or Path.cwd()))
+        self._run_parsed(parse_stream(text, filename), reports, Path(base or Path.cwd()))
         return reports
 
     def normalize_expression(self, text: str) -> tuple[str, str]:
@@ -333,15 +335,16 @@ class Processor:
         if str(resolved) in self._loaded:
             return True
         self._loaded.add(str(resolved))
-        return self._run_parsed(parse_file(text, str(path)), reports, resolved.parent)
+        return self._run_parsed(parse_stream(text, str(path)), reports, resolved.parent)
 
     def _run_parsed(
-        self, items: tuple[Declaration | ParseError, ...], reports: list[Report], base: Path
+        self, items: Iterator[Declaration | ParseError], reports: list[Report], base: Path
     ) -> bool:
-        """Report each item of a parsed file in source order: a parse error
-        where it stands, a declaration through ``run_declaration``. After a
-        failed binding the declarations are skipped, but the parse errors
-        are still reported. Returns False when anything failed."""
+        """Report each item of a file's parse stream as it arrives: a
+        parse error where it stands, a declaration through
+        ``run_declaration``. After a failed binding the declarations are
+        skipped, but the parse errors are still reported. Returns False
+        when anything failed."""
         ok, halted = True, False
         for item in items:
             if isinstance(item, ParseError):

@@ -28,12 +28,20 @@ declaration's place in the file's source-ordered result, and parsing
 resumes at the next declaration keyword, so one bad declaration does not
 hide the rest of the file. A lexical error (an illegal character, an
 unterminated string) is the parse error of the declaration it falls in.
+
+Both are lazy, one declaration at a time. The scanner yields its tokens in
+chunks that end before each top-level declaration keyword, and
+``parse_stream`` yields each declaration as soon as its chunk is parsed,
+holding only that chunk and the next. ``tokenize`` and ``parse_file``
+materialize the same stream in one list and one tuple.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Iterator
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import ERROR_CODES, IllegalCharacter, ParseError, Span
@@ -108,19 +116,23 @@ _LEXICAL_ERRORS = {
 }
 
 
-def tokenize(
-    text: str, filename: str = "<input>", errors: dict[int, ParseError] | None = None
-) -> list[Token]:
-    """The tokens of ``text``, ending in EOF, each at the line and column
-    where it starts.
+def _scan(
+    text: str, filename: str, errors: dict[int, ParseError] | None
+) -> Iterator[list[Token]]:
+    """The tokens of ``text``, lazily, in chunks; the last chunk ends in EOF.
+
+    A chunk ends before each declaration keyword, but not before one that
+    a ``fail CODE`` in front of it nests, so a chunk holds whole
+    declarations and only its first token may be a top-level keyword.
 
     A lexical error is raised, unless ``errors`` is given: then it is stored
-    there, keyed by the index of an ERROR token standing in for the
+    there, keyed by the stream index of an ERROR token standing in for the
     offending text, and lexing goes on after it.
     """
     tokens: list[Token] = []
     push = tokens.append
     new = tuple.__new__
+    done = 0  # the tokens of the chunks already yielded
     line = 1
     line_start = 0  # offset of the current line's first character
     end = 0  # where the EOF token goes: a trailing comment's `--` keeps it
@@ -139,7 +151,17 @@ def tokenize(
         word = m.group()
         col = m.start() - line_start + 1
         if kind == "WORD":
-            kind = word.upper() if word in _KEYWORDS else "IDENT"
+            if word not in _KEYWORDS:
+                kind = "IDENT"
+            else:
+                kind = word.upper()
+                if kind in _DECL_KINDS and tokens:
+                    nested = len(tokens) > 1 and tokens[-2].kind == "FAIL" and tokens[-1].kind == "IDENT"
+                    if not nested:
+                        yield tokens
+                        done += len(tokens)
+                        tokens = []
+                        push = tokens.append
         elif kind == "PUNCTUATION":
             kind = _PUNCTUATION[word]
         elif kind == "STRING":
@@ -148,11 +170,20 @@ def tokenize(
             err = _LEXICAL_ERRORS[kind](word).with_span(Span(filename, line, col))
             if errors is None:
                 raise err
-            errors[len(tokens)] = err
+            errors[done + len(tokens)] = err
             kind = "ERROR"
         push(new(Token, (kind, word, line, col)))
     push(new(Token, ("EOF", "", line, end - line_start + 1)))
-    return tokens
+    yield tokens
+
+
+def tokenize(
+    text: str, filename: str = "<input>", errors: dict[int, ParseError] | None = None
+) -> list[Token]:
+    """The tokens of ``text``, ending in EOF, each at the line and column
+    where it starts: the scanner's chunks in one list (see ``_scan`` for
+    ``errors``)."""
+    return list(chain.from_iterable(_scan(text, filename, errors)))
 
 
 # --- surface nodes -----------------------------------------------------------
@@ -219,13 +250,38 @@ DImport = _node(Declaration, "DImport", "span kind name")  # name: the path as w
 # --- parser ------------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over a buffer of tokens that ``refill`` extends
+    by one scanner chunk at a time.
+
+    ``declarations`` trims the buffer at each top-level declaration and,
+    while the parser is still shallow, reads chunks until the buffer holds
+    the declaration's own chunk and the first token of the next one. Since
+    a chunk holds whole declarations, parsing one reads no further: only
+    ``resume`` reads past it, at top level, after a parse error that
+    consumed the next keyword."""
+
     def __init__(
-        self, tokens: list[Token], filename: str, lex_errors: dict[int, ParseError] | None = None
+        self,
+        chunks: Iterator[list[Token]],
+        filename: str,
+        lex_errors: dict[int, ParseError] | None = None,
     ):
-        self.tokens = tokens
+        self.chunks = chunks
+        self.tokens: list[Token] = []
         self.pos = 0
+        self.base = 0  # the stream index of tokens[0]
+        self.last = 0  # where the last chunk read starts in tokens
         self.filename = filename
-        self.lex_errors = lex_errors or {}
+        self.lex_errors = {} if lex_errors is None else lex_errors
+
+    def refill(self) -> bool:
+        """Append the scanner's next chunk; False when there is none."""
+        chunk = next(self.chunks, None)
+        if chunk is None:
+            return False
+        self.last = len(self.tokens)
+        self.tokens += chunk
+        return True
 
     def span(self, t: Token) -> Span:
         return Span(self.filename, t.line, t.col)
@@ -260,37 +316,54 @@ class _Parser:
 
     # - declarations -
 
-    def parse_file(self) -> tuple[Declaration | ParseError, ...]:
-        items: list[Declaration | ParseError] = []
-        while not self.at("EOF"):
-            start = self.pos
+    def declarations(self) -> Iterator[Declaration | ParseError]:
+        """Each declaration in source order, or the parse error that took
+        its place, as the scanner reaches it."""
+        while True:
+            del self.tokens[: self.pos]
+            self.base += self.pos
+            self.last -= self.pos
+            self.pos = 0
+            while self.last <= 0 and self.refill():  # its chunk and the next one
+                pass
+            if self.at("EOF"):
+                return
             try:
                 item = self.declaration()
             except ParseError as e:
                 item = e
             except RecursionError:
                 item = ParseError(
-                    "declaration nests too deeply to parse", span=self.span(self.tokens[start])
+                    "declaration nests too deeply to parse", span=self.span(self.tokens[0])
                 )
             if self.lex_errors:
-                item = self.lexical_error(start) or item
+                item = self.lexical_error() or item
             if isinstance(item, ParseError):
-                self.recover()
-            items.append(item)
-        return tuple(items)
+                self.pos = self.resume()
+            yield item
 
-    def lexical_error(self, start: int) -> ParseError | None:
-        """The first lexical error from token ``start`` up to the next
-        declaration keyword. It spoils the declaration begun at ``start``,
-        whether or not the parser got as far as the bad token."""
-        end = self.pos
-        while self.tokens[end].kind not in _RESUME_KINDS:
-            end += 1
-        return next((self.lex_errors[k] for k in range(start, end) if k in self.lex_errors), None)
+    def lexical_error(self) -> ParseError | None:
+        """The first lexical error from the buffer's start, where this
+        declaration begins, up to the next declaration keyword. It spoils
+        the declaration, whether or not the parser got as far as the bad
+        token. The errors found are dropped from ``lex_errors``, which
+        then holds only errors after them."""
+        end = self.base + self.resume()
+        found = [self.lex_errors.pop(k) for k in [k for k in self.lex_errors if k < end]]
+        return found[0] if found else None
 
-    def recover(self) -> None:
-        while self.peek().kind not in _RESUME_KINDS:
-            self.next()
+    def resume(self) -> int:
+        """Where parsing resumes: the index of the first declaration
+        keyword or EOF at or after the current token, read into the buffer
+        if it is not there yet."""
+        k = self.pos
+        while True:
+            try:
+                while self.tokens[k].kind not in _RESUME_KINDS:
+                    k += 1
+                return k
+            except IndexError:
+                self.refill()
 
     def declaration(self) -> Declaration:
         t = self.peek()
@@ -473,17 +546,23 @@ class _Parser:
                 raise self.expected("an expression", t)
 
 
-def parse_file(text: str, filename: str = "<input>") -> tuple[Declaration | ParseError, ...]:
+def parse_stream(text: str, filename: str = "<input>") -> Iterator[Declaration | ParseError]:
     """The declarations of ``text`` in source order, each replaced by its
-    parse error where it has one."""
+    parse error where it has one, tokenized and parsed one at a time as
+    they are asked for."""
     lex_errors: dict[int, ParseError] = {}
-    tokens = tokenize(text, filename, lex_errors)
-    return _Parser(tokens, filename, lex_errors).parse_file()
+    return _Parser(_scan(text, filename, lex_errors), filename, lex_errors).declarations()
+
+
+def parse_file(text: str, filename: str = "<input>") -> tuple[Declaration | ParseError, ...]:
+    """``parse_stream`` in one tuple."""
+    return tuple(parse_stream(text, filename))
 
 
 def parse_expr(text: str, filename: str = "<expr>") -> SExpr:
     tokens = tokenize(text, filename)
-    parser = _Parser(tokens, filename)
+    parser = _Parser(iter((tokens,)), filename)
+    parser.refill()
     try:
         out = parser.expr()
     except RecursionError:

@@ -173,7 +173,7 @@ def test_selftest_reports_each_kind_of_drift(tmp_path, monkeypatch, capsys):
     goldens = {c.name: json.loads(corpus.golden_path(c).read_text()) for c in CASES}
     missing, short, different = (c.name for c in CASES[:3])
     del goldens[missing]
-    goldens[short].pop()
+    dropped = goldens[short].pop()
     goldens[different][0]["line"] += 1
     for name, data in goldens.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
@@ -190,9 +190,10 @@ def test_selftest_reports_each_kind_of_drift(tmp_path, monkeypatch, capsys):
         f"     {missing}: golden file missing: {missing}.json",
         f"FAIL {short}:",
         f"     {short}: {n_short + 1} reports, golden has {n_short}",
+        f"     {short}[{n_short}]: + {json.dumps(dropped, sort_keys=True)}",
         f"FAIL {different}:",
-        f"     {different}[0]: got {json.dumps(got, sort_keys=True)}",
-        f"     {different}[0]: want {json.dumps(want, sort_keys=True)}",
+        f"     {different}[0]: - {json.dumps(want, sort_keys=True)}",
+        f"     {different}[0]: + {json.dumps(got, sort_keys=True)}",
         "FAIL coverage: prelude entries never exercised: unmentioned",
     ):
         assert line in out

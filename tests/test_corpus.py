@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from telic import corpus
+from telic.cli import main
 from telic.corpus import (
     CASES,
     CorpusCase,
@@ -181,3 +183,62 @@ def test_import_case_reports_both_files(prelude):
     reports = run_case(case, prelude)
     files = {portable(r)["file"] for r in reports}
     assert files == {"case15_boundedness_dispatch.tel", "case15_pop_lexicon.tel"}
+
+
+CASE16 = next(c for c in CASES if c.name == "case16_adverbs")
+
+
+@pytest.fixture
+def corpus_copy(tmp_path, monkeypatch):
+    """A copy of the corpus, goldens included, that the corpus functions read."""
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus_dir(), copy)
+    monkeypatch.setattr(corpus, "corpus_dir", lambda: copy)
+    return copy
+
+
+def test_drift_shows_a_surplus_report(corpus_copy, capsys):
+    # The report that makes the count differ is shown, plain and structured.
+    with (corpus_copy / CASE16.entry).open("a", encoding="utf-8") as f:
+        f.write("check $ : Nat\n")
+    n = len(json.loads(golden_path(CASE16).read_text()))
+    assert main(["selftest"]) == 1
+    plain = capsys.readouterr().out
+    assert main(["selftest", "--format", "structured"]) == 1
+    structured = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    (data,) = [d for d in structured if d.get("case") == CASE16.name]
+    count, surplus = data["problems"]
+    assert count == f"{CASE16.name}: {n + 1} reports, golden has {n}"
+    assert surplus.startswith(f"{CASE16.name}[{n}]: + {{")
+    assert '"code": "IllegalCharacter"' in surplus
+    for line in data["problems"]:
+        assert f"     {line}\n" in plain
+    assert [d["case"] for d in structured if d.get("problems")] == [CASE16.name]
+
+
+def test_drift_shows_a_dropped_report(corpus_copy, prelude):
+    # Only the dropped report is shown, not every report after it.
+    path = golden_path(CASE16)
+    want = json.loads(path.read_text())
+    dropped = dict(want[3], name="gone")
+    path.write_text(json.dumps(want[:4] + [dropped] + want[4:]))
+    _, problems = check_case(CASE16, prelude)
+    assert problems == [
+        f"{CASE16.name}: {len(want)} reports, golden has {len(want) + 1}",
+        f"{CASE16.name}[4]: - {json.dumps(dropped, sort_keys=True)}",
+    ]
+
+
+def test_drift_shows_a_changed_message_cut_short(corpus_copy, prelude):
+    case = next(c for c in CASES if c.name == "case02_subtyping")
+    path = golden_path(case)
+    want = json.loads(path.read_text())
+    k = next(i for i, w in enumerate(want) if "message" in w)
+    changed = dict(want[k], message="x" * 1000)
+    path.write_text(json.dumps(want[:k] + [changed] + want[k + 1 :]))
+    _, problems = check_case(case, prelude)
+    cut = json.dumps(changed, sort_keys=True)[: corpus.SHOWN_CHARS - 3] + "..."
+    assert problems == [
+        f"{case.name}[{k}]: - {cut}",
+        f"{case.name}[{k}]: + {json.dumps(want[k], sort_keys=True)}",
+    ]

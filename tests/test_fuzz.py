@@ -11,7 +11,8 @@ declaration up to and including the first failed binding declaration
 the empty base directory, so a top-level import adds the report of the
 failed read in front of its own; under `fail` that report is dropped with
 the rest of the inner declaration's. The reports' spans never go back in
-the file.
+the file. The parse, which reads the scanner's chunks one declaration at a
+time, equals the parse of the whole token list at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from telic.elaborate import Processor, Report
 from telic.errors import ParseError
 from telic.kernel import Kernel
 from telic.prelude import load_prelude
-from telic.surface import _KEYWORDS, _PUNCTUATION, parse_file, tokenize
+from telic.surface import _KEYWORDS, _PUNCTUATION, _Parser, parse_file, tokenize
 
 # A fuel budget well below the default keeps the non-terminating `loop`
 # declarations of the corpus (and whatever mutations make of them) cheap.
@@ -79,8 +80,24 @@ def prelude_processor() -> Processor:
     return proc
 
 
+def parsed(items) -> list[tuple]:
+    """Parse results with their spans: a declaration's nested spans show
+    in its repr, and a parse error compares by code, message and span."""
+    return [
+        (item.code, item.message, item.span) if isinstance(item, ParseError) else (repr(item),)
+        for item in items
+    ]
+
+
+def parse_whole(text: str, name: str) -> tuple:
+    """``text`` parsed from one chunk of all its tokens."""
+    errors: dict[int, ParseError] = {}
+    return tuple(_Parser(iter([tokenize(text, name, errors)]), name, errors).declarations())
+
+
 def check_reports(proc: Processor, text: str, name: str, base) -> None:
     items = parse_file(text, name)
+    assert parsed(items) == parsed(parse_whole(text, name)), f"{name}: streaming changed the parse"
     with proc.rollback():
         reports = proc.process_text(text, name, base)
     assert all(type(r) is Report for r in reports)
