@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from difflib import SequenceMatcher
-from importlib import resources
 from pathlib import Path, PurePath
 from typing import NamedTuple
 
@@ -70,7 +69,7 @@ CASES: tuple[CorpusCase, ...] = (
 
 
 def corpus_dir() -> Path:
-    return Path(str(resources.files("telic").joinpath("data/corpus")))
+    return Path(__file__).parent / "data" / "corpus"
 
 
 def golden_path(case: CorpusCase) -> Path:

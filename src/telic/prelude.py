@@ -14,7 +14,6 @@ elaborating ``Processor``; it applies to any signature.
 from __future__ import annotations
 
 import os
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,7 +34,7 @@ def prelude_path() -> Path:
     override = os.environ.get(ENV_PRELUDE)
     if override:
         return Path(override)
-    return Path(str(resources.files("telic").joinpath("data/prelude.tel")))
+    return Path(__file__).parent / "data" / "prelude.tel"
 
 
 def load_prelude(processor: Processor | None = None) -> tuple[Processor, list[Report]]:

@@ -1,11 +1,11 @@
 """Core term language: de Bruijn terms and the basic syntactic operations.
 
 Terms are immutable. Binders (Pi, Lambda, Sigma) bind exactly one variable in
-their last field and carry an optional name hint that is ignored by equality,
-so ``==`` on terms is alpha-equivalence. Constants are kept in head-spine form:
-``Const(name, args)`` rather than nested App nodes, which makes rewrite
-matching a first-order walk over ``(name, args)``. App nodes only ever have a
-non-constant head once a term has been through whnf.
+their last term field and carry an optional name hint that is ignored by
+equality, so ``==`` on terms is alpha-equivalence. Constants are kept in
+head-spine form: ``Const(name, args)`` rather than nested App nodes, which
+makes rewrite matching a first-order walk over ``(name, args)``. App nodes
+only ever have a non-constant head once a term has been through whnf.
 
 ``map_term`` (rebuild) and ``subterms`` (walk) are the only structural
 recursions over Term. Shifting, substitution, scope and occurrence checks,
@@ -18,123 +18,104 @@ every node it leaves unchanged, and a callback result of ``None`` means
 the variables it changes. ``compile_subst`` turns a rewrite rule's
 right-hand side into closures that build its instances.
 
-Each term class is a frozen, slotted dataclass, so ``==``, ``hash``,
-``repr``, ``match`` patterns and the refusal to assign are the generated
-ones, except ``NatLit``'s ``repr``, which writes a literal of any length.
-Only ``__init__`` is replaced (``_slot_init``): it has the generated
-signature and defaults but stores each field through its slot descriptor,
-which is cheaper than the frozen class's ``object.__setattr__``.
+The twelve term classes are frozen slotted classes that ``_term_classes``
+builds from their constructor signatures, compiling one source string for
+all of them. Each gets the methods that run at every reduction step:
+``__init__``, which stores each field through its slot descriptor,
+``__eq__``, which compares the tuples of the fields other than ``hint``
+of two terms of the same class, and ``__hash__``, which hashes that tuple.
+``Term`` holds the rest, written once: ``repr`` (``NatLit`` has its own,
+which writes a literal of any length), the refusal to assign or delete a
+field, and ``__reduce__`` for copying and pickling. ``__match_args__``
+lists the fields in order, so ``match`` class patterns work.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import MISSING, dataclass, field, fields
 from operator import is_, itemgetter
+from typing import NamedTuple
 
 
-def _slot_init(cls):
-    """Replace the ``__init__`` of a frozen slotted dataclass by one with the
-    same signature and defaults that stores each field through its slot
-    descriptor. Terms are built at every reduction step, and this store is
-    cheaper than ``object.__setattr__``."""
-    namespace, params, body = {}, [], []
-    for f in fields(cls):
-        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            namespace[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"\n    _set_{f.name}(self, {f.name})")
-    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    cls.__init__ = init
-    return cls
-
-
-@dataclass(frozen=True, slots=True)
 class Term:
-    pass
+    """The base of the term classes, with the methods they share."""
 
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Var(Term):
-    index: int
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Const(Term):
-    name: str
-    args: tuple[Term, ...] = ()
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Universe(Term):
-    level: int  # 0 or 1; Universe(0) : Universe(1), no cumulativity
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Pi(Term):
-    domain: Term
-    codomain: Term  # binds one variable
-    hint: str | None = field(default=None, compare=False)
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Lambda(Term):
-    body: Term  # binds one variable; domain comes from the checking type
-    hint: str | None = field(default=None, compare=False)
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class App(Term):
-    fn: Term
-    arg: Term
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Sigma(Term):
-    first: Term
-    second: Term  # binds one variable
-    hint: str | None = field(default=None, compare=False)
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Pair(Term):
-    first: Term
-    second: Term
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Fst(Term):
-    pair: Term
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Snd(Term):
-    pair: Term
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class NatLit(Term):
-    value: int
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
 
     def __repr__(self) -> str:
-        return f"NatLit(value={nat_digits(self.value)})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # a frozen __setattr__ blocks the default restore of slots
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _term_classes(*signatures: str) -> list[type[Term]]:
+    """One subclass of ``Term`` per constructor signature, such as
+    ``"Pi(domain, codomain, hint=None)"``, in the order given."""
+    namespace: dict = {"Term": Term, "__name__": __name__}
+    source, names = [], []
+    for signature in signatures:
+        name, _, params = signature[:-1].partition("(")
+        fields = [param.partition("=")[0].strip() for param in params.split(",")]
+        mine = "".join(f"self.{f}, " for f in fields if f != "hint")
+        theirs = "".join(f"other.{f}, " for f in fields if f != "hint")
+        stores = "".join(f"\n        _set_{name}_{f}(self, {f})" for f in fields)
+        source.append(
+            f"class {name}(Term):\n"
+            f"    __slots__ = __match_args__ = {tuple(fields)!r}\n"
+            f"    def __init__(self, {params}):{stores}\n"
+            f"    def __eq__(self, other):\n"
+            f"        if other.__class__ is self.__class__:\n"
+            f"            return ({mine}) == ({theirs})\n"
+            f"        return NotImplemented\n"
+            f"    def __hash__(self):\n"
+            f"        return hash(({mine}))\n"
+        )
+        names.append(name)
+    exec("".join(source), namespace)
+    classes = [namespace[name] for name in names]
+    for cls in classes:
+        for f in cls.__slots__:
+            namespace[f"_set_{cls.__name__}_{f}"] = cls.__dict__[f].__set__
+    return classes
+
+
+# Binders bind one variable in their last term field: Pi's codomain,
+# Lambda's body (whose domain comes from the checking type) and Sigma's
+# second. Universe levels are 0 and 1: Universe(0) : Universe(1), with no
+# cumulativity. A Meta is a metavariable occurrence: its spine lists the
+# ambient variables the hole may mention, outermost first, and a stored
+# solution is a term over that telescope.
+Var, Const, Universe, Pi, Lambda, App, Sigma, Pair, Fst, Snd, NatLit, Meta = _term_classes(
+    "Var(index)",
+    "Const(name, args=())",
+    "Universe(level)",
+    "Pi(domain, codomain, hint=None)",
+    "Lambda(body, hint=None)",
+    "App(fn, arg)",
+    "Sigma(first, second, hint=None)",
+    "Pair(first, second)",
+    "Fst(pair)",
+    "Snd(pair)",
+    "NatLit(value)",
+    "Meta(id, spine=())",
+)
+
+
+def _nat_lit_repr(self: NatLit) -> str:
+    return f"NatLit(value={nat_digits(self.value)})"
+
+
+NatLit.__repr__ = _nat_lit_repr
 
 
 # CPython refuses to convert an int of more than 4,300 decimal digits to or
@@ -211,23 +192,9 @@ def _decimal_of(value: int, bits: int, dec, powers: dict):
     return _decimal_of(high, bits - k, dec, powers) * scale + _decimal_of(low, k, dec, powers)
 
 
-@_slot_init
-@dataclass(frozen=True, slots=True)
-class Meta(Term):
-    """Metavariable occurrence.
-
-    The spine lists the ambient variables the hole may mention, outermost
-    first; a stored solution is a term over that telescope.
-    """
-
-    id: int
-    spine: tuple[Term, ...] = ()
-
-
 # --- contexts ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ContextEntry:
+class ContextEntry(NamedTuple):
     hint: str
     type: Term
 

@@ -1,16 +1,16 @@
 """The constructor contract of the twelve term classes.
 
-Each class is a frozen, slotted dataclass whose ``__init__`` stores its
-fields through their slot descriptors. These tests pin what callers rely
-on: the field order and defaults of the dataclass, argument errors,
-immutability, hint-insensitive equality and hashing, copying and pickling,
-and ``match`` class patterns.
+Each class is a frozen slotted class that ``terms._term_classes`` builds
+from its constructor signature. These tests pin what callers rely on: the
+field order and defaults, argument errors, immutability, hint-insensitive
+equality and hashing, copying and pickling, and ``match`` class patterns.
+The ``dataclasses`` API does not apply to terms: fields are read by name or
+through ``__match_args__``, and a term with a field replaced is built anew.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import inspect
 import pickle
 
@@ -62,6 +62,11 @@ def required(cls):
     return [value for _, value, default in CONTRACT[cls] if default is _MISSING]
 
 
+def replace(t, **changes):
+    """``t`` with the fields named in ``changes`` replaced."""
+    return type(t)(**{name: changes.get(name, getattr(t, name)) for name in t.__match_args__})
+
+
 def different(value):
     """A value of the same kind that is not equal to ``value``."""
     if isinstance(value, (int, str)):
@@ -79,8 +84,9 @@ def test_every_term_class_is_covered():
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_signature_follows_the_dataclass_fields(cls):
     names = [name for name, _, _ in CONTRACT[cls]]
-    assert [f.name for f in dataclasses.fields(cls)] == names
     assert cls.__match_args__ == tuple(names)
+    assert cls.__slots__ == tuple(names)
+    assert not hasattr(cls(*example(cls)), "__dict__")
     params = list(inspect.signature(cls).parameters.values())
     assert [p.name for p in params] == names
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
@@ -95,7 +101,8 @@ def test_positional_keyword_and_default_construction(cls):
     keyword = cls(**{name: value for name, value, _ in spec})
     for t in (positional, keyword):
         assert [getattr(t, name) for name, _, _ in spec] == example(cls)
-    assert repr(positional) == repr(keyword)
+    fields = ", ".join(f"{name}={value!r}" for name, value, _ in spec)
+    assert repr(positional) == repr(keyword) == f"{cls.__name__}({fields})"
     defaulted = cls(*required(cls))
     for name, value, default in spec:
         assert getattr(defaulted, name) == (value if default is _MISSING else default)
@@ -118,10 +125,10 @@ def test_argument_errors(cls):
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_fields_cannot_be_assigned(cls):
     t = cls(*example(cls))
-    for name, value, _ in CONTRACT[cls]:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(t, name, value)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    for name in [*cls.__match_args__, "bogus"]:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(t, name, A)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(t, name)
     assert [getattr(t, name) for name, _, _ in CONTRACT[cls]] == example(cls)
 
@@ -145,14 +152,14 @@ def test_equality_and_hash_ignore_hints(cls):
 def test_replace_copy_and_pickle_round_trip(cls):
     t = cls(*example(cls))
     for twin in (
-        dataclasses.replace(t),
+        replace(t),
         copy.copy(t),
         copy.deepcopy(t),
         pickle.loads(pickle.dumps(t)),
     ):
         assert type(twin) is cls and twin == t and repr(twin) == repr(t)
     for name, value, _ in CONTRACT[cls]:
-        changed = dataclasses.replace(t, **{name: different(value)})
+        changed = replace(t, **{name: different(value)})
         assert getattr(changed, name) == different(value)
         assert getattr(t, name) == value
 

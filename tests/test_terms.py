@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -113,11 +112,6 @@ def test_free_meta_ids():
 def test_context_entry_fields():
     e = ContextEntry("x", Universe(0))
     assert e.hint == "x" and e.type == Universe(0)
-
-
-def test_dataclass_replace_keeps_equality_semantics():
-    p = Pair(NatLit(1), NatLit(2))
-    assert dataclasses.replace(p, first=NatLit(1)) == p
 
 
 # --- randomized laws ----------------------------------------------------------
