@@ -6,10 +6,11 @@ single closed expression. ``telic selftest`` audits the prelude and
 replays the bundled corpus against its golden expectations.
 
 Exit status is 0 when everything succeeded, 1 when any report failed or
-a golden diverged, and 2 for usage errors. Set the ``TELIC_PRELUDE``
-environment variable to load a different prelude file. A prelude that
-fails to load stops every command before it starts: its failing reports
-go to stderr and the exit status is 1.
+a golden diverged or could not be read or written, and 2 for usage
+errors. Set the ``TELIC_PRELUDE`` environment variable to load a
+different prelude file. A prelude that fails to load stops every command
+before it starts: its failing reports go to stderr and the exit status
+is 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 
-from .corpus import CASES, check_case, uncovered_names, write_golden
+from .corpus import CASES, check_case, golden_path, uncovered_names, write_golden
 from .elaborate import Processor, Report, render_reports
 from .errors import TelicError
 from .kernel import DEFAULT_FUEL
@@ -91,10 +92,17 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     if proc is None:
         return 1
     if args.regen_golden:
+        status = 0
         for case in CASES:
-            path = write_golden(case, proc)
-            print(f"wrote {path.name}")
-        return 0
+            try:
+                path = write_golden(case, proc)
+            except OSError as err:
+                why = err.strerror or err
+                print(f"{case.name}: golden file unwritable: {golden_path(case).name}: {why}", file=sys.stderr)
+                status = 1
+            else:
+                print(f"wrote {path.name}")
+        return status
 
     def emit(data: dict[str, object], *lines: str) -> None:
         """One JSON object for ``--format structured``, else the plain lines."""

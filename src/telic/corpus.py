@@ -3,9 +3,9 @@
 Each case is a lexicon file processed on top of the standard prelude.
 The resulting report stream is compared against a golden JSON file, so
 any drift in checking, normalization, error wording, or report order
-shows up as a diff. Coverage scanning cross-references the identifiers
-each case mentions against the prelude signature; together the cases
-exercise every prelude entry.
+shows up as a diff. Coverage is the prelude entries that the cases'
+names resolved to while they ran; together the cases use every prelude
+entry.
 """
 
 from __future__ import annotations
@@ -16,29 +16,19 @@ from pathlib import Path, PurePath
 from typing import NamedTuple
 
 from .elaborate import Processor, Report
-from .surface import tokenize
 
 
 class CorpusCase(NamedTuple):
-    """One corpus entry.
-
-    ``files`` lists the case's source files relative to the corpus
-    directory. Only ``files[0]`` is processed directly; any others are
-    pulled in by ``import`` declarations and listed here so coverage
-    scanning sees them.
-    """
+    """One corpus entry: ``entry`` is the file processed, relative to the
+    corpus directory. Files it imports are not listed."""
 
     name: str
     title: str
-    files: tuple[str, ...]
-
-    @property
-    def entry(self) -> str:
-        return self.files[0]
+    entry: str
 
 
-def _case(title: str, *files: str) -> CorpusCase:
-    return CorpusCase(PurePath(files[0]).stem, title, files)
+def _case(title: str, entry: str) -> CorpusCase:
+    return CorpusCase(PurePath(entry).stem, title, entry)
 
 
 CASES: tuple[CorpusCase, ...] = (
@@ -56,11 +46,7 @@ CASES: tuple[CorpusCase, ...] = (
     _case("restriction equivalences between event packagings", "case12_event_restriction_equiv.tel"),
     _case("telic and atelic event types", "case13_telicity.tel"),
     _case("culminating events and result states", "case14_culmination.tel"),
-    _case(
-        "dispatching a lexical entry on undergoer boundedness",
-        "case15_boundedness_dispatch.tel",
-        "case15_pop_lexicon.tel",
-    ),
+    _case("dispatching a lexical entry on undergoer boundedness", "case15_boundedness_dispatch.tel"),
     _case("adverbs restrict event types", "case16_adverbs.tel"),
     _case("undergoer entailments for amount arguments", "case17_undergoer_entailments.tel"),
     _case("lexical entries that guarantee culmination", "case18_perfective.tel"),
@@ -107,14 +93,15 @@ def check_case(case: CorpusCase, proc: Processor) -> tuple[list[Report], list[st
     reports = run_case(case, proc)
     got = [portable(r) for r in reports]
     path = golden_path(case)
-    if not path.exists():
-        return reports, [f"{case.name}: golden file missing: {path.name}"]
     try:
         want = json.loads(path.read_text())
         if not isinstance(want, list):
             raise ValueError("not a JSON list")
-    except ValueError as err:
-        return reports, [f"{case.name}: golden file unreadable: {path.name}: {err}"]
+    except FileNotFoundError:
+        return reports, [f"{case.name}: golden file missing: {path.name}"]
+    except (OSError, ValueError) as err:
+        why = getattr(err, "strerror", None) or err  # an OSError's, without its path
+        return reports, [f"{case.name}: golden file unreadable: {path.name}: {why}"]
     if got == want:
         return reports, []
     problems: list[str] = []
@@ -136,6 +123,8 @@ def _shown(line: str) -> str:
 
 
 def write_golden(case: CorpusCase, proc: Processor) -> Path:
+    """Run a case and write its reports as its golden file; an ``OSError``
+    from the writing propagates."""
     reports = run_case(case, proc)
     path = golden_path(case)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -144,30 +133,8 @@ def write_golden(case: CorpusCase, proc: Processor) -> Path:
     return path
 
 
-def case_mentions(case: CorpusCase) -> frozenset[str]:
-    """Identifiers a case's sources mention, as candidate signature names.
-
-    The source text is tokenized rather than parsed so that names inside
-    deliberately failing declarations still count; a lexical error is left
-    for the case's golden diff to report. Sum and merge syntax
-    desugar to applications of ``plus`` and ``oplus``, so those tokens
-    count as mentions of the corresponding primitives.
-    """
-    names: set[str] = set()
-    for fname in case.files:
-        text = (corpus_dir() / fname).read_text(encoding="utf-8-sig")
-        for tok in tokenize(text, fname, {}):
-            match tok.kind:
-                case "IDENT":
-                    names.add(tok.text)
-                case "PLUS":
-                    names.add("plus")
-                case "OPLUS":
-                    names.add("oplus")
-    return frozenset(names)
-
-
 def uncovered_names(proc: Processor) -> frozenset[str]:
-    """Entries of ``proc``'s signature, the prelude's, that no corpus case
-    mentions. Empty in a healthy tree."""
-    return frozenset(proc.kernel.sig.entries).difference(*(case_mentions(c) for c in CASES))
+    """Entries of ``proc``'s signature, the prelude's, that no name
+    resolved to since the prelude loaded. Meaningful once every case has
+    run on ``proc``, and then empty in a healthy tree."""
+    return frozenset(proc.kernel.sig.entries).difference(proc.elab.used)

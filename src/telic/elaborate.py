@@ -141,10 +141,15 @@ class Report(NamedTuple):
 # --- elaboration of expressions ------------------------------------------------
 
 class Elaborator:
-    """Surface expression to kernel term, inserting implicit-argument holes."""
+    """Surface expression to kernel term, inserting implicit-argument holes.
+
+    ``used`` collects the name of every signature constant a surface name
+    has resolved to; ``telic selftest`` reads it as the corpus's coverage.
+    """
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
+        self.used: set[str] = set()
 
     def elab(self, e: SExpr, env: list[str | None]) -> Term:
         match e:
@@ -198,6 +203,7 @@ class Elaborator:
                 entry = self.kernel.sig.entries.get(n)
                 if entry is None:
                     raise UnboundVariable(f"`{n}` is not in scope", span=sp)
+                self.used.add(n)
                 return self._const_application(n, entry.implicit_mask, args, env, sp)
             case _:
                 return self._apply_rest(self.elab(head, env), args, env)

@@ -39,9 +39,11 @@ def prelude_path() -> Path:
 
 def load_prelude(processor: Processor | None = None) -> tuple[Processor, list[Report]]:
     """Process the prelude into ``processor`` (a fresh one by default);
-    return the processor and the load's reports."""
+    return the processor and the load's reports. The prelude's own name
+    lookups are then forgotten, so ``proc.elab.used`` starts empty."""
     proc = processor if processor is not None else Processor()
     reports = proc.process_path(str(prelude_path()))
+    proc.elab.used.clear()
     return proc, reports
 
 

@@ -165,7 +165,7 @@ def test_selftest_structured_is_json_lines(capsys):
 
 
 def test_selftest_reports_each_kind_of_drift(tmp_path, monkeypatch, capsys):
-    # A prelude entry no case mentions, and goldens that are missing, one
+    # A prelude entry no case uses, and goldens that are missing, one
     # report short, and different in one report.
     extended = tmp_path / "prelude.tel"
     extended.write_text(prelude_path().read_text(encoding="utf-8") + "postulate unmentioned : Type\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import PurePath
 
 import pytest
 
@@ -12,7 +13,6 @@ from telic.cli import main
 from telic.corpus import (
     CASES,
     CorpusCase,
-    case_mentions,
     check_case,
     corpus_dir,
     golden_path,
@@ -42,14 +42,22 @@ def find(reports, **fields):
     return out
 
 
-def test_case_table_is_well_formed():
+def report_files(reports):
+    """The files ``reports`` are about, by basename, each once."""
+    return list(dict.fromkeys(PurePath(r.span.file).name for r in reports))
+
+
+def test_case_table_is_well_formed(prelude):
+    # Every corpus file is a case's entry or a file a case imports.
     names = [c.name for c in CASES]
     assert len(names) == len(set(names)) == 19
+    seen = set()
     for case in CASES:
-        assert case.entry == case.files[0]
-        for fname in case.files:
-            assert (corpus_dir() / fname).exists(), fname
+        files = report_files(run_case(case, prelude))
+        assert case.entry in files
+        seen.update(files)
         assert golden_path(case).exists(), case.name
+    assert seen == {p.name for p in corpus_dir().glob("*.tel")}
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -78,8 +86,7 @@ def test_entailment_is_a_def_of_its_arrow(prelude):
     checked = 0
     for case in CASES:
         with prelude.rollback():
-            prelude.process_path(corpus_dir() / case.entry)
-            for file in case.files:
+            for file in report_files(prelude.process_path(corpus_dir() / case.entry)):
                 text = (corpus_dir() / file).read_text(encoding="utf-8")
                 for decl in parse_file(text, file):
                     if getattr(decl, "kind", None) != "entail":
@@ -110,21 +117,48 @@ def test_goldens_are_portable():
             assert entry["status"] == "ok"
 
 
-def test_every_prelude_entry_is_exercised(prelude):
-    assert uncovered_names(prelude) == frozenset()
+# Coverage tests load a prelude of their own: names that other tests
+# resolved on a shared processor would count as covered.
+
+def test_every_prelude_entry_is_exercised():
+    proc = load_prelude()[0]
+    # The prelude's own name lookups do not count.
+    assert uncovered_names(proc) == frozenset(proc.kernel.sig.entries)
+    for case in CASES:
+        run_case(case, proc)
+    assert uncovered_names(proc) == frozenset()
+
+
+def test_coverage_counts_resolved_names_not_spelled_ones(tmp_path, monkeypatch):
+    # `Nat` is only a local binder here; the `plus` that `+` elaborates to
+    # counts although its declaration is rolled back.
+    (tmp_path / "x.tel").write_text(
+        "postulate f : (Nat : Type) -> Nat\nfail TypeMismatch check 1 + 2 : Type\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(corpus, "corpus_dir", lambda: tmp_path)
+    monkeypatch.setattr(corpus, "CASES", (CorpusCase("x", "", "x.tel"),))
+    proc = load_prelude()[0]
+    for case in corpus.CASES:
+        assert [r.ok for r in run_case(case, proc)] == [True, True]
+    uncovered = uncovered_names(proc)
+    assert "Nat" in uncovered
+    assert "plus" not in uncovered
 
 
 def test_coverage_counts_sugar_operators():
-    by_name = {c.name: c for c in CASES}
-    merge_case = by_name["case04_merge_units"]
-    assert {"plus", "oplus"} <= case_mentions(merge_case)
-
-
-def test_coverage_skips_a_leading_byte_order_mark(tmp_path, monkeypatch):
-    # The lexical error is the case's to report, in its golden diff.
-    (tmp_path / "bom.tel").write_text("\ufeffpostulate a : b + c\ncheck $ : d\n", encoding="utf-8")
-    monkeypatch.setattr(corpus, "corpus_dir", lambda: tmp_path)
-    assert case_mentions(CorpusCase("bom", "", ("bom.tel",))) == {"a", "b", "c", "d", "plus"}
+    # `+` elaborates to `plus`; `\u2295` and `(+)` elaborate to `oplus`.
+    setup = "postulate h : NP U\npostulate a : El_NP (AmountOf h quantity nu 1)\n"
+    merged = "El_NP (AmountOf h quantity nu 2)"
+    for text, name in [
+        ("check 1 + 2 : Nat", "plus"),
+        (f"check a \u2295 a : {merged}", "oplus"),
+        (f"check a (+) a : {merged}", "oplus"),
+    ]:
+        proc = load_prelude()[0]
+        reports = proc.process_text(setup + text + "\n")
+        assert all(r.ok for r in reports), [r.render() for r in reports]
+        assert proc.elab.used & {"plus", "oplus"} == {name}, text
 
 
 @pytest.mark.parametrize(
@@ -137,7 +171,7 @@ def test_an_unreadable_golden_is_a_problem_of_its_case(prelude, text, why, tmp_p
     (tmp_path / "golden").mkdir()
     (tmp_path / "golden" / "x.json").write_text(text, encoding="utf-8")
     monkeypatch.setattr(corpus, "corpus_dir", lambda: tmp_path)
-    reports, problems = check_case(CorpusCase("x", "", ("x.tel",)), prelude)
+    reports, problems = check_case(CorpusCase("x", "", "x.tel"), prelude)
     assert [r.ok for r in reports] == [True]
     assert problems == [f"x: golden file unreadable: x.json: {why}"]
 
@@ -242,3 +276,29 @@ def test_drift_shows_a_changed_message_cut_short(corpus_copy, prelude):
         f"{case.name}[{k}]: - {cut}",
         f"{case.name}[{k}]: + {json.dumps(want[k], sort_keys=True)}",
     ]
+
+
+def test_a_golden_that_cannot_be_read_fails_its_case(corpus_copy, capsys):
+    path = golden_path(CASE16)
+    path.unlink()
+    path.mkdir()
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {CASE16.name}: " in out
+    assert f"     {CASE16.name}: golden file unreadable: {path.name}: Is a directory\n" in out
+    assert out.count("FAIL") == 1
+
+
+def test_a_golden_that_cannot_be_written_does_not_stop_the_others(corpus_copy, capsys):
+    before = {c.name: golden_path(c).read_bytes() for c in CASES}
+    for case in CASES:
+        golden_path(case).unlink()
+    golden_path(CASE16).mkdir()
+    assert main(["selftest", "--regen-golden"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"{CASE16.name}: golden file unwritable: {CASE16.name}.json: Is a directory\n"
+    others = [c for c in CASES if c != CASE16]
+    assert out.splitlines() == [f"wrote {c.name}.json" for c in others]
+    assert {c.name: golden_path(c).read_bytes() for c in others} == {
+        c.name: before[c.name] for c in others
+    }
