@@ -25,7 +25,10 @@ it, so the rule could never fire), any other node that is no pattern, and a
 telescope slot that never occurs. The right-hand side becomes a builder
 that makes each instance from that environment (``terms.compile_subst``)
 instead of substituting into it; subterms that mention no pattern variable
-are shared, not rebuilt.
+are shared, not rebuilt. Both compilers recurse through module-level
+functions, not nested ones that call themselves or each other: such a
+closure would be a reference cycle, and the left-hand side's would keep the
+signature it reads alive until the cyclic collector ran.
 
 The one computation built into whnf is literal addition: ``plus`` on two
 numerals is their sum. Every other computation is a rewrite rule of the
@@ -116,6 +119,77 @@ class SignatureEntry(NamedTuple):
 
 # --- rewrite rules -----------------------------------------------------------
 
+# Module functions, not closures inside ``_compile_fire`` that call each
+# other, so that compiling a rule leaves no reference cycle holding
+# ``entries`` (see the module docstring).
+def _patterns(seq: Sequence[Term], n_slots: int, seen: set[int], entries: dict[str, SignatureEntry]):
+    """A matcher for a sequence of patterns against as many targets,
+    storing the values of the variables they bind in the environment."""
+    checks = []
+    binds = []
+    for i, p in enumerate(seq):
+        if type(p) is Var:
+            if not 0 <= p.index < n_slots:
+                raise InvalidRewrite("left-hand side mentions a foreign variable")
+            if p.index not in seen:
+                seen.add(p.index)
+                binds.append((i, p.index))
+        else:
+            checks.append((i, _pattern(p, n_slots, seen, entries)))
+
+    def match_all(targets, env, whnf):
+        for i, check in checks:
+            if not check(targets[i], env, whnf):
+                return False
+        for i, slot in binds:
+            env[slot] = targets[i]
+        return True
+
+    return match_all
+
+
+def _pattern(pat: Term, n_slots: int, seen: set[int], entries: dict[str, SignatureEntry]):
+    """A matcher for one constant, pair or literal pattern: it
+    weak-head-normalizes its target, compares the head, then matches the
+    subpatterns."""
+    cls = type(pat)
+    if cls is NatLit:
+        value = pat.value
+        return lambda target, env, whnf: type(w := whnf(target)) is NatLit and w.value == value
+    if cls is Const:
+        name, arity = pat.name, len(pat.args)
+        entry = entries.get(name)
+        if entry is not None and entry.body is not None:
+            raise InvalidRewrite(
+                f"left-hand side mentions the definition `{name}`, which "
+                f"matching unfolds, so the rule could never fire"
+            )
+        match_args = _patterns(pat.args, n_slots, seen, entries)
+
+        def check_const(target, env, whnf):
+            w = whnf(target)
+            return (
+                type(w) is Const
+                and w.name == name
+                and len(w.args) == arity
+                and match_args(w.args, env, whnf)
+            )
+
+        return check_const
+    if cls is Pair:
+        match_parts = _patterns((pat.first, pat.second), n_slots, seen, entries)
+
+        def check_pair(target, env, whnf):
+            w = whnf(target)
+            return type(w) is Pair and match_parts((w.first, w.second), env, whnf)
+
+        return check_pair
+    raise InvalidRewrite(
+        "left-hand side patterns may only contain constants, pattern "
+        "variables, pairs, and numeric literals"
+    )
+
+
 def _compile_fire(
     pats: tuple[Term, ...],
     telescope: tuple[tuple[str, Term], ...],
@@ -137,75 +211,8 @@ def _compile_fire(
     reduces nothing, so the bindings are stored after the checks."""
     n_slots = len(telescope)
     seen: set[int] = set()
-
-    def patterns(seq: Sequence[Term]):
-        # a matcher for a sequence of patterns against as many targets,
-        # storing the values of the variables they bind in the environment
-        checks = []
-        binds = []
-        for i, p in enumerate(seq):
-            if type(p) is Var:
-                if not 0 <= p.index < n_slots:
-                    raise InvalidRewrite("left-hand side mentions a foreign variable")
-                if p.index not in seen:
-                    seen.add(p.index)
-                    binds.append((i, p.index))
-            else:
-                checks.append((i, pattern(p)))
-
-        def match_all(targets, env, whnf):
-            for i, check in checks:
-                if not check(targets[i], env, whnf):
-                    return False
-            for i, slot in binds:
-                env[slot] = targets[i]
-            return True
-
-        return match_all
-
-    def pattern(pat: Term):
-        # a matcher for one constant, pair or literal pattern: it
-        # weak-head-normalizes its target, compares the head, then matches
-        # the subpatterns
-        cls = type(pat)
-        if cls is NatLit:
-            value = pat.value
-            return lambda target, env, whnf: type(w := whnf(target)) is NatLit and w.value == value
-        if cls is Const:
-            name, arity = pat.name, len(pat.args)
-            entry = entries.get(name)
-            if entry is not None and entry.body is not None:
-                raise InvalidRewrite(
-                    f"left-hand side mentions the definition `{name}`, which "
-                    f"matching unfolds, so the rule could never fire"
-                )
-            match_args = patterns(pat.args)
-
-            def check_const(target, env, whnf):
-                w = whnf(target)
-                return (
-                    type(w) is Const
-                    and w.name == name
-                    and len(w.args) == arity
-                    and match_args(w.args, env, whnf)
-                )
-
-            return check_const
-        if cls is Pair:
-            match_parts = patterns((pat.first, pat.second))
-
-            def check_pair(target, env, whnf):
-                w = whnf(target)
-                return type(w) is Pair and match_parts((w.first, w.second), env, whnf)
-
-            return check_pair
-        raise InvalidRewrite(
-            "left-hand side patterns may only contain constants, pattern "
-            "variables, pairs, and numeric literals"
-        )
-
     n = len(pats)
-    match_args = patterns(pats)
+    match_args = _patterns(pats, n_slots, seen, entries)
     missing = [hint for i, (hint, _) in enumerate(telescope) if n_slots - 1 - i not in seen]
     if missing:
         raise InvalidRewrite(

@@ -18,6 +18,15 @@ every node it leaves unchanged, and a callback result of ``None`` means
 the variables it changes. ``compile_subst`` turns a rewrite rule's
 right-hand side into closures that build its instances.
 
+Both recurse through a module-level function (``_map``, ``_compile``),
+passing down what they use, rather than through a nested function that
+calls itself. Such a function refers to itself through its own closure: a
+reference cycle, holding the callbacks and all they close over, that only
+CPython's cyclic collector frees. One per substitution kept that collector
+busy for a sizeable share of the checking time. So no closure on a hot path
+may refer to itself, and what ``map_term`` builds is freed by reference
+counting as soon as it is dropped.
+
 The twelve term classes are frozen slotted classes that ``_term_classes``
 builds from their constructor signatures, compiling one source string for
 all of them. Each gets the methods that run at every reduction step:
@@ -230,56 +239,61 @@ def map_term(
     that returns ``None`` keeps the node (a ``Meta`` with its mapped spine).
     A node whose children all come back as the same objects is returned
     itself, so only the paths to changed variables are rebuilt.
+
+    The recursion is the module-level ``_map``, one Python frame per level
+    of nesting: a nested walker would refer to itself and leave a reference
+    cycle per call for the cyclic collector.
     """
 
-    # Dispatch on the exact class: on this hot path it is markedly cheaper
-    # than `match` class patterns, which test isinstance case by case.
-    def go(t: Term, d: int) -> Term:
-        cls = type(t)
-        if cls is Var:
-            out = var(t.index, d)
-            return t if out is None else out
-        if cls is Const:
-            args = t.args
-            if not args:
-                return t
-            new = [go(a, d) for a in args]
-            return t if all(map(is_, new, args)) else Const(t.name, tuple(new))
-        if cls is App:
-            f, a = go(t.fn, d), go(t.arg, d)
-            return t if f is t.fn and a is t.arg else App(f, a)
-        if cls is Pi:
-            a, b = go(t.domain, d), go(t.codomain, d + 1)
-            return t if a is t.domain and b is t.codomain else Pi(a, b, t.hint)
-        if cls is Lambda:
-            b = go(t.body, d + 1)
-            return t if b is t.body else Lambda(b, t.hint)
-        if cls is Sigma:
-            a, b = go(t.first, d), go(t.second, d + 1)
-            return t if a is t.first and b is t.second else Sigma(a, b, t.hint)
-        if cls is Pair:
-            a, b = go(t.first, d), go(t.second, d)
-            return t if a is t.first and b is t.second else Pair(a, b)
-        if cls is Fst:
-            p = go(t.pair, d)
-            return t if p is t.pair else Fst(p)
-        if cls is Snd:
-            p = go(t.pair, d)
-            return t if p is t.pair else Snd(p)
-        if cls is Meta:
-            spine = t.spine
-            new = [go(s, d) for s in spine]
-            if not all(map(is_, new, spine)):
-                spine = tuple(new)
-            out = None if meta is None else meta(t.id, spine)
-            if out is not None:
-                return out
-            return t if spine is t.spine else Meta(t.id, spine)
-        if cls is Universe or cls is NatLit:
-            return t
-        raise AssertionError(f"map_term: unhandled term {t!r}")
+    return _map(t, var, depth, meta)
 
-    return go(t, depth)
+
+# Dispatch on the exact class: on this hot path it is markedly cheaper than
+# `match` class patterns, which test isinstance case by case.
+def _map(t: Term, var, d: int, meta) -> Term:
+    cls = type(t)
+    if cls is Var:
+        out = var(t.index, d)
+        return t if out is None else out
+    if cls is Const:
+        args = t.args
+        if not args:
+            return t
+        new = [_map(a, var, d, meta) for a in args]
+        return t if all(map(is_, new, args)) else Const(t.name, tuple(new))
+    if cls is App:
+        f, a = _map(t.fn, var, d, meta), _map(t.arg, var, d, meta)
+        return t if f is t.fn and a is t.arg else App(f, a)
+    if cls is Pi:
+        a, b = _map(t.domain, var, d, meta), _map(t.codomain, var, d + 1, meta)
+        return t if a is t.domain and b is t.codomain else Pi(a, b, t.hint)
+    if cls is Lambda:
+        b = _map(t.body, var, d + 1, meta)
+        return t if b is t.body else Lambda(b, t.hint)
+    if cls is Sigma:
+        a, b = _map(t.first, var, d, meta), _map(t.second, var, d + 1, meta)
+        return t if a is t.first and b is t.second else Sigma(a, b, t.hint)
+    if cls is Pair:
+        a, b = _map(t.first, var, d, meta), _map(t.second, var, d, meta)
+        return t if a is t.first and b is t.second else Pair(a, b)
+    if cls is Fst:
+        p = _map(t.pair, var, d, meta)
+        return t if p is t.pair else Fst(p)
+    if cls is Snd:
+        p = _map(t.pair, var, d, meta)
+        return t if p is t.pair else Snd(p)
+    if cls is Meta:
+        spine = t.spine
+        new = [_map(s, var, d, meta) for s in spine]
+        if not all(map(is_, new, spine)):
+            spine = tuple(new)
+        out = None if meta is None else meta(t.id, spine)
+        if out is not None:
+            return out
+        return t if spine is t.spine else Meta(t.id, spine)
+    if cls is Universe or cls is NatLit:
+        return t
+    raise AssertionError(f"map_term: unhandled term {t!r}")
 
 
 def subterms(t: Term, depth: int = 0) -> Iterator[tuple[Term, int]]:
@@ -357,53 +371,53 @@ def compile_subst(t: Term, n: int) -> Callable[[Sequence[Term]], Term]:
     from the environment of a match at every firing; like them, ``t`` holds
     no hole.
     """
+    return _compile(t, 0, n)
 
-    def comp(t: Term, d: int) -> Callable[[Sequence[Term]], Term]:
-        if scope_ok(t, d):
-            return lambda env: t
-        cls = type(t)
-        if cls is Var:
-            j = t.index - d
-            if j >= n:
-                lowered = Var(t.index - n)
-                return lambda env: lowered
-            if d == 0:
-                return itemgetter(j)
-            return lambda env: shift(env[j], d)
-        if cls is Const:
-            name = t.name
-            args = [comp(a, d) for a in t.args]
-            if len(args) == 1:
-                (a,) = args
-                return lambda env: Const(name, (a(env),))
-            if len(args) == 2:
-                a, b = args
-                return lambda env: Const(name, (a(env), b(env)))
-            return lambda env: Const(name, tuple([a(env) for a in args]))
-        if cls is App:
-            f, a = comp(t.fn, d), comp(t.arg, d)
-            return lambda env: App(f(env), a(env))
-        if cls is Pi:
-            a, b, hint = comp(t.domain, d), comp(t.codomain, d + 1), t.hint
-            return lambda env: Pi(a(env), b(env), hint)
-        if cls is Lambda:
-            b, hint = comp(t.body, d + 1), t.hint
-            return lambda env: Lambda(b(env), hint)
-        if cls is Sigma:
-            a, b, hint = comp(t.first, d), comp(t.second, d + 1), t.hint
-            return lambda env: Sigma(a(env), b(env), hint)
-        if cls is Pair:
-            a, b = comp(t.first, d), comp(t.second, d)
-            return lambda env: Pair(a(env), b(env))
-        if cls is Fst:
-            p = comp(t.pair, d)
-            return lambda env: Fst(p(env))
-        if cls is Snd:
-            p = comp(t.pair, d)
-            return lambda env: Snd(p(env))
-        raise AssertionError(f"compile_subst: unhandled term {t!r}")
 
-    return comp(t, 0)
+def _compile(t: Term, d: int, n: int) -> Callable[[Sequence[Term]], Term]:
+    if scope_ok(t, d):
+        return lambda env: t
+    cls = type(t)
+    if cls is Var:
+        j = t.index - d
+        if j >= n:
+            lowered = Var(t.index - n)
+            return lambda env: lowered
+        if d == 0:
+            return itemgetter(j)
+        return lambda env: shift(env[j], d)
+    if cls is Const:
+        name = t.name
+        args = [_compile(a, d, n) for a in t.args]
+        if len(args) == 1:
+            (a,) = args
+            return lambda env: Const(name, (a(env),))
+        if len(args) == 2:
+            a, b = args
+            return lambda env: Const(name, (a(env), b(env)))
+        return lambda env: Const(name, tuple([a(env) for a in args]))
+    if cls is App:
+        f, a = _compile(t.fn, d, n), _compile(t.arg, d, n)
+        return lambda env: App(f(env), a(env))
+    if cls is Pi:
+        a, b, hint = _compile(t.domain, d, n), _compile(t.codomain, d + 1, n), t.hint
+        return lambda env: Pi(a(env), b(env), hint)
+    if cls is Lambda:
+        b, hint = _compile(t.body, d + 1, n), t.hint
+        return lambda env: Lambda(b(env), hint)
+    if cls is Sigma:
+        a, b, hint = _compile(t.first, d, n), _compile(t.second, d + 1, n), t.hint
+        return lambda env: Sigma(a(env), b(env), hint)
+    if cls is Pair:
+        a, b = _compile(t.first, d, n), _compile(t.second, d, n)
+        return lambda env: Pair(a(env), b(env))
+    if cls is Fst:
+        p = _compile(t.pair, d, n)
+        return lambda env: Fst(p(env))
+    if cls is Snd:
+        p = _compile(t.pair, d, n)
+        return lambda env: Snd(p(env))
+    raise AssertionError(f"compile_subst: unhandled term {t!r}")
 
 
 def scope_ok(t: Term, depth: int = 0) -> bool:

@@ -1,0 +1,116 @@
+"""Checking leaves no reference cycles behind.
+
+Every object telic makes while checking is freed by reference counting as
+soon as it is dropped, so the cyclic collector finds nothing of telic's to
+free. Each test runs its work with the collector off, then asks a full
+collection, with ``gc.DEBUG_SAVEALL`` set, for what it found unreachable,
+and keeps what telic made: its functions, frames of its code, its classes
+and their instances. Garbage of other code (the test runner's, a tracer's)
+is not counted.
+"""
+
+from __future__ import annotations
+
+import gc
+import types
+from collections import Counter
+from pathlib import Path
+
+import telic
+from telic.corpus import CASES, run_case
+from telic.kernel import MetaEntry
+from telic.prelude import load_prelude, prelude_self_check
+
+TELIC_DIR = str(Path(telic.__file__).parent)
+
+
+def _made_by_telic(o: object) -> bool:
+    if isinstance(o, types.FunctionType):
+        return str(o.__module__).startswith("telic")
+    if isinstance(o, types.FrameType):
+        return o.f_code.co_filename.startswith(TELIC_DIR)
+    cls = o if isinstance(o, type) else type(o)
+    return str(cls.__module__).startswith("telic")
+
+
+def _name(o: object) -> str:
+    if isinstance(o, types.FrameType):
+        return f"frame of {o.f_code.co_name}"
+    return getattr(o, "__qualname__", None) or type(o).__qualname__
+
+
+def telic_garbage(work) -> Counter:
+    """Run ``work()`` with the collector off; then the objects telic made
+    that a collection finds unreachable, counted by name."""
+    gc.collect()
+    enabled = gc.isenabled()
+    before = len(gc.garbage)
+    gc.disable()
+    try:
+        work()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return Counter(_name(o) for o in gc.garbage[before:] if _made_by_telic(o))
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+        if enabled:
+            gc.enable()
+        gc.collect()
+
+
+def test_the_detector_finds_a_cycle_through_a_telic_object():
+    def work():
+        entry = MetaEntry(0)
+        entry.ctx = (entry,)
+
+    assert telic_garbage(work) == Counter({"MetaEntry": 1})
+
+
+def test_the_corpus_leaves_no_cycles(loaded_processor):
+    def work():
+        for case in CASES:
+            run_case(case, loaded_processor)
+
+    assert telic_garbage(work) == Counter()
+
+
+def test_the_prelude_audits_leave_no_cycles(loaded_processor):
+    assert telic_garbage(lambda: prelude_self_check(loaded_processor)) == Counter()
+
+
+def test_normalizing_an_expression_leaves_no_cycles(loaded_processor):
+    assert telic_garbage(lambda: loaded_processor.normalize_expression("1 + 2")) == Counter()
+
+
+FAULTS = """\
+postulate A : Type
+postulate a : A
+postulate b : A $
+postulate f : A -> A
+check f : Type
+fail TypeMismatch check f : A
+fail InvalidRewrite rewrite (x : A) (y : A) : f x = y
+rewrite (x : A) : f x = x
+norm f (f a) = a
+"""
+
+
+def test_reports_of_failures_and_rewrites_leave_no_cycles(loaded_processor):
+    reports = []
+
+    def work():
+        with loaded_processor.rollback():
+            reports.extend(loaded_processor.process_text(FAULTS, "faults.tel"))
+
+    assert telic_garbage(work) == Counter()
+    codes = [r.code or "ok" for r in reports]
+    assert codes == ["ok", "ok", "IllegalCharacter", "ok", "TypeMismatch", "ok", "ok", "ok", "ok"]
+
+
+def test_a_dropped_processor_leaves_no_cycles():
+    def work():
+        proc, reports = load_prelude()
+        assert all(r.ok for r in reports)
+
+    assert telic_garbage(work) == Counter()
