@@ -171,8 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: `argparse` objects hold reference cycles, which a parser built
+# per call would leave to the cyclic collector. Parsing keeps no state in it.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         status = args.run(args)
         sys.stdout.flush()

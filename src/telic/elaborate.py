@@ -143,6 +143,10 @@ class Report(NamedTuple):
 class Elaborator:
     """Surface expression to kernel term, inserting implicit-argument holes.
 
+    ``elab`` runs once per surface node, so it dispatches on the node's
+    class with ``is`` and reads its fields by index. It unwinds an
+    application spine in place, down to its head.
+
     ``used`` collects the name of every signature constant a surface name
     has resolved to; ``telic selftest`` reads it as the corpus's coverage.
     """
@@ -152,61 +156,57 @@ class Elaborator:
         self.used: set[str] = set()
 
     def elab(self, e: SExpr, env: list[str | None]) -> Term:
-        match e:
-            case SApp():
-                head, args = self._spine(e)
-                return self._application(head, args, env)
-            case SName():
-                return self._application(e, [], env)
-            case SProj():
-                return self._application(e, [], env)
-            case SHole(span=sp):
-                return self.kernel.hole(len(env), sp)
-            case SNat(value=v):
-                return NatLit(v)
-            case SUniverse(level=l):
-                return Universe(l)
-            case SLambda(binder=b, body=body):
-                return Lambda(self.elab(body, env + [b]), b)
-            case SPi(binder=b, domain=d, codomain=c):
-                return Pi(self.elab(d, env), self.elab(c, env + [b]), b)
-            case SSigma(binder=b, first=a, second=s):
-                return Sigma(self.elab(a, env), self.elab(s, env + [b]), b)
-            case SPair(first=a, second=s):
-                return Pair(self.elab(a, env), self.elab(s, env))
+        cls = type(e)
+        if cls is SName or cls is SApp:
+            args: list[SApp] = []  # the spine down to its head
+            while type(e) is SApp:
+                args.append(e)
+                e = e[1]
+            args.reverse()  # first argument first
+            if type(e) is not SName:
+                return self._application(e, args, env)
+            n = e[1]
+            if n in env:  # the innermost binder of that name
+                return self._apply_rest(Var(env[::-1].index(n)), args, env)
+            entry = self.kernel.sig.entries.get(n)
+            if entry is None:
+                raise UnboundVariable(f"`{n}` is not in scope", span=e[0])
+            self.used.add(n)
+            mask = entry.implicit_mask
+            if not args and not mask:
+                return Const(n, ())
+            return self._const_application(n, mask, args, env, e[0])
+        if cls is SPi:
+            return Pi(self.elab(e[3], env), self.elab(e[4], env + [e[1]]), e[1])
+        if cls is SUniverse:
+            return Universe(e[1])
+        if cls is SHole:
+            return self.kernel.hole(len(env), e[0])
+        if cls is SNat:
+            return NatLit(e[1])
+        if cls is SLambda:
+            return Lambda(self.elab(e[2], env + [e[1]]), e[1])
+        if cls is SSigma:
+            return Sigma(self.elab(e[2], env), self.elab(e[3], env + [e[1]]), e[1])
+        if cls is SPair:
+            return Pair(self.elab(e[1], env), self.elab(e[2], env))
+        if cls is SProj:
+            return self._application(e, [], env)
         raise AssertionError(f"elab: unhandled surface form {e!r}")
 
-    def _spine(self, e: SExpr) -> tuple[SExpr, list[SApp]]:
-        args: list[SApp] = []
-        while isinstance(e, SApp):
-            args.append(e)
-            e = e.fn
-        args.reverse()
-        return e, args
-
     def _application(self, head: SExpr, args: list[SApp], env: list[str | None]) -> Term:
-        match head:
-            case SProj(which=w, span=sp):
-                wrap = Fst if w == "fst" else Snd
-                if not args:
-                    return Lambda(wrap(Var(0)), "p")
-                if args[0].implicit:
-                    raise TypeMismatch(
-                        f"`{w}` takes its argument explicitly", span=args[0].arg.span
-                    )
-                out: Term = wrap(self.elab(args[0].arg, env))
-                return self._apply_rest(out, args[1:], env)
-            case SName(name=n, span=sp):
-                for depth, binder in enumerate(reversed(env)):
-                    if binder == n:
-                        return self._apply_rest(Var(depth), args, env)
-                entry = self.kernel.sig.entries.get(n)
-                if entry is None:
-                    raise UnboundVariable(f"`{n}` is not in scope", span=sp)
-                self.used.add(n)
-                return self._const_application(n, entry.implicit_mask, args, env, sp)
-            case _:
-                return self._apply_rest(self.elab(head, env), args, env)
+        """``head`` applied to ``args``, for a head that is not a name."""
+        if type(head) is SProj:
+            w = head.which
+            wrap = Fst if w == "fst" else Snd
+            if not args:
+                return Lambda(wrap(Var(0)), "p")
+            if args[0].implicit:
+                raise TypeMismatch(
+                    f"`{w}` takes its argument explicitly", span=args[0].arg.span
+                )
+            return self._apply_rest(wrap(self.elab(args[0].arg, env)), args[1:], env)
+        return self._apply_rest(self.elab(head, env), args, env)
 
     def _const_application(
         self,

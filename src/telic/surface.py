@@ -6,11 +6,16 @@ lambda, dependent function and pair types, implicit binders in braces,
 application by juxtaposition, numeric literals, `+` and the `(+)`/`⊕` sum
 of noun phrases, holes, and right-nested tuples.
 
-Lexing is one regular expression of token classes, scanned left to right.
-A token is a plain tuple ``(kind, text, line, col)``: the line and column
-where it starts. Spans (the file, line and column that reports print) are
-built only where they are kept: on expressions, declarations and errors.
-An expression or declaration starts where its first token does.
+Lexing is one match of one regular expression per token, scanned left to
+right: the match skips the blanks before the token, so blanks are never a
+match of their own. A word or punctuation token gets its kind from one
+dict keyed by its text (a word not in it is an IDENT, digits are a NAT);
+only comments, newlines, strings and characters that start no token take
+a slower branch. A token is a plain tuple ``(kind, text, line, col)``: the
+line and column where it starts. Spans (the file, line and column that
+reports print) are built only where they are kept: on expressions,
+declarations and errors. An expression or declaration starts where its
+first token does.
 
 Expressions and declarations are named tuples whose first field is their
 span. ``==`` and ``hash`` leave the span out, so equal parses at different
@@ -23,7 +28,9 @@ name, and `entail n : H => C = w` is `def n : H -> C = w`; only the kind
 tells a primitive from a postulate and an entail from a def.
 
 Parsing is recursive descent with token-position backtracking only for the
-binder-group lookahead. A parse error inside one declaration takes that
+binder-group lookahead. Its hot methods read the current token from the
+buffer and compare its kind inline, and build nodes and spans with
+``tuple.__new__``. A parse error inside one declaration takes that
 declaration's place in the file's source-ordered result, and parsing
 resumes at the next declaration keyword, so one bad declaration does not
 hide the rest of the file. A lexical error (an illegal character, an
@@ -53,10 +60,9 @@ DECL_KEYWORDS = frozenset(
     {"postulate", "primitive", "def", "rewrite", "check", "fail", "norm", "entail", "import"}
 )
 
-_KEYWORDS = DECL_KEYWORDS | {"Type", "Type1", "fst", "snd", "Sigma"}
-
-# one-character tokens
-_PUNCTUATION = {
+# The kind of every token whose text fixes it: the punctuation, the arrows
+# and the keywords. A word not here is an IDENT.
+_KINDS = {
     "(": "LPAREN",
     ")": "RPAREN",
     "{": "LBRACE",
@@ -71,6 +77,13 @@ _PUNCTUATION = {
     "Σ": "SIGMA",
     "⊕": "OPLUS",
     "_": "HOLE",
+    "(+)": "OPLUS",
+    "->": "ARROW",
+    "=>": "DARROW",
+    **{
+        word: word.upper()
+        for word in sorted(DECL_KEYWORDS | {"Type", "Type1", "fst", "snd", "Sigma"})
+    },
 }
 
 # token kinds that start a declaration, and those the parser resumes at
@@ -90,30 +103,17 @@ class Token(NamedTuple):
     col: int
 
 
-# The token classes, tried in order at each position; the first that matches
-# wins. Every position matches some class, so the scan covers the whole text.
-_TOKEN_CLASSES = (
-    ("NEWLINE", r"\n"),
-    ("SPACE", r"[ \t\r]+"),
-    ("COMMENT", r"--[^\n]*"),
-    ("ARROW", r"->"),
-    ("DARROW", r"=>"),
-    ("OPLUS", r"\(\+\)"),
-    ("UNDERSCORE", r"_(?=[A-Za-z0-9_'])"),
-    ("PUNCTUATION", "[" + re.escape("".join(_PUNCTUATION)) + "]"),
-    ("STRING", r'"[^"\n]*"'),
-    ("UNTERMINATED", r'"[^"\n]*'),
-    ("NAT", r"[0-9]+"),
-    ("WORD", r"[A-Za-z][A-Za-z0-9_']*"),
-    ("ILLEGAL", r"."),
+# One match per token, with the blanks before it. Group 1 is a token whose
+# kind ``_KINDS`` gives, or a word or numeral; group 2 is the rest, which the
+# scanner looks at: a comment, a newline, a string, or a character that
+# starts no token (an underscore before a name is one). The third branch
+# takes the blanks at the end of a text that does not end in a newline.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"([A-Za-z][A-Za-z0-9_']*|[0-9]+|[-=]>|\(\+\)|_(?![A-Za-z0-9_'])|[(){}:,.=+\\λΣ⊕])"
+    r'|(--[^\n]*|\n|"[^"\n]*"?|[^ \t\r])'
+    r")|[ \t\r]+\Z"
 )
-_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_CLASSES))
-
-_LEXICAL_ERRORS = {
-    "UNDERSCORE": lambda text: IllegalCharacter("names may not start with an underscore"),
-    "UNTERMINATED": lambda text: ParseError("unterminated string"),
-    "ILLEGAL": lambda text: IllegalCharacter(f"illegal character {text!r}"),
-}
 
 
 def _scan(
@@ -132,47 +132,52 @@ def _scan(
     tokens: list[Token] = []
     push = tokens.append
     new = tuple.__new__
+    kinds = _KINDS.get
     done = 0  # the tokens of the chunks already yielded
     line = 1
     line_start = 0  # offset of the current line's first character
-    end = 0  # where the EOF token goes: a trailing comment's `--` keeps it
+    end = len(text)  # where the EOF token goes: a last-line comment's `--` keeps it
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        end = m.end()
-        if kind == "SPACE":
+        word = m[1]
+        if word is not None:
+            kind = kinds(word)
+            if kind is None:  # a word starts with a letter, a numeral with a digit
+                kind = "IDENT" if word[0] > "9" else "NAT"
+            elif kind in _DECL_KINDS and tokens:
+                nested = len(tokens) > 1 and tokens[-2][0] == "FAIL" and tokens[-1][0] == "IDENT"
+                if not nested:
+                    yield tokens
+                    done += len(tokens)
+                    tokens = []
+                    push = tokens.append
+            push(new(Token, (kind, word, line, m.start(1) - line_start + 1)))
             continue
-        if kind == "NEWLINE":
+        word = m[2]
+        if word is None:  # blanks at the end of the text
+            continue
+        if word == "\n":
             line += 1
-            line_start = end
+            line_start = m.end()
             continue
-        if kind == "COMMENT":
-            end = m.start()
+        col = m.start(2) - line_start + 1
+        if word[0] == '"':
+            if len(word) > 1 and word[-1] == '"':
+                push(new(Token, ("STRING", word[1:-1], line, col)))
+                continue
+            err: ParseError = ParseError("unterminated string")
+        elif word[:2] == "--":
+            if m.end() == end:
+                end = m.start(2)
             continue
-        word = m.group()
-        col = m.start() - line_start + 1
-        if kind == "WORD":
-            if word not in _KEYWORDS:
-                kind = "IDENT"
-            else:
-                kind = word.upper()
-                if kind in _DECL_KINDS and tokens:
-                    nested = len(tokens) > 1 and tokens[-2].kind == "FAIL" and tokens[-1].kind == "IDENT"
-                    if not nested:
-                        yield tokens
-                        done += len(tokens)
-                        tokens = []
-                        push = tokens.append
-        elif kind == "PUNCTUATION":
-            kind = _PUNCTUATION[word]
-        elif kind == "STRING":
-            word = word[1:-1]
-        elif kind in _LEXICAL_ERRORS:
-            err = _LEXICAL_ERRORS[kind](word).with_span(Span(filename, line, col))
-            if errors is None:
-                raise err
-            errors[done + len(tokens)] = err
-            kind = "ERROR"
-        push(new(Token, (kind, word, line, col)))
+        elif word == "_":
+            err = IllegalCharacter("names may not start with an underscore")
+        else:
+            err = IllegalCharacter(f"illegal character {word!r}")
+        err.with_span(Span(filename, line, col))
+        if errors is None:
+            raise err
+        errors[done + len(tokens)] = err
+        push(new(Token, ("ERROR", word, line, col)))
     push(new(Token, ("EOF", "", line, end - line_start + 1)))
     yield tokens
 
@@ -249,9 +254,20 @@ DImport = _node(Declaration, "DImport", "span kind name")  # name: the path as w
 
 # --- parser ------------------------------------------------------------------
 
+# The parser builds nodes and spans without their classes' keyword-taking
+# constructors: ``_new(SName, (span, name))``.
+_new = tuple.__new__
+
+
 class _Parser:
     """Recursive descent over a buffer of tokens that ``refill`` extends
     by one scanner chunk at a time.
+
+    The expression methods and ``expect``, which run for every token, read
+    ``self.tokens[self.pos]`` and its fields by index and advance ``pos``
+    themselves; ``peek``, ``next`` and ``at`` serve the rest. ``expr``
+    tries binder groups only at ``(`` or ``{``. ``atom`` consumes the token
+    it rejects, as ``next`` would: a parse error resumes after it.
 
     ``declarations`` trims the buffer at each top-level declaration and,
     while the parser is still shallow, reads chunks until the buffer holds
@@ -309,10 +325,11 @@ class _Parser:
         return ParseError(f"expected {what}, found {found}", span=self.span(t))
 
     def expect(self, kind: str, what: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
+        t = self.tokens[self.pos]
+        if t[0] != kind:
             raise self.expected(what, t)
-        return self.next()
+        self.pos += 1  # never EOF, which no caller expects
+        return t
 
     # - declarations -
 
@@ -420,9 +437,10 @@ class _Parser:
     # - expressions -
 
     def expr(self) -> SExpr:
-        t = self.peek()
-        if t.kind == "LAMBDA":
-            self.next()
+        t = self.tokens[self.pos]
+        kind = t[0]
+        if kind == "LAMBDA":
+            self.pos += 1
             names = self.names()
             self.expect("DOT", "'.'")
             out = self.expr()
@@ -430,8 +448,8 @@ class _Parser:
             for nm in reversed(names):
                 out = SLambda(sp, nm, out)
             return out
-        if t.kind == "SIGMA":
-            self.next()
+        if kind == "SIGMA":
+            self.pos += 1
             self.expect("LPAREN", "'('")
             binder = self.expect("IDENT", "a binder")
             self.expect("COLON", "':'")
@@ -440,19 +458,19 @@ class _Parser:
             self.expect("DOT", "'.'")
             second = self.expr()
             return SSigma(self.span(t), binder.text, first, second)
-        groups = self.binder_groups()
-        if groups:
-            self.expect("ARROW", "'->'")
-            out = self.expr()
-            for names, ty, implicit, gspan in reversed(groups):
-                for nm in reversed(names):
-                    out = SPi(gspan, nm, implicit, ty, out)
-            return out
+        if kind == "LPAREN" or kind == "LBRACE":
+            groups = self.binder_groups()
+            if groups:
+                self.expect("ARROW", "'->'")
+                out = self.expr()
+                for names, ty, implicit, gspan in reversed(groups):
+                    for nm in reversed(names):
+                        out = SPi(gspan, nm, implicit, ty, out)
+                return out
         left = self.sum_expr()
-        if self.at("ARROW"):
-            self.next()
-            right = self.expr()
-            return SPi(left.span, None, False, left, right)
+        if self.tokens[self.pos][0] == "ARROW":
+            self.pos += 1
+            return _new(SPi, (left[0], None, False, left, self.expr()))
         return left
 
     def binder_groups(self) -> list[tuple[list[str], SExpr, bool, Span]]:
@@ -486,13 +504,20 @@ class _Parser:
 
     def sum_expr(self) -> SExpr:
         left = self.app_expr()
-        while self.peek().kind in ("PLUS", "OPLUS"):
-            op = self.next()
+        tokens = self.tokens
+        while True:
+            op = tokens[self.pos]
+            if op[0] == "PLUS":
+                name = "plus"
+            elif op[0] == "OPLUS":
+                name = "oplus"
+            else:
+                return left
+            self.pos += 1
             right = self.app_expr()
-            name = "plus" if op.kind == "PLUS" else "oplus"
-            sp = left.span
-            left = SApp(sp, SApp(sp, SName(self.span(op), name), left, False), right, False)
-        return left
+            sp = left[0]
+            fn = _new(SName, (_new(Span, (self.filename, op[2], op[3])), name))
+            left = _new(SApp, (sp, _new(SApp, (sp, fn, left, False)), right, False))
 
     _ATOM_STARTS = frozenset(
         {"IDENT", "NAT", "HOLE", "TYPE", "TYPE1", "FST", "SND", "LPAREN"}
@@ -500,50 +525,52 @@ class _Parser:
 
     def app_expr(self) -> SExpr:
         head = self.atom()
+        tokens = self.tokens
+        starts = self._ATOM_STARTS
         while True:
-            t = self.peek()
-            if t.kind in self._ATOM_STARTS:
-                arg = self.atom()
-                head = SApp(head.span, head, arg, False)
-            elif t.kind == "LBRACE":
-                self.next()
+            kind = tokens[self.pos][0]
+            if kind in starts:
+                head = _new(SApp, (head[0], head, self.atom(), False))
+            elif kind == "LBRACE":
+                self.pos += 1
                 arg = self.expr()
                 self.expect("RBRACE", "'}'")
-                head = SApp(head.span, head, arg, True)
+                head = _new(SApp, (head[0], head, arg, True))
             else:
                 return head
 
     def atom(self) -> SExpr:
-        t = self.next()
-        match t.kind:
-            case "IDENT":
-                return SName(self.span(t), t.text)
-            case "NAT":
-                return SNat(self.span(t), nat_of_digits(t.text))
-            case "HOLE":
-                return SHole(self.span(t))
-            case "TYPE":
-                return SUniverse(self.span(t), 0)
-            case "TYPE1":
-                return SUniverse(self.span(t), 1)
-            case "FST":
-                return SProj(self.span(t), "fst")
-            case "SND":
-                return SProj(self.span(t), "snd")
-            case "LPAREN":
-                parts = [self.expr()]
-                while self.at("COMMA"):
-                    self.next()
-                    parts.append(self.expr())
-                self.expect("RPAREN", "')'")
-                out = parts[-1]
-                if len(parts) > 1:
-                    sp = self.span(t)
-                    for p in reversed(parts[:-1]):
-                        out = SPair(sp, p, out)
-                return out
-            case _:
-                raise self.expected("an expression", t)
+        t = self.tokens[self.pos]
+        kind = t[0]
+        if kind == "EOF":
+            raise self.expected("an expression", t)
+        self.pos += 1  # the offending token too: a parse error resumes after it
+        sp = _new(Span, (self.filename, t[2], t[3]))
+        if kind == "IDENT":
+            return _new(SName, (sp, t[1]))
+        if kind == "NAT":
+            return _new(SNat, (sp, nat_of_digits(t[1])))
+        if kind == "LPAREN":
+            parts = [self.expr()]
+            while self.tokens[self.pos][0] == "COMMA":
+                self.pos += 1
+                parts.append(self.expr())
+            self.expect("RPAREN", "')'")
+            out = parts[-1]
+            for p in reversed(parts[:-1]):
+                out = _new(SPair, (sp, p, out))
+            return out
+        if kind == "HOLE":
+            return _new(SHole, (sp,))
+        if kind == "TYPE":
+            return _new(SUniverse, (sp, 0))
+        if kind == "TYPE1":
+            return _new(SUniverse, (sp, 1))
+        if kind == "FST":
+            return _new(SProj, (sp, "fst"))
+        if kind == "SND":
+            return _new(SProj, (sp, "snd"))
+        raise self.expected("an expression", t)
 
 
 def parse_stream(text: str, filename: str = "<input>") -> Iterator[Declaration | ParseError]:

@@ -350,3 +350,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "4 : Nat\n"
+
+
+def test_many_lexical_errors_parse_in_linear_time(tmp_path):
+    # Each of 64,000 declarations holds an illegal character. Were the
+    # error path quadratic, the run would not end inside the timeout.
+    f = tmp_path / "lexical.tel"
+    f.write_text("postulate a : Type $\n" * 64000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "telic.cli", "check", "--no-prelude", str(f)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert sum("[IllegalCharacter]" in line for line in proc.stdout.splitlines()) == 64000

@@ -9,7 +9,10 @@ from telic.cli import main
 from telic.errors import DepthExceeded, ERROR_CODES, ParseError
 from telic.surface import parse_expr
 
-DEEP_SUM = " + ".join(["1"] * 400)
+# The elaborator takes two frames per `+`, so a 400-literal sum checks
+# under the default recursion limit of 1,000 and an 800-literal one does not.
+SUM_400 = " + ".join(["1"] * 400)
+DEEP_SUM = " + ".join(["1"] * 800)
 DEEP_PARENS = "(" * 400 + "Nat" + ")" * 400
 DEEP_ARROWS = " -> ".join(["Nat"] * 802)
 
@@ -22,8 +25,14 @@ def test_depth_exceeded_is_a_stable_code():
     assert "DepthExceeded" in ERROR_CODES
 
 
+def test_a_400_literal_sum_checks(loaded_processor):
+    reports = loaded_processor.process_text(f"norm {SUM_400} = 400\n", "<deep>")
+    assert _codes(reports) == [("norm", "ok", None)]
+    assert loaded_processor.normalize_expression(SUM_400) == ("400", "Nat")
+
+
 def test_deep_sum_is_reported(loaded_processor):
-    reports = loaded_processor.process_text(f"norm {DEEP_SUM} = 400\ncheck 1 : Nat\n", "<deep>")
+    reports = loaded_processor.process_text(f"norm {DEEP_SUM} = 800\ncheck 1 : Nat\n", "<deep>")
     assert _codes(reports) == [("norm", "error", "DepthExceeded"), ("check", "ok", None)]
     assert (reports[0].span.line, reports[0].span.col) == (1, 1)
 
@@ -60,7 +69,7 @@ def test_fail_depth_exceeded_matches_and_rolls_back(loaded_processor):
 @pytest.mark.parametrize(
     "text, code",
     [
-        (f"norm {DEEP_SUM} = 400\n", "DepthExceeded"),
+        (f"norm {DEEP_SUM} = 800\n", "DepthExceeded"),
         (f"check {DEEP_PARENS} : Type\n", "ParseError"),
         (f"postulate f : {DEEP_ARROWS}\n", "DepthExceeded"),
     ],

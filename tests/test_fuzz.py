@@ -27,7 +27,7 @@ from telic.elaborate import Processor, Report
 from telic.errors import ParseError
 from telic.kernel import Kernel
 from telic.prelude import load_prelude
-from telic.surface import _KEYWORDS, _PUNCTUATION, _Parser, parse_file, tokenize
+from telic.surface import _KINDS, _Parser, parse_file, tokenize
 
 # A fuel budget well below the default keeps the non-terminating `loop`
 # declarations of the corpus (and whatever mutations make of them) cheap.
@@ -40,18 +40,12 @@ IDENTS = (
 
 # token kind -> texts that lex as exactly that kind
 VOCABULARY: dict[str, tuple[str, ...]] = {
-    "ARROW": ("->",),
-    "DARROW": ("=>",),
     "NAT": ("0", "1", "42"),
     "STRING": ('"missing.tel"', '""'),
     "IDENT": IDENTS,
 }
-for _text, _kind in _PUNCTUATION.items():
+for _text, _kind in _KINDS.items():
     VOCABULARY[_kind] = VOCABULARY.get(_kind, ()) + (_text,)
-VOCABULARY["OPLUS"] += ("(+)",)
-for _word in sorted(_KEYWORDS):
-    _kind = "SIGMA" if _word == "Sigma" else _word.upper()
-    VOCABULARY[_kind] = VOCABULARY.get(_kind, ()) + (_word,)
 KINDS = sorted(VOCABULARY)
 
 # text the lexer rejects or skips

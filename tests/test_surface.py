@@ -95,6 +95,14 @@ LEXER_TABLE = [
     ]),
     ("\u03a3 Sigma", [("SIGMA", "\u03a3", 1, 1), ("SIGMA", "Sigma", 1, 3), ("EOF", "", 1, 8)]),
     ("Type1 Type", [("TYPE1", "Type1", 1, 1), ("TYPE", "Type", 1, 7), ("EOF", "", 1, 11)]),
+    # Blanks at the end of a text without a final newline: EOF follows them.
+    ("a \t ", [("IDENT", "a", 1, 1), ("EOF", "", 1, 5)]),
+    ("a\n \r", [("IDENT", "a", 1, 1), ("EOF", "", 2, 3)]),
+    # A last-line comment without a newline keeps EOF at its `--`.
+    ("a\n  -- note", [("IDENT", "a", 1, 1), ("EOF", "", 2, 3)]),
+    ("_a", [("ERROR", "_", 1, 1), ("IDENT", "a", 1, 2), ("EOF", "", 1, 3)]),
+    ('a "\nb', [("IDENT", "a", 1, 1), ("ERROR", '"', 1, 3), ("IDENT", "b", 2, 1), ("EOF", "", 2, 2)]),
+    ("a - b", [("IDENT", "a", 1, 1), ("ERROR", "-", 1, 3), ("IDENT", "b", 1, 5), ("EOF", "", 1, 6)]),
 ]
 
 
@@ -102,6 +110,25 @@ LEXER_TABLE = [
 def test_lexer_table(text, expected):
     tokens = tokenize(text, "<t>", {})
     assert [(t.kind, t.text, t.line, t.col) for t in tokens] == expected
+
+
+# input -> the lexical errors collected, by token index: class, message and
+# where the offending text starts
+LEXICAL_ERRORS = [
+    ("_a", {0: (IllegalCharacter, "names may not start with an underscore", 1, 1)}),
+    ('a "\nb', {1: (ParseError, "unterminated string", 1, 3)}),
+    ("a - b", {1: (IllegalCharacter, "illegal character '-'", 1, 3)}),
+    ("a \t $ ", {1: (IllegalCharacter, "illegal character '$'", 1, 5)}),
+]
+
+
+@pytest.mark.parametrize("text, expected", LEXICAL_ERRORS, ids=[repr(t) for t, _ in LEXICAL_ERRORS])
+def test_lexical_errors_are_collected(text, expected):
+    errors: dict[int, ParseError] = {}
+    tokenize(text, "<t>", errors)
+    assert {
+        k: (type(e), e.message, e.span.line, e.span.col) for k, e in errors.items()
+    } == expected
 
 
 def test_leading_underscore_names_rejected():
