@@ -33,8 +33,12 @@ buffer and compare its kind inline, and build nodes and spans with
 ``tuple.__new__``. A parse error inside one declaration takes that
 declaration's place in the file's source-ordered result, and parsing
 resumes at the next declaration keyword, so one bad declaration does not
-hide the rest of the file. A lexical error (an illegal character, an
-unterminated string) is the parse error of the declaration it falls in.
+hide the rest of the file.
+
+The scanner never fails: text that starts no token (an illegal character,
+an underscore before a name, an unterminated string) becomes an ERROR token
+holding it. The parser alone reports it, as the parse error of the
+declaration it falls in, rebuilt from the token by ``_lexical_error``.
 
 Both are lazy, one declaration at a time. The scanner yields its tokens in
 chunks that end before each top-level declaration keyword, and
@@ -116,24 +120,20 @@ _TOKEN = re.compile(
 )
 
 
-def _scan(
-    text: str, filename: str, errors: dict[int, ParseError] | None
-) -> Iterator[list[Token]]:
+def _scan(text: str) -> Iterator[list[Token]]:
     """The tokens of ``text``, lazily, in chunks; the last chunk ends in EOF.
 
     A chunk ends before each declaration keyword, but not before one that
     a ``fail CODE`` in front of it nests, so a chunk holds whole
     declarations and only its first token may be a top-level keyword.
 
-    A lexical error is raised, unless ``errors`` is given: then it is stored
-    there, keyed by the stream index of an ERROR token standing in for the
-    offending text, and lexing goes on after it.
+    Text that starts no token becomes an ERROR token holding it, and lexing
+    goes on after it: the scanner raises nothing.
     """
     tokens: list[Token] = []
     push = tokens.append
     new = tuple.__new__
     kinds = _KINDS.get
-    done = 0  # the tokens of the chunks already yielded
     line = 1
     line_start = 0  # offset of the current line's first character
     end = len(text)  # where the EOF token goes: a last-line comment's `--` keeps it
@@ -147,7 +147,6 @@ def _scan(
                 nested = len(tokens) > 1 and tokens[-2][0] == "FAIL" and tokens[-1][0] == "IDENT"
                 if not nested:
                     yield tokens
-                    done += len(tokens)
                     tokens = []
                     push = tokens.append
             push(new(Token, (kind, word, line, m.start(1) - line_start + 1)))
@@ -159,36 +158,38 @@ def _scan(
             line += 1
             line_start = m.end()
             continue
-        col = m.start(2) - line_start + 1
-        if word[0] == '"':
-            if len(word) > 1 and word[-1] == '"':
-                push(new(Token, ("STRING", word[1:-1], line, col)))
-                continue
-            err: ParseError = ParseError("unterminated string")
-        elif word[:2] == "--":
+        if word[:2] == "--":
             if m.end() == end:
                 end = m.start(2)
             continue
-        elif word == "_":
-            err = IllegalCharacter("names may not start with an underscore")
+        col = m.start(2) - line_start + 1
+        if len(word) > 1 and word[0] == '"' == word[-1]:
+            push(new(Token, ("STRING", word[1:-1], line, col)))
         else:
-            err = IllegalCharacter(f"illegal character {word!r}")
-        err.with_span(Span(filename, line, col))
-        if errors is None:
-            raise err
-        errors[done + len(tokens)] = err
-        push(new(Token, ("ERROR", word, line, col)))
+            push(new(Token, ("ERROR", word, line, col)))
     push(new(Token, ("EOF", "", line, end - line_start + 1)))
     yield tokens
 
 
-def tokenize(
-    text: str, filename: str = "<input>", errors: dict[int, ParseError] | None = None
-) -> list[Token]:
+def _lexical_error(t: Token, filename: str) -> ParseError:
+    """The error an ERROR token stands for, where its text starts."""
+    span = Span(filename, t.line, t.col)
+    if t.text[0] == '"':
+        return ParseError("unterminated string", span=span)
+    if t.text == "_":
+        return IllegalCharacter("names may not start with an underscore", span=span)
+    return IllegalCharacter(f"illegal character {t.text!r}", span=span)
+
+
+def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     """The tokens of ``text``, ending in EOF, each at the line and column
-    where it starts: the scanner's chunks in one list (see ``_scan`` for
-    ``errors``)."""
-    return list(chain.from_iterable(_scan(text, filename, errors)))
+    where it starts: the scanner's chunks in one list. The first ERROR
+    token's error is raised."""
+    tokens = list(chain.from_iterable(_scan(text)))
+    for t in tokens:
+        if t[0] == "ERROR":
+            raise _lexical_error(t, filename)
+    return tokens
 
 
 # --- surface nodes -----------------------------------------------------------
@@ -263,32 +264,28 @@ class _Parser:
     """Recursive descent over a buffer of tokens that ``refill`` extends
     by one scanner chunk at a time.
 
-    The expression methods and ``expect``, which run for every token, read
-    ``self.tokens[self.pos]`` and its fields by index and advance ``pos``
-    themselves; ``peek``, ``next`` and ``at`` serve the rest. ``expr``
-    tries binder groups only at ``(`` or ``{``. ``atom`` consumes the token
-    it rejects, as ``next`` would: a parse error resumes after it.
+    Every method reads the current token as ``self.tokens[self.pos]`` and
+    advances ``pos`` itself; no token is consumed past EOF. ``expr`` tries
+    binder groups only at ``(`` or ``{``. ``atom`` consumes the token it
+    rejects, unless it is EOF: a parse error resumes after it.
 
     ``declarations`` trims the buffer at each top-level declaration and,
     while the parser is still shallow, reads chunks until the buffer holds
     the declaration's own chunk and the first token of the next one. Since
     a chunk holds whole declarations, parsing one reads no further: only
     ``resume`` reads past it, at top level, after a parse error that
-    consumed the next keyword."""
+    consumed the next keyword.
 
-    def __init__(
-        self,
-        chunks: Iterator[list[Token]],
-        filename: str,
-        lex_errors: dict[int, ParseError] | None = None,
-    ):
+    The parser owns lexical errors: the first ERROR token from a
+    declaration's start up to the next declaration keyword spoils it,
+    whether or not parsing got as far as that token."""
+
+    def __init__(self, chunks: Iterator[list[Token]], filename: str):
         self.chunks = chunks
         self.tokens: list[Token] = []
         self.pos = 0
-        self.base = 0  # the stream index of tokens[0]
         self.last = 0  # where the last chunk read starts in tokens
         self.filename = filename
-        self.lex_errors = {} if lex_errors is None else lex_errors
 
     def refill(self) -> bool:
         """Append the scanner's next chunk; False when there is none."""
@@ -301,19 +298,6 @@ class _Parser:
 
     def span(self, t: Token) -> Span:
         return Span(self.filename, t.line, t.col)
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        """Consume and return the current token; EOF, the last, stays."""
-        t = self.tokens[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
 
     def expected(self, what: str, t: Token) -> ParseError:
         """The error for finding ``t`` where ``what`` should be: the token
@@ -336,38 +320,33 @@ class _Parser:
     def declarations(self) -> Iterator[Declaration | ParseError]:
         """Each declaration in source order, or the parse error that took
         its place, as the scanner reaches it."""
+        tokens = self.tokens
         while True:
-            del self.tokens[: self.pos]
-            self.base += self.pos
+            del tokens[: self.pos]
             self.last -= self.pos
             self.pos = 0
             while self.last <= 0 and self.refill():  # its chunk and the next one
                 pass
-            if self.at("EOF"):
+            if tokens[0][0] == "EOF":
                 return
+            start = 0  # where its lexical errors are looked for
             try:
                 item = self.declaration()
+                start = self.pos  # a declaration that parsed holds no ERROR token
             except ParseError as e:
                 item = e
             except RecursionError:
                 item = ParseError(
-                    "declaration nests too deeply to parse", span=self.span(self.tokens[0])
+                    "declaration nests too deeply to parse", span=self.span(tokens[0])
                 )
-            if self.lex_errors:
-                item = self.lexical_error() or item
+            end = self.resume()
+            for k in range(start, end):
+                if tokens[k][0] == "ERROR":
+                    item = _lexical_error(tokens[k], self.filename)
+                    break
             if isinstance(item, ParseError):
-                self.pos = self.resume()
+                self.pos = end
             yield item
-
-    def lexical_error(self) -> ParseError | None:
-        """The first lexical error from the buffer's start, where this
-        declaration begins, up to the next declaration keyword. It spoils
-        the declaration, whether or not the parser got as far as the bad
-        token. The errors found are dropped from ``lex_errors``, which
-        then holds only errors after them."""
-        end = self.base + self.resume()
-        found = [self.lex_errors.pop(k) for k in [k for k in self.lex_errors if k < end]]
-        return found[0] if found else None
 
     def resume(self) -> int:
         """Where parsing resumes: the index of the first declaration
@@ -383,10 +362,11 @@ class _Parser:
                 self.refill()
 
     def declaration(self) -> Declaration:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind not in _DECL_KINDS:
             raise self.expected("a declaration", t)
-        start, kind = self.span(self.next()), t.text
+        self.pos += 1
+        start, kind = self.span(t), t.text
         match kind:
             case "postulate" | "primitive" | "def" | "entail":
                 name = self.expect("IDENT", "a name").text
@@ -427,8 +407,8 @@ class _Parser:
             if implicit:
                 raise ParseError("pattern variables are written in parentheses", span=gspan)
             telescope += [(nm, ty) for nm in names]
-        if self.at("COLON"):
-            self.next()
+        if self.tokens[self.pos].kind == "COLON":
+            self.pos += 1
         lhs = self.expr()
         self.expect("EQUALS", "'='")
         rhs = self.expr()
@@ -476,12 +456,12 @@ class _Parser:
     def binder_groups(self) -> list[tuple[list[str], SExpr, bool, Span]]:
         groups: list[tuple[list[str], SExpr, bool, Span]] = []
         while True:
-            t = self.peek()
+            t = self.tokens[self.pos]
             if t.kind not in ("LPAREN", "LBRACE") or not self.looks_like_group():
                 break
             close = "RPAREN" if t.kind == "LPAREN" else "RBRACE"
             implicit = t.kind == "LBRACE"
-            self.next()
+            self.pos += 1
             names = self.names()
             self.expect("COLON", "':'")
             ty = self.expr()
@@ -492,8 +472,9 @@ class _Parser:
     def names(self) -> list[str]:
         """The one or more names a lambda or a binder group binds."""
         names = [self.expect("IDENT", "a binder").text]
-        while self.at("IDENT"):
-            names.append(self.next().text)
+        while (t := self.tokens[self.pos]).kind == "IDENT":
+            names.append(t.text)
+            self.pos += 1
         return names
 
     def looks_like_group(self) -> bool:
@@ -577,8 +558,7 @@ def parse_stream(text: str, filename: str = "<input>") -> Iterator[Declaration |
     """The declarations of ``text`` in source order, each replaced by its
     parse error where it has one, tokenized and parsed one at a time as
     they are asked for."""
-    lex_errors: dict[int, ParseError] = {}
-    return _Parser(_scan(text, filename, lex_errors), filename, lex_errors).declarations()
+    return _Parser(_scan(text), filename).declarations()
 
 
 def parse_file(text: str, filename: str = "<input>") -> tuple[Declaration | ParseError, ...]:
@@ -594,7 +574,7 @@ def parse_expr(text: str, filename: str = "<expr>") -> SExpr:
         out = parser.expr()
     except RecursionError:
         raise ParseError("expression nests too deeply to parse", span=parser.span(tokens[0])) from None
-    trailing = parser.peek()
+    trailing = parser.tokens[parser.pos]
     if trailing.kind != "EOF":
         raise parser.expected("the end of the expression", trailing)
     return out

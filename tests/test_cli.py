@@ -365,3 +365,19 @@ def test_many_lexical_errors_parse_in_linear_time(tmp_path):
     )
     assert proc.returncode == 1
     assert sum("[IllegalCharacter]" in line for line in proc.stdout.splitlines()) == 64000
+
+
+def test_a_million_digit_numeral_reads_and_prints_in_subquadratic_time(tmp_path):
+    # CPython's own decimal conversion of an int, either way, is quadratic
+    # in the digits before 3.12: were telic to use it, the run would not
+    # end inside the timeout.
+    n = "7" * 1_000_000
+    f = tmp_path / "numeral.tel"
+    f.write_text(f"norm {n} = {n}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "telic.cli", "check", str(f)],
+        capture_output=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == f"{f}:1:1: ok: norm = {n}\n".encode()

@@ -27,7 +27,7 @@ from telic.elaborate import Processor, Report
 from telic.errors import ParseError
 from telic.kernel import Kernel
 from telic.prelude import load_prelude
-from telic.surface import _KINDS, _Parser, parse_file, tokenize
+from telic.surface import _KINDS, _Parser, _scan, parse_file, tokenize
 
 # A fuel budget well below the default keeps the non-terminating `loop`
 # declarations of the corpus (and whatever mutations make of them) cheap.
@@ -85,8 +85,8 @@ def parsed(items) -> list[tuple]:
 
 def parse_whole(text: str, name: str) -> tuple:
     """``text`` parsed from one chunk of all its tokens."""
-    errors: dict[int, ParseError] = {}
-    return tuple(_Parser(iter([tokenize(text, name, errors)]), name, errors).declarations())
+    tokens = [t for chunk in _scan(text) for t in chunk]
+    return tuple(_Parser(iter([tokens]), name).declarations())
 
 
 def check_reports(proc: Processor, text: str, name: str, base) -> None:

@@ -5,9 +5,9 @@ classes and the parser that read its tokens through ``peek``, ``at`` and
 ``next``. On every lexicon file of the repository, on the benchmark's
 generated lexicons, on the deep inputs of ``test_depth.py``, on seeded
 random short texts and on seeded mutations of the files, ``telic.surface``
-must give the same token chunks, the same lexical errors (raised, and
-collected), the same parse items with every span, and the same
-``parse_expr`` result or error.
+must give the same token chunks, the same lexical errors (the first one
+raised, and one for each ERROR token), the same parse items with every
+span, and the same ``parse_expr`` result or error.
 
 Nodes compare through ``flatten``, a walk with an explicit stack: ``==`` on
 nodes leaves spans out, and ``repr`` of a deep parse overflows the stack.
@@ -67,10 +67,18 @@ def _error(e: ParseError) -> tuple:
 
 
 def _scanned(module, text: str, name: str):
-    """The chunks, and each lexical error collected by its index, or the
-    first one raised."""
-    errors: dict[int, ParseError] = {}
-    chunks = [list(chunk) for chunk in module._scan(text, name, errors)]
+    """The chunks, and each lexical error by its index, or the first one
+    raised. The oracle collects its errors in a dict; ``surface`` has an
+    ERROR token stand for each."""
+    if module is oracle:
+        errors: dict[int, ParseError] = {}
+        chunks = [list(chunk) for chunk in oracle._scan(text, name, errors)]
+    else:
+        chunks = [list(chunk) for chunk in surface._scan(text)]
+        tokens = [t for chunk in chunks for t in chunk]
+        errors = {
+            k: surface._lexical_error(t, name) for k, t in enumerate(tokens) if t.kind == "ERROR"
+        }
     try:
         raised = len(module.tokenize(text, name))
     except ParseError as e:

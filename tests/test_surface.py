@@ -28,6 +28,8 @@ from telic.surface import (
     SProj,
     SSigma,
     SUniverse,
+    _lexical_error,
+    _scan,
     parse_expr,
     parse_file,
     tokenize,
@@ -108,12 +110,12 @@ LEXER_TABLE = [
 
 @pytest.mark.parametrize("text, expected", LEXER_TABLE, ids=[repr(t) for t, _ in LEXER_TABLE])
 def test_lexer_table(text, expected):
-    tokens = tokenize(text, "<t>", {})
+    tokens = [t for chunk in _scan(text) for t in chunk]
     assert [(t.kind, t.text, t.line, t.col) for t in tokens] == expected
 
 
-# input -> the lexical errors collected, by token index: class, message and
-# where the offending text starts
+# input -> the lexical error of each ERROR token, by token index: class,
+# message and where the offending text starts
 LEXICAL_ERRORS = [
     ("_a", {0: (IllegalCharacter, "names may not start with an underscore", 1, 1)}),
     ('a "\nb', {1: (ParseError, "unterminated string", 1, 3)}),
@@ -124,8 +126,8 @@ LEXICAL_ERRORS = [
 
 @pytest.mark.parametrize("text, expected", LEXICAL_ERRORS, ids=[repr(t) for t, _ in LEXICAL_ERRORS])
 def test_lexical_errors_are_collected(text, expected):
-    errors: dict[int, ParseError] = {}
-    tokenize(text, "<t>", errors)
+    tokens = [t for chunk in _scan(text) for t in chunk]
+    errors = {k: _lexical_error(t, "<t>") for k, t in enumerate(tokens) if t.kind == "ERROR"}
     assert {
         k: (type(e), e.message, e.span.line, e.span.col) for k, e in errors.items()
     } == expected
@@ -476,3 +478,17 @@ def test_lexical_error_after_a_complete_declaration_spoils_it():
     err, b = parse_file("postulate a : Type $\npostulate b : Type\n", "lex.tel")
     assert b.name == "b"
     assert (err.code, err.span.line, err.span.col) == ("IllegalCharacter", 1, 20)
+
+
+@pytest.mark.parametrize(
+    "first, col",
+    [("check : Nat $", 13), ("postulate a : Type ) $", 22)],
+    ids=["after-a-parse-error", "after-trailing-tokens"],
+)
+def test_a_lexical_error_takes_the_place_of_a_parse_error(first, col):
+    # The ERROR token is looked for from the declaration's start after a
+    # parse error, and past its end after a parse: either way it alone is
+    # reported, and the trailing `)` gets no report of its own.
+    err, b = parse_file(f"{first}\npostulate b : Type\n", "lex.tel")
+    assert b.name == "b"
+    assert (err.code, err.span.line, err.span.col) == ("IllegalCharacter", 1, col)
