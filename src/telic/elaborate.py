@@ -145,7 +145,9 @@ class Elaborator:
 
     ``elab`` runs once per surface node, so it dispatches on the node's
     class with ``is`` and reads its fields by index. It unwinds an
-    application spine in place, down to its head.
+    application spine in place, down to its head. A name with neither
+    arguments nor implicit ones becomes the kernel's one ``Const`` for it
+    (``Kernel.consts``).
 
     ``used`` collects the name of every signature constant a surface name
     has resolved to; ``telic selftest`` reads it as the corpus's coverage.
@@ -153,6 +155,7 @@ class Elaborator:
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
+        self.consts = kernel.consts
         self.used: set[str] = set()
 
     def elab(self, e: SExpr, env: list[str | None]) -> Term:
@@ -174,7 +177,10 @@ class Elaborator:
             self.used.add(n)
             mask = entry.implicit_mask
             if not args and not mask:
-                return Const(n, ())
+                c = self.consts.get(n)
+                if c is None:
+                    c = self.consts[n] = Const(n, ())
+                return c
             return self._const_application(n, mask, args, env, e[0])
         if cls is SPi:
             return Pi(self.elab(e[3], env), self.elab(e[4], env + [e[1]]), e[1])

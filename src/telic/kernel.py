@@ -45,7 +45,18 @@ conversion, then on the right). A hole whose type is known takes only a
 solution of that type. ``Kernel.begin`` starts each declaration with no
 holes and a full fuel budget; ``Kernel.hole`` makes each hole, and
 ``Kernel.close`` ends the declaration: it requires every hole solved and
-fills them in, so the signature never contains holes.
+fills them in, so the signature never contains holes. A declaration that
+made no hole is returned as it stands, without the zonk, which would give
+back the very same terms.
+
+``infer``, ``check`` and ``_nf`` run once per node, so, like
+``terms._map``, they dispatch on the exact class of a term with ``is``,
+``Const`` first, instead of ``match`` class patterns, which test
+``isinstance`` case by case. The kernel keeps one ``Const`` per nullary
+name (``Kernel.consts``): the elaborator takes a bare name from it, and
+``infer`` gives a literal its ``Nat``. So equal constants are mostly one
+object, and conversion's ``is`` test settles them without calling
+``==``. A ``Const`` is only a name, so the table needs no rollback.
 
 Records are plain: a ``SignatureEntry`` is a named tuple, and a
 ``RewriteRule`` (its compiled matcher and builder beside its two sides) and
@@ -341,6 +352,8 @@ class Kernel:
     def __init__(self, fuel: int = DEFAULT_FUEL):
         self.sig = Signature()
         self.fuel_limit = fuel
+        # the one term of each nullary constant (see the module docstring)
+        self.consts: dict[str, Const] = {"Nat": Const("Nat", ())}
         self.begin()
 
     # - per-declaration state -
@@ -467,25 +480,25 @@ class Kernel:
 
     def _nf(self, t: Term, structural: bool) -> Term:
         h = self.whnf(t, unfold=structural)
-        match h:
-            case Const(name=n, args=args):
-                return Const(n, tuple(self._nf(a, False) for a in args))
-            case Pi(domain=d, codomain=c, hint=hint):
-                return Pi(self._nf(d, structural), self._nf(c, structural), hint)
-            case Sigma(first=a, second=b, hint=hint):
-                return Sigma(self._nf(a, structural), self._nf(b, structural), hint)
-            case Lambda(body=b, hint=hint):
-                return Lambda(self._nf(b, structural), hint)
-            case Pair(first=a, second=b):
-                return Pair(self._nf(a, structural), self._nf(b, structural))
-            case App(fn=f, arg=a):
-                return App(self._nf(f, False), self._nf(a, False))
-            case Fst(pair=p) | Snd(pair=p):
-                return type(h)(self._nf(p, False))
-            case Meta(id=m, spine=sp):
-                return Meta(m, tuple(self._nf(s, False) for s in sp))
-            case _:
-                return h
+        cls = type(h)
+        if cls is Const:
+            args = h.args
+            return Const(h.name, tuple([self._nf(a, False) for a in args])) if args else h
+        if cls is Pi:
+            return Pi(self._nf(h.domain, structural), self._nf(h.codomain, structural), h.hint)
+        if cls is App:
+            return App(self._nf(h.fn, False), self._nf(h.arg, False))
+        if cls is Sigma:
+            return Sigma(self._nf(h.first, structural), self._nf(h.second, structural), h.hint)
+        if cls is Lambda:
+            return Lambda(self._nf(h.body, structural), h.hint)
+        if cls is Pair:
+            return Pair(self._nf(h.first, structural), self._nf(h.second, structural))
+        if cls is Fst or cls is Snd:
+            return cls(self._nf(h.pair, False))
+        if cls is Meta:
+            return Meta(h.id, tuple([self._nf(s, False) for s in h.spine]))
+        return h
 
     # - conversion / unification -
 
@@ -636,6 +649,8 @@ class Kernel:
                 f"{len(pending)} unsolved hole(s) remain; first is {self._show_hole(e)}",
                 span=e.span or span,
             )
+        if not self.metas:  # nothing to fill in: the zonk would return each term itself
+            return list(terms)
         return [self.zonk(t) for t in terms]
 
     def _show_hole(self, e: MetaEntry) -> str:
@@ -648,140 +663,145 @@ class Kernel:
     # - typing -
 
     def infer(self, ctx: Context, t: Term) -> Term:
-        match t:
-            case Var(index=i):
-                if i < 0 or i >= len(ctx):
-                    raise UnboundVariable(f"variable index {i} exceeds context depth {len(ctx)}")
-                return ctx_lookup(ctx, i)
-            case Const(name=n, args=args):
-                entry = self.sig.entries.get(n)
-                if entry is None:
-                    raise UnknownConstant(f"unknown constant `{n}`")
-                # Instantiate the type once: while it is syntactically a Pi,
-                # the arguments wait in `env` (last first) and only each
-                # domain is substituted. The tick is the one step `whnf`
-                # takes on a Pi, so the steps counted are those of reducing
-                # the type after each argument.
-                ty: Term = entry.type
-                env: list[Term] = []
-                for a in args:
-                    if type(ty) is Pi:
-                        self._tick()
-                    else:
-                        ty = self.whnf(subst_many(ty, env) if env else ty)
-                        env = []
-                        if not isinstance(ty, Pi):
-                            raise NotAFunction(
-                                f"`{n}` is over-applied: `{self._show(ctx, ty)}` is not a function type"
-                            )
-                    self.check(ctx, a, subst_many(ty.domain, env) if env else ty.domain)
-                    env.insert(0, a)
-                    ty = ty.codomain
-                return subst_many(ty, env) if env else ty
-            case Universe(level=0):
+        cls = type(t)
+        if cls is Const:
+            n = t.name
+            entry = self.sig.entries.get(n)
+            if entry is None:
+                raise UnknownConstant(f"unknown constant `{n}`")
+            # Instantiate the type once: while it is syntactically a Pi,
+            # the arguments wait in `env` (last first) and only each
+            # domain is substituted. The tick is the one step `whnf`
+            # takes on a Pi, so the steps counted are those of reducing
+            # the type after each argument.
+            ty: Term = entry.type
+            env: list[Term] = []
+            for a in t.args:
+                if type(ty) is Pi:
+                    self._tick()
+                else:
+                    ty = self.whnf(subst_many(ty, env) if env else ty)
+                    env = []
+                    if not isinstance(ty, Pi):
+                        raise NotAFunction(
+                            f"`{n}` is over-applied: `{self._show(ctx, ty)}` is not a function type"
+                        )
+                self.check(ctx, a, subst_many(ty.domain, env) if env else ty.domain)
+                env.insert(0, a)
+                ty = ty.codomain
+            return subst_many(ty, env) if env else ty
+        if cls is Var:
+            i = t.index
+            if i < 0 or i >= len(ctx):
+                raise UnboundVariable(f"variable index {i} exceeds context depth {len(ctx)}")
+            return ctx_lookup(ctx, i)
+        if cls is App:
+            # Reducible heads appear when a rewrite right-hand side or an
+            # unfolded definition lands inside a type, so step them first.
+            a = t.arg
+            fw = self.whnf(t.fn)
+            if isinstance(fw, Lambda):
+                return self.infer(ctx, subst(fw.body, a))
+            if isinstance(fw, Const):
+                return self.infer(ctx, Const(fw.name, fw.args + (a,)))
+            tf = self.whnf(self.infer(ctx, fw))
+            if not isinstance(tf, Pi):
+                raise NotAFunction(
+                    f"applied term has non-function type `{self._show(ctx, tf)}`"
+                )
+            self.check(ctx, a, tf.domain)
+            return subst(tf.codomain, a)
+        if cls is Pi:
+            d = t.domain
+            l1 = self.check_is_type(ctx, d)
+            l2 = self.check_is_type(ctx_extend(ctx, t.hint or "x", d), t.codomain)
+            return Universe(max(l1, l2))
+        if cls is Sigma:
+            a = t.first
+            l1 = self.check_is_type(ctx, a)
+            l2 = self.check_is_type(ctx_extend(ctx, t.hint or "p", a), t.second)
+            return Universe(max(l1, l2))
+        if cls is Universe:
+            if t.level == 0:
                 return Universe(1)
-            case Universe():
-                raise UniverseMismatch("Type1 itself has no type")
-            case Pi(domain=d, codomain=c, hint=h):
-                l1 = self.check_is_type(ctx, d)
-                l2 = self.check_is_type(ctx_extend(ctx, h or "x", d), c)
-                return Universe(max(l1, l2))
-            case Sigma(first=a, second=b, hint=h):
-                l1 = self.check_is_type(ctx, a)
-                l2 = self.check_is_type(ctx_extend(ctx, h or "p", a), b)
-                return Universe(max(l1, l2))
-            case Lambda():
-                raise CannotInfer("cannot infer the type of an unannotated function")
-            case App(fn=f, arg=a):
-                # Reducible heads appear when a rewrite right-hand side or an
-                # unfolded definition lands inside a type, so step them first.
-                fw = self.whnf(f)
-                if isinstance(fw, Lambda):
-                    return self.infer(ctx, subst(fw.body, a))
-                if isinstance(fw, Const):
-                    return self.infer(ctx, Const(fw.name, fw.args + (a,)))
-                tf = self.whnf(self.infer(ctx, fw))
-                if not isinstance(tf, Pi):
-                    raise NotAFunction(
-                        f"applied term has non-function type `{self._show(ctx, tf)}`"
-                    )
-                self.check(ctx, a, tf.domain)
-                return subst(tf.codomain, a)
-            case Pair():
-                raise CannotInfer("cannot infer the type of a bare pair")
-            case Fst(pair=p) | Snd(pair=p):
-                first = type(t) is Fst
-                pw = self.whnf(p)
-                if isinstance(pw, Pair):
-                    return self.infer(ctx, pw.first if first else pw.second)
-                tp = self.whnf(self.infer(ctx, pw))
-                if not isinstance(tp, Sigma):
-                    raise NotAPair(
-                        f"{'fst' if first else 'snd'} applied to a term of non-pair "
-                        f"type `{self._show(ctx, tp)}`"
-                    )
-                return tp.first if first else subst(tp.second, Fst(pw))
-            case NatLit():
-                if "Nat" not in self.sig.entries:
-                    raise UnknownConstant("numeric literals need `Nat` declared")
-                return Const("Nat")
-            case Meta(id=m, spine=sp):
-                entry = self.metas[m]
-                if entry.solution is not None:
-                    return self.infer(ctx, _inst_solution(entry.solution, sp))
-                if entry.type is not None:
-                    return _inst_solution(entry.type, sp)
-                raise CannotInfer("cannot infer the type of an unconstrained hole")
+            raise UniverseMismatch("Type1 itself has no type")
+        if cls is NatLit:
+            if "Nat" not in self.sig.entries:
+                raise UnknownConstant("numeric literals need `Nat` declared")
+            return self.consts["Nat"]
+        if cls is Fst or cls is Snd:
+            first = cls is Fst
+            pw = self.whnf(t.pair)
+            if isinstance(pw, Pair):
+                return self.infer(ctx, pw.first if first else pw.second)
+            tp = self.whnf(self.infer(ctx, pw))
+            if not isinstance(tp, Sigma):
+                raise NotAPair(
+                    f"{'fst' if first else 'snd'} applied to a term of non-pair "
+                    f"type `{self._show(ctx, tp)}`"
+                )
+            return tp.first if first else subst(tp.second, Fst(pw))
+        if cls is Meta:
+            entry = self.metas[t.id]
+            if entry.solution is not None:
+                return self.infer(ctx, _inst_solution(entry.solution, t.spine))
+            if entry.type is not None:
+                return _inst_solution(entry.type, t.spine)
+            raise CannotInfer("cannot infer the type of an unconstrained hole")
+        if cls is Lambda:
+            raise CannotInfer("cannot infer the type of an unannotated function")
+        if cls is Pair:
+            raise CannotInfer("cannot infer the type of a bare pair")
         raise AssertionError(f"infer: unhandled term {t!r}")
 
     def check(self, ctx: Context, t: Term, expected: Term) -> None:
-        match t:
-            case Lambda(body=b, hint=h):
-                ew = self.whnf(expected)
-                if isinstance(ew, Pi):
-                    inner = ctx_extend(ctx, h or ew.hint or "x", ew.domain)
-                    self.check(inner, b, ew.codomain)
-                    return
-                if isinstance(ew, Meta):
-                    raise UnsolvedMeta(
-                        "checking a function against an unsolved hole; annotate the type"
-                    )
-                raise TypeMismatch(
-                    f"a function cannot have type `{self._show(ctx, ew)}`"
-                )
-            case Pair(first=a, second=b):
-                ew = self.whnf(expected)
-                if isinstance(ew, Sigma):
-                    self.check(ctx, a, ew.first)
-                    self.check(ctx, b, subst(ew.second, a))
-                    return
-                if isinstance(ew, Meta):
-                    raise UnsolvedMeta(
-                        "checking a pair against an unsolved hole; annotate the type"
-                    )
-                raise TypeMismatch(f"a pair cannot have type `{self._show(ctx, ew)}`")
-            case Meta(id=m, spine=sp):
-                entry = self.metas[m]
-                if entry.solution is not None:
-                    self.check(ctx, _inst_solution(entry.solution, sp), expected)
-                    return
-                if entry.type is None:
-                    entry.type = expected
-                    entry.ctx = ctx
-                    return
-                if not self._unify(_inst_solution(entry.type, sp), expected):
-                    raise TypeMismatch(
-                        f"hole expects type `{self._show(ctx, entry.type)}` but "
-                        f"`{self._show(ctx, expected)}` is required"
-                    )
+        cls = type(t)
+        if cls is Lambda:
+            ew = self.whnf(expected)
+            if isinstance(ew, Pi):
+                inner = ctx_extend(ctx, t.hint or ew.hint or "x", ew.domain)
+                self.check(inner, t.body, ew.codomain)
                 return
-            case _:
-                actual = self.infer(ctx, t)
-                if not self._unify(actual, expected):
-                    raise TypeMismatch(
-                        f"term has type `{self._show(ctx, actual)}` but "
-                        f"`{self._show(ctx, expected)}` was expected"
-                    )
+            if isinstance(ew, Meta):
+                raise UnsolvedMeta(
+                    "checking a function against an unsolved hole; annotate the type"
+                )
+            raise TypeMismatch(
+                f"a function cannot have type `{self._show(ctx, ew)}`"
+            )
+        if cls is Pair:
+            ew = self.whnf(expected)
+            if isinstance(ew, Sigma):
+                a = t.first
+                self.check(ctx, a, ew.first)
+                self.check(ctx, t.second, subst(ew.second, a))
+                return
+            if isinstance(ew, Meta):
+                raise UnsolvedMeta(
+                    "checking a pair against an unsolved hole; annotate the type"
+                )
+            raise TypeMismatch(f"a pair cannot have type `{self._show(ctx, ew)}`")
+        if cls is Meta:
+            entry = self.metas[t.id]
+            if entry.solution is not None:
+                self.check(ctx, _inst_solution(entry.solution, t.spine), expected)
+                return
+            if entry.type is None:
+                entry.type = expected
+                entry.ctx = ctx
+                return
+            if not self._unify(_inst_solution(entry.type, t.spine), expected):
+                raise TypeMismatch(
+                    f"hole expects type `{self._show(ctx, entry.type)}` but "
+                    f"`{self._show(ctx, expected)}` is required"
+                )
+            return
+        actual = self.infer(ctx, t)
+        if not self._unify(actual, expected):
+            raise TypeMismatch(
+                f"term has type `{self._show(ctx, actual)}` but "
+                f"`{self._show(ctx, expected)}` was expected"
+            )
 
     def check_is_type(self, ctx: Context, t: Term) -> int:
         """The universe level of ``t``, which must be a type."""

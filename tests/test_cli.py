@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -381,3 +383,36 @@ def test_a_million_digit_numeral_reads_and_prints_in_subquadratic_time(tmp_path)
     )
     assert proc.returncode == 0
     assert proc.stdout == f"{f}:1:1: ok: norm = {n}\n".encode()
+
+
+def test_output_does_not_depend_on_the_hash_seed(small_lexicon):
+    # Sets and dicts keyed by strings iterate in an order that the hash seed
+    # decides; no report may depend on it.
+    for argv in (["selftest"], ["check", str(small_lexicon)]):
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "telic.cli", *argv, "--format", "structured"],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_a_hole_cannot_let_type1_pass_as_type(tmp_path, capsys):
+    f = tmp_path / "holes.tel"
+    f.write_text(
+        "primitive Nat : Type\n"
+        "postulate id : (A : Type) -> A -> A\n"
+        "check id _ : Type -> Type\n"
+        "check ((T : _) -> T -> T) : Type\n"
+        "def Poly : Type = (T : _) -> T -> T\n"
+    )
+    assert main(["check", "--no-prelude", str(f)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    codes = [code for line in lines for code in re.findall(r"\[[A-Za-z]*\]", line)]
+    assert codes == ["[TypeMismatch]", "[UniverseMismatch]", "[UniverseMismatch]"]
+    assert sum("found a term of type `?0 : Type`" in line for line in lines) == 2

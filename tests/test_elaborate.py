@@ -166,6 +166,20 @@ def test_arrow_chains_elaborate_without_rebuilding_the_codomain(bare_processor, 
     assert calls <= 3
 
 
+def test_a_nullary_name_elaborates_to_one_term(bare_processor):
+    run(bare_processor, "postulate n1 : Nat\npostulate n2 : Nat")
+    entries = bare_processor.kernel.sig.entries
+    nat = entries["n1"].type
+    assert entries["n2"].type is nat
+    with bare_processor.rollback():
+        assert statuses(bare_processor.process_text("postulate n9 : Nat", "gone.tel")) == ["ok"]
+        assert entries["n9"].type is nat
+    assert "n9" not in entries
+    assert statuses(bare_processor.process_text("postulate n3 : Nat", "again.tel")) == ["ok"]
+    assert entries["n3"].type is nat
+    assert bare_processor.kernel.infer(terms.EMPTY_CONTEXT, terms.NatLit(1)) is nat
+
+
 # --- error order ------------------------------------------------------------------
 
 ORDER_BASE = r"""

@@ -6,9 +6,10 @@ free. Each test runs its work with the collector off, then asks a full
 collection, with ``gc.DEBUG_SAVEALL`` set, for what it found unreachable,
 and keeps what telic made: its functions, frames of its code, its classes
 and their instances. Garbage of other code (the test runner's, a tracer's)
-is not counted, except by the test of an in-process ``telic selftest``:
-that counts every object, the standard library's included, and exempts
-only the line-check plugin's tracers (``tests/linecheck.py``).
+is not counted, except by the tests of an in-process ``telic selftest`` and
+of the benchmark's one-round lexicon: they count every object, the
+standard library's included, and exempt only the line-check plugin's
+tracers (``tests/linecheck.py``).
 """
 
 from __future__ import annotations
@@ -136,3 +137,15 @@ def test_an_in_process_selftest_leaves_no_cycles_at_all(capsys):
     assert found == Counter()
     assert status == [0]
     assert "prelude: 86/86 audits ok" in capsys.readouterr().out
+
+
+def test_checking_a_lexicon_leaves_no_cycles_at_all(small_lexicon):
+    proc, reports = load_prelude()
+    assert all(r.ok for r in reports)
+    reports = []
+    found = telic_garbage(
+        lambda: reports.extend(proc.process_path(small_lexicon)), _without_line_check_tracers
+    )
+    assert found == Counter()
+    assert len(reports) == 237
+    assert all(r.ok for r in reports)

@@ -667,3 +667,101 @@ def test_close_reports_the_first_pending_hole():
     ) as info:
         k.close(given)
     assert info.value.span == own
+
+
+def test_closing_a_declaration_without_holes_returns_its_terms_themselves():
+    k = nat_kernel()
+    t = Pi(NAT, Const("g", (Var(0),)))
+    k.begin()
+    (out,) = k.close(None, t)
+    assert out is t
+    # one with a solved hole still comes back with the solution filled in
+    k.begin()
+    m = k.hole(0)
+    assert k._unify(m, NatLit(3))
+    (out,) = k.close(None, Const("g", (m,)))
+    assert out == Const("g", (NatLit(3),))
+
+
+def test_a_literal_has_the_kernels_one_nat():
+    k = nat_kernel()
+    assert k.infer(EMPTY_CONTEXT, NatLit(1)) is k.consts["Nat"]
+    assert k.infer(EMPTY_CONTEXT, NatLit(2)) is k.consts["Nat"]
+
+
+# --- one table over the twelve term classes ---------------------------------------
+
+N_CTX = ctx_extend(EMPTY_CONTEXT, "n", NAT)
+
+# (term, its inferred type or the error inferring it raises, a type it checks
+# against or None, its normal form), in the context `n : Nat`; hole ?0 is
+# fresh and its type is not yet known
+EACH_CLASS = {
+    "Var": (Var(0), NAT, NAT, Var(0)),
+    "Const": (Const("g", (Var(0),)), NAT, NAT, Const("g", (Var(0),))),
+    "Universe": (Universe(0), Universe(1), Universe(1), Universe(0)),
+    "Universe1": (Universe(1), (UniverseMismatch, "^Type1 itself has no type$"), None, Universe(1)),
+    "Pi": (Pi(NAT, NAT), Universe(0), Universe(0), Pi(NAT, NAT)),
+    "Lambda": (
+        Lambda(Const("g", (Var(0),))),
+        (CannotInfer, "^cannot infer the type of an unannotated function$"),
+        Pi(NAT, NAT),
+        Lambda(Const("g", (Var(0),))),
+    ),
+    "App": (App(Lambda(Var(0)), Var(0)), NAT, NAT, Var(0)),
+    "Sigma": (Sigma(NAT, NAT), Universe(0), Universe(0), Sigma(NAT, NAT)),
+    "Pair": (
+        Pair(NatLit(1), Var(0)),
+        (CannotInfer, "^cannot infer the type of a bare pair$"),
+        Sigma(NAT, NAT),
+        Pair(NatLit(1), Var(0)),
+    ),
+    "Fst": (Fst(Const("sp")), NAT, NAT, Fst(Const("sp"))),
+    "Snd": (Snd(Pair(NatLit(1), Var(0))), NAT, NAT, Var(0)),
+    "NatLit": (NatLit(5), NAT, NAT, NatLit(5)),
+    "Meta": (
+        Meta(0, (Var(0),)),
+        (CannotInfer, "^cannot infer the type of an unconstrained hole$"),
+        NAT,
+        Meta(0, (Var(0),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EACH_CLASS)
+def test_each_term_class_infers_checks_and_normalizes(name):
+    term, inferred, expected, normal = EACH_CLASS[name]
+    k = nat_kernel()
+    k.hole(1)
+    if isinstance(inferred, tuple):
+        error, message = inferred
+        with pytest.raises(error, match=message):
+            k.infer(N_CTX, term)
+    else:
+        assert k.infer(N_CTX, term) == inferred
+    if expected is not None:
+        k.check(N_CTX, term, expected)
+    assert k.normalize(term) == normal
+
+
+# what checking each class against `Nat` or a universe it does not have raises
+CHECK_ERRORS = {
+    "Lambda": (Lambda(Var(0)), NAT, TypeMismatch, "^a function cannot have type `Nat`$"),
+    "Pair": (Pair(NatLit(1), NatLit(2)), NAT, TypeMismatch, "^a pair cannot have type `Nat`$"),
+    "Const": (
+        Const("k0"), Universe(0), TypeMismatch, "^term has type `Nat` but `Type` was expected$"
+    ),
+    "Universe": (
+        Universe(0), Universe(0), TypeMismatch, "^term has type `Type1` but `Type` was expected$"
+    ),
+    "Meta": (Meta(0), Universe(0), TypeMismatch, "^hole expects type `Nat` but `Type` is required$"),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_ERRORS)
+def test_each_term_class_reports_its_own_check_error(name):
+    term, expected, error, message = CHECK_ERRORS[name]
+    k = nat_kernel()
+    k.check(EMPTY_CONTEXT, k.hole(0), NAT)
+    with pytest.raises(error, match=message):
+        k.check(EMPTY_CONTEXT, term, expected)

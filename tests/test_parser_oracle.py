@@ -15,14 +15,13 @@ nodes leaves spans out, and ``repr`` of a deep parse overflows the stack.
 
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
 import surface_oracle as oracle
+from conftest import load_bench_gen
 from telic import surface
 from telic.errors import ParseError, Span
 from test_depth import DEEP_ARROWS, DEEP_PARENS, DEEP_SUM
@@ -31,15 +30,6 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src" / "telic" / "data").rglob("*.tel")) + sorted(
     (ROOT / "tests").rglob("*.tel")
 )
-
-
-def _load_gen():
-    """``bench/gen.py``, loaded by path."""
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def flatten(item: object) -> list[object]:
@@ -107,7 +97,7 @@ def test_every_lexicon_file(path):
 
 
 def test_the_generated_lexicons():
-    gen = _load_gen()
+    gen = load_bench_gen()
     for source in [gen.lexicon(1), *gen.reduction(1)]:
         assert_same(source.text, source.name)
 
