@@ -78,9 +78,8 @@ def _cmd_norm(args: argparse.Namespace) -> int:
             return 1
     try:
         normal, ty = proc.normalize_expression(args.expr)
-    except TelicError as err:
-        loc = f"{err.span}: " if err.span is not None else ""
-        print(f"{loc}error [{err.code}]: {err.message}", file=sys.stderr)
+    except TelicError as err:  # it has the expression's span, or a closer one
+        print(f"{err.span}: error [{err.code}]: {err.message}", file=sys.stderr)
         return 1
     print(f"{normal} : {ty}")
     return 0

@@ -20,17 +20,18 @@ its parse errors are still reported; failed queries (check, norm, fail,
 rewrite) are reported and processing continues. A report takes its kind
 and name from the declaration's. Every typing claim arrives as a `DDef`:
 a postulate (no body) is stored as an axiom, a def or entail as a
-definition, and a check (no name) is only checked.
+definition, and a check (no name) is only checked. ``Processor.checked``
+runs each, and reports nesting too deep for Python as ``DepthExceeded``.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import (
     DepthExceeded,
@@ -85,7 +86,6 @@ from .terms import (
     map_term,
     subterms,
 )
-
 
 # --- reports -------------------------------------------------------------------
 
@@ -319,54 +319,46 @@ class Processor:
         without a position of its own gets the expression's.
         """
         sexpr = parse_expr(text)
-        self.kernel.begin()
         try:
-            t = self.elab.elab(sexpr, [])
-            ty = self.kernel.infer(EMPTY_CONTEXT, t)
-            t, ty = self.kernel.close(sexpr.span, t, ty)
-            sig = self.kernel.sig
-            return pretty(self.kernel.normalize(t), sig), pretty(ty, sig)
+            return self.checked(sexpr.span, "expression", self._normalize, sexpr)
         except TelicError as e:
             e.with_span(sexpr.span)
             raise
-        except RecursionError:
-            raise DepthExceeded(
-                "expression nests too deeply to check", span=sexpr.span
-            ) from None
 
-    def _load_file(self, path: Path, reports: list[Report]) -> bool:
+    def _normalize(self, sexpr: SExpr) -> tuple[str, str]:
+        t = self.elab.elab(sexpr, [])
+        ty = self.kernel.infer(EMPTY_CONTEXT, t)
+        t, ty = self.kernel.close(sexpr.span, t, ty)
+        sig = self.kernel.sig
+        return pretty(self.kernel.normalize(t), sig), pretty(ty, sig)
+
+    def _load_file(self, path: Path, reports: list[Report]) -> None:
         """Parse and process one UTF-8 file, skipping a leading byte-order
-        mark. Returns False when the file failed in a way that poisons
-        whatever imported it; raises ``ParseError``, without a span, when it
-        cannot be read."""
+        mark, unless it is loaded already; raises ``ParseError``, without a
+        span, when it cannot be read."""
         try:
             resolved = path.resolve()
             text = resolved.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as e:
             raise ParseError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
-        if str(resolved) in self._loaded:
-            return True
-        self._loaded.add(str(resolved))
-        return self._run_parsed(parse_stream(text, str(path)), reports, resolved.parent)
+        if str(resolved) not in self._loaded:
+            self._loaded.add(str(resolved))
+            self._run_parsed(parse_stream(text, str(path)), reports, resolved.parent)
 
     def _run_parsed(
         self, items: Iterator[Declaration | ParseError], reports: list[Report], base: Path
-    ) -> bool:
+    ) -> None:
         """Report each item of a file's parse stream as it arrives: a
         parse error where it stands, a declaration through
         ``run_declaration``. After a failed binding the declarations are
-        skipped, but the parse errors are still reported. Returns False
-        when anything failed."""
-        ok, halted = True, False
+        skipped, but the parse errors are still reported."""
+        halted = False
         for item in items:
             if isinstance(item, ParseError):
                 reports.append(Report(item.span, "parse", None, item.code, item.message))
-                ok = False
             elif not halted:
                 report, halted = self.run_declaration(item, reports, base)
                 reports.append(report)
-                ok = ok and report.ok
-        return ok
 
     # - single declarations -
 
@@ -376,13 +368,21 @@ class Processor:
         of its file: an import, or a ``DDef`` other than a check."""
         return type(decl) is DImport or (type(decl) is DDef and decl.name is not None)
 
+    def checked(self, span: Span | None, what: str, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)`` from no holes and the full fuel, ending in
+        ``DepthExceeded`` at ``span`` if Python's recursion runs out."""
+        self.kernel.begin()
+        try:
+            return fn(*args)
+        except RecursionError:
+            raise DepthExceeded(f"{what} nests too deeply to check", span=span) from None
+
     def run_declaration(
         self, decl: Declaration, reports: list[Report], base: Path
     ) -> tuple[Report, bool]:
         """Returns the report plus whether the rest of the file must stop."""
-        self.kernel.begin()
         try:
-            report = self._dispatch(decl, reports, base)
+            report = self.checked(decl.span, "declaration", self._dispatch, decl, reports, base)
             return report, False
         except TelicError as e:
             e.with_span(decl.span)
@@ -390,47 +390,43 @@ class Processor:
             return report, self.binds(decl)
 
     def _dispatch(self, decl: Declaration, reports: list[Report], base: Path) -> Report:
-        """Check and store ``decl``; a declaration too deep for Python's
-        recursion limit raises ``DepthExceeded``."""
-        try:
-            sp, name = decl.span, decl.name
-            match decl:
-                case DDef(type=ty, body=body):
-                    mask = implicit_mask_of(ty)
-                    ty_t = self.elab.elab(ty, [])
-                    self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
-                    if body is not None:
-                        body_t = self.elab.elab(body, [])
-                        self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
-                    if name is None:  # a check stores nothing
-                        self.kernel.close(sp)
-                    elif body is None:
-                        self.kernel.declare_axiom(name, *self.kernel.close(sp, ty_t), mask)
-                    else:
-                        self.kernel.declare_definition(name, *self.kernel.close(sp, ty_t, body_t), mask)
-                case DNorm(lhs=lhs, rhs=rhs):
-                    got, want = self._run_norm(lhs, rhs, sp)
-                    if got != want:
-                        raise TypeMismatch(
-                            f"normal form is `{pretty(got, self.kernel.sig)}` but the "
-                            f"declaration claims `{pretty(want, self.kernel.sig)}`",
-                            span=sp,
-                        )
-                    return Report(sp, decl.kind, name, normal_form=pretty(got, self.kernel.sig))
-                case DRewrite(telescope=tele, lhs=lhs, rhs=rhs):
-                    self._run_rewrite(tele, lhs, rhs, sp)
-                case DFail(code=code, inner=inner):
-                    return self._run_fail(code, inner, sp, base)
-                case DImport():
-                    if not self._load_file(base / name, reports):
-                        raise ParseError(f"import of {name} failed", span=sp)
-                case _:
-                    raise AssertionError(f"unhandled declaration {decl!r}")
-            return Report(sp, decl.kind, name)
-        except RecursionError:
-            raise DepthExceeded(
-                "declaration nests too deeply to check", span=decl.span
-            ) from None
+        """Check and store ``decl``; an import fails with any of its reports."""
+        sp, name = decl.span, decl.name
+        match decl:
+            case DDef(type=ty, body=body):
+                mask = implicit_mask_of(ty)
+                ty_t = self.elab.elab(ty, [])
+                self.kernel.check_is_type(EMPTY_CONTEXT, ty_t)
+                if body is not None:
+                    body_t = self.elab.elab(body, [])
+                    self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
+                if name is None:  # a check stores nothing
+                    self.kernel.close(sp)
+                elif body is None:
+                    self.kernel.declare_axiom(name, *self.kernel.close(sp, ty_t), mask)
+                else:
+                    self.kernel.declare_definition(name, *self.kernel.close(sp, ty_t, body_t), mask)
+            case DNorm(lhs=lhs, rhs=rhs):
+                got, want = self._run_norm(lhs, rhs, sp)
+                if got != want:
+                    raise TypeMismatch(
+                        f"normal form is `{pretty(got, self.kernel.sig)}` but the "
+                        f"declaration claims `{pretty(want, self.kernel.sig)}`",
+                        span=sp,
+                    )
+                return Report(sp, decl.kind, name, normal_form=pretty(got, self.kernel.sig))
+            case DRewrite(telescope=tele, lhs=lhs, rhs=rhs):
+                self._run_rewrite(tele, lhs, rhs, sp)
+            case DFail(code=code, inner=inner):
+                return self._run_fail(code, inner, sp, base)
+            case DImport():
+                start = len(reports)
+                self._load_file(base / name, reports)
+                if not all(r.ok for r in reports[start:]):
+                    raise ParseError(f"import of {name} failed", span=sp)
+            case _:
+                raise AssertionError(f"unhandled declaration {decl!r}")
+        return Report(sp, decl.kind, name)
 
     def _run_norm(self, lhs: SExpr, rhs: SExpr, sp: Span) -> tuple[Term, Term]:
         lhs_t = self.elab.elab(lhs, [])
@@ -495,7 +491,7 @@ class Processor:
         label = inner.kind + (f" {inner.name}" if inner.name else "")
         try:
             with self.rollback():
-                self._dispatch(inner, [], base)
+                self.checked(inner.span, "declaration", self._dispatch, inner, [], base)
         except TelicError as e:
             if e.code == code:
                 return Report(

@@ -6,20 +6,22 @@ of that load. ``prelude_self_check`` re-verifies a processor's signature
 from the kernel side: every entry must still be well typed; every rewrite
 rule's telescope must consist of types, and the rule must fire on a
 synthetic instance of its left-hand side and produce something convertible
-with its right-hand side. ``Kernel.declare_*`` store declarations without
-re-checking them, so this audit is the one check independent of the
-elaborating ``Processor``; it applies to any signature.
+with its right-hand side. An entry or rule too deeply nested to check
+fails its audit line with ``DepthExceeded``. ``Kernel.declare_*`` store
+declarations without re-checking them, so this audit is the one check
+independent of the elaborating ``Processor``; it applies to any signature.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
 from .elaborate import Processor, Report
 from .errors import TelicError
-from .kernel import RewriteRule
+from .kernel import Kernel, RewriteRule, SignatureEntry
 from .terms import EMPTY_CONTEXT, Const, subst_many
 
 ENV_PRELUDE = "TELIC_PRELUDE"
@@ -58,30 +60,38 @@ class CheckResult(NamedTuple):
         return f"{mark:4} {self.label}{tail}"
 
 
-def _check_rule(proc: Processor, rule: RewriteRule, index: int) -> CheckResult:
-    label = f"rule {rule.lhs.name} #{index}"
-    kernel = proc.kernel
-    kernel.begin()
+def _audit(proc: Processor, label: str, probe: Callable[..., str | None], *args: object) -> CheckResult:
+    """An audit line: the fault ``probe(*args)`` returns or raises, if any."""
     try:
-        with proc.rollback():
-            # a scratch constant for each telescope slot, declared outermost
-            # first; ``env`` holds them innermost first, as Var(0) is
-            env: list[Const] = []
-            for k, (hint, ty) in enumerate(rule.telescope):
-                name = f"_probe_{hint}_{k}"
-                probe_ty = subst_many(ty, env)
-                kernel.check_is_type(EMPTY_CONTEXT, probe_ty)
-                kernel.declare_axiom(name, probe_ty)
-                env.insert(0, Const(name))
-            lhs, rhs = subst_many(rule.lhs, env), subst_many(rule.rhs, env)
-            fired = kernel.whnf(lhs)
-            if fired == lhs:
-                return CheckResult(label, False, "rule does not fire on a fresh instance")
-            if not kernel.convertible(lhs, rhs):
-                return CheckResult(label, False, "fired instance differs from right-hand side")
-            return CheckResult(label, True)
+        detail = proc.checked(None, label, probe, *args)
     except TelicError as err:
-        return CheckResult(label, False, f"[{err.code}] {err.message}")
+        detail = f"[{err.code}] {err.message}"
+    return CheckResult(label, detail is None, detail or "")
+
+
+def _check_entry(kernel: Kernel, entry: SignatureEntry) -> None:
+    kernel.check_is_type(EMPTY_CONTEXT, entry.type)
+    if entry.body is not None:
+        kernel.check(EMPTY_CONTEXT, entry.body, entry.type)
+
+
+def _check_rule(proc: Processor, rule: RewriteRule) -> str | None:
+    kernel = proc.kernel
+    with proc.rollback():
+        # a scratch constant for each telescope slot, declared outermost
+        # first; ``env`` holds them innermost first, as Var(0) is
+        env: list[Const] = []
+        for k, (hint, ty) in enumerate(rule.telescope):
+            name = f"_probe_{hint}_{k}"
+            probe_ty = subst_many(ty, env)
+            kernel.check_is_type(EMPTY_CONTEXT, probe_ty)
+            kernel.declare_axiom(name, probe_ty)
+            env.insert(0, Const(name))
+        lhs, rhs = subst_many(rule.lhs, env), subst_many(rule.rhs, env)
+        if kernel.whnf(lhs) == lhs:
+            return "rule does not fire on a fresh instance"
+        if not kernel.convertible(lhs, rhs):
+            return "fired instance differs from right-hand side"
 
 
 def prelude_self_check(proc: Processor) -> list[CheckResult]:
@@ -92,18 +102,12 @@ def prelude_self_check(proc: Processor) -> list[CheckResult]:
     scratch constants inside a rollback. Always returns the full list; a
     broken entry is reported in place rather than aborting the audit.
     """
-    results: list[CheckResult] = []
     kernel = proc.kernel
-    for name, entry in kernel.sig.entries.items():
-        kernel.begin()
-        try:
-            kernel.check_is_type(EMPTY_CONTEXT, entry.type)
-            if entry.body is not None:
-                kernel.check(EMPTY_CONTEXT, entry.body, entry.type)
-            results.append(CheckResult(f"entry {name}", True))
-        except TelicError as err:
-            results.append(CheckResult(f"entry {name}", False, f"[{err.code}] {err.message}"))
-    for head, rules in kernel.sig.rules_by_head.items():
+    results = [
+        _audit(proc, f"entry {name}", _check_entry, kernel, entry)
+        for name, entry in kernel.sig.entries.items()
+    ]
+    for rules in kernel.sig.rules_by_head.values():
         for i, rule in enumerate(rules):
-            results.append(_check_rule(proc, rule, i))
+            results.append(_audit(proc, f"rule {rule.lhs.name} #{i}", _check_rule, proc, rule))
     return results

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import chain
 from typing import NamedTuple
 
@@ -315,6 +315,14 @@ class _Parser:
         self.pos += 1  # never EOF, which no caller expects
         return t
 
+    def guarded(self, parse: Callable[[], _Node], what: str) -> _Node:
+        """``parse()`` from the buffer's first token, ending in a
+        ``ParseError`` there if Python's recursion runs out."""
+        try:
+            return parse()
+        except RecursionError:
+            raise ParseError(f"{what} nests too deeply to parse", span=self.span(self.tokens[0])) from None
+
     # - declarations -
 
     def declarations(self) -> Iterator[Declaration | ParseError]:
@@ -331,14 +339,10 @@ class _Parser:
                 return
             start = 0  # where its lexical errors are looked for
             try:
-                item = self.declaration()
+                item = self.guarded(self.declaration, "declaration")
                 start = self.pos  # a declaration that parsed holds no ERROR token
             except ParseError as e:
                 item = e
-            except RecursionError:
-                item = ParseError(
-                    "declaration nests too deeply to parse", span=self.span(tokens[0])
-                )
             end = self.resume()
             for k in range(start, end):
                 if tokens[k][0] == "ERROR":
@@ -570,10 +574,7 @@ def parse_expr(text: str, filename: str = "<expr>") -> SExpr:
     tokens = tokenize(text, filename)
     parser = _Parser(iter((tokens,)), filename)
     parser.refill()
-    try:
-        out = parser.expr()
-    except RecursionError:
-        raise ParseError("expression nests too deeply to parse", span=parser.span(tokens[0])) from None
+    out = parser.guarded(parser.expr, "expression")
     trailing = parser.tokens[parser.pos]
     if trailing.kind != "EOF":
         raise parser.expected("the end of the expression", trailing)

@@ -228,12 +228,11 @@ def ctx_lookup(ctx: Context, index: int) -> Term:
 def map_term(
     t: Term,
     var: Callable[[int, int], Term | None],
-    depth: int = 0,
     meta: Callable[[int, tuple[Term, ...]], Term | None] | None = None,
 ) -> Term:
     """Rebuild ``t`` bottom-up, sharing every node it leaves unchanged.
 
-    Every ``Var(i)`` becomes ``var(i, d)``, where ``d`` is ``depth`` plus the
+    Every ``Var(i)`` becomes ``var(i, d)``, where ``d`` is the number of
     binders passed on the way down. With ``meta`` given, every ``Meta``
     becomes ``meta(id, spine)`` once its spine has been mapped. A callback
     that returns ``None`` keeps the node (a ``Meta`` with its mapped spine).
@@ -245,7 +244,7 @@ def map_term(
     cycle per call for the cyclic collector.
     """
 
-    return _map(t, var, depth, meta)
+    return _map(t, var, 0, meta)
 
 
 # Dispatch on the exact class: on this hot path it is markedly cheaper than
@@ -329,24 +328,24 @@ def subterms(t: Term, depth: int = 0) -> Iterator[tuple[Term, int]]:
 
 # --- de Bruijn operations ----------------------------------------------------
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add ``by`` to every variable index >= cutoff."""
+def shift(t: Term, by: int) -> Term:
+    """Add ``by`` to the index of every free variable."""
     if by == 0:
         return t
-    return map_term(t, lambda i, d: Var(i + by) if i >= d else None, cutoff)
+    return map_term(t, lambda i, d: Var(i + by) if i >= d else None)
 
 
-def subst(t: Term, replacement: Term, index: int = 0) -> Term:
-    """Substitute ``replacement`` for Var(index); higher indices drop by one."""
-    return subst_many(t, (replacement,), index)
+def subst(t: Term, replacement: Term) -> Term:
+    """Substitute ``replacement`` for Var(0); higher indices drop by one."""
+    return subst_many(t, (replacement,))
 
 
-def subst_many(t: Term, env: list[Term] | tuple[Term, ...], depth: int = 0) -> Term:
-    """Simultaneously substitute env[j] for Var(depth + j).
+def subst_many(t: Term, env: list[Term] | tuple[Term, ...]) -> Term:
+    """Simultaneously substitute env[j] for Var(j).
 
     Variables above the substituted block drop by len(env). Used for beta,
     codomain instantiation and metavariable solutions, whose free variables
-    are exactly 0..len(env)-1 at depth 0.
+    are exactly 0..len(env)-1.
     """
     n = len(env)
     if n == 0:
@@ -359,7 +358,7 @@ def subst_many(t: Term, env: list[Term] | tuple[Term, ...], depth: int = 0) -> T
             return env[i] if d == 0 else shift(env[i - d], d)
         return Var(i - n)
 
-    return map_term(t, var, depth)
+    return map_term(t, var)
 
 
 def compile_subst(t: Term, n: int) -> Callable[[Sequence[Term]], Term]:

@@ -49,3 +49,12 @@ def small_lexicon(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("lexicon") / "lexicon.tel"
     path.write_text(load_bench_gen().lexicon(1, rounds=1).text)
     return path
+
+
+@pytest.fixture(scope="session")
+def large_lexicon(tmp_path_factory) -> Path:
+    """A file holding the benchmark's 44-round lexicon, 10,428 declarations
+    that check."""
+    path = tmp_path_factory.mktemp("lexicon") / "lexicon.tel"
+    path.write_text(load_bench_gen().lexicon(1, rounds=44).text)
+    return path

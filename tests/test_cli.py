@@ -26,11 +26,18 @@ def test_check_clean_file_exits_zero(tmp_path, capsys):
 
 
 def test_check_reports_failures_with_exit_one(tmp_path, capsys):
-    f = tmp_path / "bad.tel"
-    f.write_text("check missing : NP U\n")
-    assert main(["check", str(f)]) == 1
-    out = capsys.readouterr().out
-    assert "[UnboundVariable]" in out
+    # the rule's firing rebuilds its own target: it ends at once, even
+    # under a budget of 10**8 steps
+    loop = "postulate loop : Nat -> Nat\nrewrite (n : Nat) : loop n = loop n\nnorm loop 0 = loop 0\n"
+    for options, text, code in [
+        ([], "check missing : NP U\n", "[UnboundVariable]"),
+        (["--fuel", "100000000"], loop, "[FuelExhausted]"),
+    ]:
+        f = tmp_path / "bad.tel"
+        f.write_text(text)
+        assert main(["check", *options, str(f)]) == 1
+        out = capsys.readouterr().out
+        assert code in out
 
 
 def test_check_reports_a_parse_error_where_it_stands(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Input nested deeper than the checker's recursion ends in a report, never
-a traceback: the parser reports a ParseError, checking a DepthExceeded."""
+a traceback: the parser reports a ParseError, checking a DepthExceeded.
+Checking means every entry point that ``Processor.checked`` guards: a
+declaration, the inner declaration of a `fail`, ``normalize_expression``
+and each audit of ``prelude_self_check``."""
 
 from __future__ import annotations
 
@@ -7,7 +10,9 @@ import pytest
 
 from telic.cli import main
 from telic.errors import DepthExceeded, ERROR_CODES, ParseError
+from telic.prelude import prelude_self_check
 from telic.surface import parse_expr
+from telic.terms import Const, NatLit, Pi, Var
 
 # The elaborator takes two frames per `+`, so a 400-literal sum checks
 # under the default recursion limit of 1,000 and an 800-literal one does not.
@@ -89,3 +94,76 @@ def test_deep_expressions_for_norm(loaded_processor):
     with pytest.raises(ParseError):
         parse_expr(DEEP_PARENS)
     assert loaded_processor.normalize_expression("1 + 1") == ("2", "Nat")
+
+
+def _deep_plus(n):
+    """``plus`` nested ``n`` deep, built as a kernel term."""
+    t = NatLit(1)
+    for _ in range(n):
+        t = Const("plus", (t, NatLit(1)))
+    return t
+
+
+def _declaration(proc):
+    return proc.process_text(f"norm {DEEP_SUM} = 800\n", "x.tel")[0].render()
+
+
+def _fail_inner(proc):
+    return proc.process_text(f"fail DepthExceeded def big : Nat = {DEEP_SUM}\n", "x.tel")[0].render()
+
+
+def _normalize_expression(proc):
+    try:
+        proc.normalize_expression(DEEP_SUM)
+    except DepthExceeded as e:
+        return f"{e.span}: [{e.code}] {e.message}"
+
+
+def _audit_entry(proc):
+    # stored without a check, so the audit is the first to walk it
+    proc.kernel.declare_definition("big", Const("Nat"), _deep_plus(500))
+    (line,) = [r.render() for r in prelude_self_check(proc) if not r.ok]
+    return line
+
+
+def _audit_rule(proc):
+    nat = Const("Nat")
+    proc.kernel.declare_axiom("deep", Pi(nat, nat))
+    proc.kernel.declare_rewrite((("n", nat),), Const("deep", (Var(0),)), _deep_plus(500))
+    (line,) = [r.render() for r in prelude_self_check(proc) if not r.ok]
+    return line
+
+
+@pytest.mark.parametrize(
+    "run, outcome",
+    [
+        (_declaration, "x.tel:1:1: error: norm [DepthExceeded]: declaration nests too deeply to check"),
+        (_fail_inner, "x.tel:1:1: ok: fail big: def big rejected with DepthExceeded as expected"),
+        (_normalize_expression, "<expr>:1:1: [DepthExceeded] expression nests too deeply to check"),
+        (_audit_entry, "FAIL entry big: [DepthExceeded] entry big nests too deeply to check"),
+        (_audit_rule, "FAIL rule deep #0: [DepthExceeded] rule deep #0 nests too deeply to check"),
+    ],
+    ids=["declaration", "fail-inner", "normalize-expression", "audit-entry", "audit-rule"],
+)
+def test_every_checking_entry_point_ends_in_depth_exceeded(loaded_processor, run, outcome):
+    assert run(loaded_processor) == outcome
+
+
+def test_a_fail_reports_where_its_inner_declaration_went_wrong(loaded_processor):
+    # an inner error without a span of its own is reported at the `fail`,
+    # one too deep at the inner declaration, an acceptance at the `fail`
+    text = (
+        "fail NotAFunction check 1 : Type\n"
+        f"fail TypeMismatch def big : Nat = {DEEP_SUM}\n"
+        "fail UnboundVariable check 1 : Nat\n"
+    )
+    reports = loaded_processor.process_text(text, "x.tel")
+    assert [(str(r.span), r.code) for r in reports] == [
+        ("x.tel:1:1", "TypeMismatch"),
+        ("x.tel:2:19", "TypeMismatch"),
+        ("x.tel:3:1", "TypeMismatch"),
+    ]
+    assert reports[1].message == (
+        "expected TypeMismatch but def big was rejected with DepthExceeded: "
+        "declaration nests too deeply to check"
+    )

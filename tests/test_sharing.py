@@ -51,7 +51,7 @@ def test_only_the_path_to_a_changed_variable_is_rebuilt():
     assert out.second.fn is right  # its variables are bound
     # a binder whose body changes keeps its untouched sibling
     pi = Pi(Const("Nat", ()), App(Var(3), Const("k")), "n")
-    moved = subst_many(pi, (Const("c"),), 2)
+    moved = subst_many(Lambda(Lambda(pi)), (Const("c"),)).body.body
     assert moved == Pi(Const("Nat"), App(Const("c"), Const("k")))
     assert moved.domain is pi.domain
     assert moved.codomain.arg is pi.codomain.arg

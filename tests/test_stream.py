@@ -9,6 +9,8 @@ as when the whole file was parsed before the first check.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -101,3 +103,28 @@ def test_checking_holds_one_declaration_at_a_time():
         tracemalloc.stop()
     assert [r.code for r in reports] == ["UniverseMismatch"] * 5000
     assert (peak - retained) / 2**20 < 0.25, f"{(peak - retained) / 2**20:.2f} MB"
+
+
+# A child that starts `telic check` in a child of its own and prints that
+# one's peak RSS in MB: in the test's process, RUSAGE_CHILDREN would be the
+# largest of every child the session started.
+PEAK_RSS = """
+import resource, subprocess, sys
+with open(sys.argv[2], "wb") as out:
+    subprocess.run([sys.executable, "-m", "telic.cli", "check", sys.argv[1]], stdout=out, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+"""
+
+
+def test_a_10428_declaration_lexicon_checks_in_at_most_40_mb(large_lexicon, tmp_path):
+    reports = tmp_path / "reports.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, str(large_lexicon), str(reports)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 40
+    lines = reports.read_text(encoding="utf-8").splitlines()
+    assert sum(": ok: " in line for line in lines) == 10428

@@ -32,6 +32,14 @@ from telic.terms import (
     subst_many,
 )
 
+
+def _under(k: int, t):
+    """``t`` under ``k`` lambdas, whose variables are its indices below ``k``."""
+    for _ in range(k):
+        t = Lambda(t)
+    return t
+
+
 # --- hand-computed oracles ----------------------------------------------------
 
 
@@ -41,8 +49,9 @@ def test_shift_leaves_bound_variables_alone():
 
 
 def test_shift_respects_cutoff():
-    t = App(Var(0), App(Var(1), Var(2)))
-    assert shift(t, 5, 2) == App(Var(0), App(Var(1), Var(7)))
+    # under two binders, Var(0) and Var(1) are bound
+    t = _under(2, App(Var(0), App(Var(1), Var(2))))
+    assert shift(t, 5) == _under(2, App(Var(0), App(Var(1), Var(7))))
 
 
 def test_shift_by_zero_is_identity_object():
@@ -56,17 +65,17 @@ def test_subst_at_zero():
 
 
 def test_subst_renumbers_higher_variables():
-    t = App(Var(0), App(Var(1), Var(2)))
-    assert subst(t, Const("a"), 1) == App(Var(0), App(Const("a"), Var(1)))
+    t = Lambda(App(Var(0), App(Var(1), Var(2))))
+    assert subst(t, Const("a")) == Lambda(App(Var(0), App(Const("a"), Var(1))))
 
 
 def test_subst_shifts_replacement_under_binder():
     # The replacement mentions an ambient variable; entering the lambda
     # must bump it past the binder rather than capture it.
     t = Lambda(Var(1))
-    assert subst(t, Var(0), 0) == Lambda(Var(1))
+    assert subst(t, Var(0)) == Lambda(Var(1))
     t2 = Lambda(App(Var(0), Var(1)))
-    assert subst(t2, Var(3), 0) == Lambda(App(Var(0), Var(4)))
+    assert subst(t2, Var(3)) == Lambda(App(Var(0), Var(4)))
 
 
 def test_subst_many_block():
@@ -77,7 +86,7 @@ def test_subst_many_block():
 
 def test_subst_many_below_depth_untouched():
     t = Lambda(App(Var(0), Var(1)))
-    out = subst_many(t, (Const("a"),), 0)
+    out = subst_many(t, (Const("a"),))
     assert out == Lambda(App(Var(0), Const("a")))
 
 
@@ -144,7 +153,10 @@ def _terms(max_free: int = 3) -> st.SearchStrategy:
 @settings(max_examples=300)
 @given(t=_terms(), u=_terms(), k=st.integers(min_value=0, max_value=3))
 def test_subst_cancels_shift(t, u, k):
-    assert subst(shift(t, 1, k), u, k) == t
+    # under k binders both skip the bound variables; the substitution
+    # takes the first free one, which the shift left unused
+    t = _under(k, t)
+    assert subst(shift(t, 1), u) == t
 
 
 @settings(max_examples=300)
@@ -155,7 +167,8 @@ def test_subst_cancels_shift(t, u, k):
     c=st.integers(min_value=0, max_value=2),
 )
 def test_shift_composes(t, a, b, c):
-    assert shift(shift(t, a, c), b, c) == shift(t, a + b, c)
+    t = _under(c, t)
+    assert shift(shift(t, a), b) == shift(t, a + b)
 
 
 @settings(max_examples=300)
@@ -171,7 +184,7 @@ def test_shift_preserves_scope(t, n):
 def test_subst_consumes_one_binder(t, u):
     # t lives at depth 10, u at depth 9; substituting for Var(0) must
     # land back at depth 9 with nothing dangling.
-    assert scope_ok(subst(t, u, 0), 9)
+    assert scope_ok(subst(t, u), 9)
 
 
 @settings(max_examples=300)
@@ -179,8 +192,8 @@ def test_subst_consumes_one_binder(t, u):
 def test_subst_many_agrees_with_iterated_subst(t):
     env = (Const("a"), Const("b"))
     # Simultaneous substitution of a closed block equals substituting
-    # one variable at a time from the inside out.
-    assert subst_many(t, env) == subst(subst(t, Const("b"), 1), Const("a"), 0)
+    # one variable at a time, Var(0) first.
+    assert subst_many(t, env) == subst(subst(t, Const("a")), Const("b"))
 
 
 def _horner(digits: str) -> int:

@@ -13,7 +13,8 @@ def test_map_term_passes_binder_depth_to_var():
         seen.append((i, d))
         return Var(i)
 
-    assert map_term(t, record, depth=2) == t
+    # under two lambdas, every depth starts at 2
+    assert map_term(Lambda(Lambda(t)), record) == Lambda(Lambda(t))
     assert seen == [(0, 2), (1, 4), (3, 4)]
 
 
