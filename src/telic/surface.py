@@ -29,7 +29,7 @@ tells a primitive from a postulate and an entail from a def.
 
 Parsing is recursive descent with token-position backtracking only for the
 binder-group lookahead. Its hot methods read the current token from the
-buffer and compare its kind inline, and build nodes and spans with
+chunk and compare its kind inline, and build nodes and spans with
 ``tuple.__new__``. A parse error inside one declaration takes that
 declaration's place in the file's source-ordered result, and parsing
 resumes at the next declaration keyword, so one bad declaration does not
@@ -41,10 +41,13 @@ holding it. The parser alone reports it, as the parse error of the
 declaration it falls in, rebuilt from the token by ``_lexical_error``.
 
 Both are lazy, one declaration at a time. The scanner yields its tokens in
-chunks that end before each top-level declaration keyword, and
+chunks, one per top-level declaration, each ending with the keyword that
+starts the next chunk, or with EOF. The parser never consumes that last
+token while it parses the chunk: a rejected token stays where it is, so a
+declaration that stops short cannot swallow the next one's keyword.
 ``parse_stream`` yields each declaration as soon as its chunk is parsed,
-holding only that chunk and the next. ``tokenize`` and ``parse_file``
-materialize the same stream in one list and one tuple.
+holding only that chunk. ``tokenize`` and ``parse_file`` materialize the
+same stream in one list and one tuple.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import ERROR_CODES, IllegalCharacter, ParseError, Span
@@ -123,9 +125,10 @@ _TOKEN = re.compile(
 def _scan(text: str) -> Iterator[list[Token]]:
     """The tokens of ``text``, lazily, in chunks; the last chunk ends in EOF.
 
-    A chunk ends before each declaration keyword, but not before one that
-    a ``fail CODE`` in front of it nests, so a chunk holds whole
-    declarations and only its first token may be a top-level keyword.
+    A chunk ends with each declaration keyword, but not with one that a
+    ``fail CODE`` in front of it nests, and the next chunk starts with the
+    same token. So a chunk holds whole declarations and the token after
+    them, and a top-level keyword only at its two ends.
 
     Text that starts no token becomes an ERROR token holding it, and lexing
     goes on after it: the scanner raises nothing.
@@ -145,10 +148,12 @@ def _scan(text: str) -> Iterator[list[Token]]:
                 kind = "IDENT" if word[0] > "9" else "NAT"
             elif kind in _DECL_KINDS and tokens:
                 nested = len(tokens) > 1 and tokens[-2][0] == "FAIL" and tokens[-1][0] == "IDENT"
-                if not nested:
+                if not nested:  # the keyword ends this chunk and starts the next
+                    push(t := new(Token, (kind, word, line, m.start(1) - line_start + 1)))
                     yield tokens
-                    tokens = []
+                    tokens = [t]
                     push = tokens.append
+                    continue
             push(new(Token, (kind, word, line, m.start(1) - line_start + 1)))
             continue
         word = m[2]
@@ -183,9 +188,11 @@ def _lexical_error(t: Token, filename: str) -> ParseError:
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     """The tokens of ``text``, ending in EOF, each at the line and column
-    where it starts: the scanner's chunks in one list. The first ERROR
-    token's error is raised."""
-    tokens = list(chain.from_iterable(_scan(text)))
+    where it starts: the scanner's chunks in one list, each token once.
+    The first ERROR token's error is raised."""
+    tokens: list[Token] = []
+    for chunk in _scan(text):
+        tokens[-1:] = chunk  # it starts with the token that ended the one before
     for t in tokens:
         if t[0] == "ERROR":
             raise _lexical_error(t, filename)
@@ -261,40 +268,28 @@ _new = tuple.__new__
 
 
 class _Parser:
-    """Recursive descent over a buffer of tokens that ``refill`` extends
-    by one scanner chunk at a time.
+    """Recursive descent over one chunk of tokens.
 
     Every method reads the current token as ``self.tokens[self.pos]`` and
-    advances ``pos`` itself; no token is consumed past EOF. ``expr`` tries
-    binder groups only at ``(`` or ``{``. ``atom`` consumes the token it
-    rejects, unless it is EOF: a parse error resumes after it.
+    advances ``pos`` itself. No method consumes a token it rejects, and only
+    ``declaration`` consumes a declaration keyword, so ``pos`` never passes
+    a chunk's last token: the next chunk's keyword, or EOF. ``expr`` tries
+    binder groups only at ``(`` or ``{``.
 
-    ``declarations`` trims the buffer at each top-level declaration and,
-    while the parser is still shallow, reads chunks until the buffer holds
-    the declaration's own chunk and the first token of the next one. Since
-    a chunk holds whole declarations, parsing one reads no further: only
-    ``resume`` reads past it, at top level, after a parse error that
-    consumed the next keyword.
+    ``declarations`` parses each chunk on its own, one declaration after
+    another, until ``pos`` reaches its last token. A parse error resumes at
+    the next declaration keyword, which may be in the middle of a chunk
+    after a ``fail CODE``.
 
     The parser owns lexical errors: the first ERROR token from a
     declaration's start up to the next declaration keyword spoils it,
     whether or not parsing got as far as that token."""
 
-    def __init__(self, chunks: Iterator[list[Token]], filename: str):
-        self.chunks = chunks
-        self.tokens: list[Token] = []
+    def __init__(self, tokens: list[Token], filename: str):
+        self.tokens = tokens
         self.pos = 0
-        self.last = 0  # where the last chunk read starts in tokens
+        self.start = 0  # where the current declaration starts
         self.filename = filename
-
-    def refill(self) -> bool:
-        """Append the scanner's next chunk; False when there is none."""
-        chunk = next(self.chunks, None)
-        if chunk is None:
-            return False
-        self.last = len(self.tokens)
-        self.tokens += chunk
-        return True
 
     def span(self, t: Token) -> Span:
         return Span(self.filename, t.line, t.col)
@@ -312,58 +307,49 @@ class _Parser:
         t = self.tokens[self.pos]
         if t[0] != kind:
             raise self.expected(what, t)
-        self.pos += 1  # never EOF, which no caller expects
+        self.pos += 1  # never EOF or a declaration keyword, which no caller expects
         return t
 
     def guarded(self, parse: Callable[[], _Node], what: str) -> _Node:
-        """``parse()`` from the buffer's first token, ending in a
-        ``ParseError`` there if Python's recursion runs out."""
+        """``parse()`` from the current declaration's first token, ending in
+        a ``ParseError`` there if Python's recursion runs out."""
         try:
             return parse()
         except RecursionError:
-            raise ParseError(f"{what} nests too deeply to parse", span=self.span(self.tokens[0])) from None
+            raise ParseError(f"{what} nests too deeply to parse", span=self.span(self.tokens[self.start])) from None
 
     # - declarations -
 
-    def declarations(self) -> Iterator[Declaration | ParseError]:
-        """Each declaration in source order, or the parse error that took
-        its place, as the scanner reaches it."""
-        tokens = self.tokens
-        while True:
-            del tokens[: self.pos]
-            self.last -= self.pos
+    def declarations(self, chunks: Iterator[list[Token]]) -> Iterator[Declaration | ParseError]:
+        """Each declaration of ``chunks`` in source order, or the parse
+        error that took its place, as the scanner reaches it."""
+        for tokens in chunks:
+            self.tokens = tokens
             self.pos = 0
-            while self.last <= 0 and self.refill():  # its chunk and the next one
-                pass
-            if tokens[0][0] == "EOF":
-                return
-            start = 0  # where its lexical errors are looked for
-            try:
-                item = self.guarded(self.declaration, "declaration")
-                start = self.pos  # a declaration that parsed holds no ERROR token
-            except ParseError as e:
-                item = e
-            end = self.resume()
-            for k in range(start, end):
-                if tokens[k][0] == "ERROR":
-                    item = _lexical_error(tokens[k], self.filename)
-                    break
-            if isinstance(item, ParseError):
-                self.pos = end
-            yield item
+            last = len(tokens) - 1
+            while self.pos < last:
+                start = self.start = self.pos  # where its lexical errors are looked for
+                try:
+                    item = self.guarded(self.declaration, "declaration")
+                    start = self.pos  # a declaration that parsed holds no ERROR token
+                except ParseError as e:
+                    item = e
+                end = self.resume()
+                for k in range(start, end):
+                    if tokens[k][0] == "ERROR":
+                        item = _lexical_error(tokens[k], self.filename)
+                        break
+                if isinstance(item, ParseError):
+                    self.pos = end
+                yield item
 
     def resume(self) -> int:
         """Where parsing resumes: the index of the first declaration
-        keyword or EOF at or after the current token, read into the buffer
-        if it is not there yet."""
+        keyword or EOF at or after the current token."""
         k = self.pos
-        while True:
-            try:
-                while self.tokens[k].kind not in _RESUME_KINDS:
-                    k += 1
-                return k
-            except IndexError:
-                self.refill()
+        while self.tokens[k].kind not in _RESUME_KINDS:
+            k += 1
+        return k
 
     def declaration(self) -> Declaration:
         t = self.tokens[self.pos]
@@ -527,9 +513,7 @@ class _Parser:
     def atom(self) -> SExpr:
         t = self.tokens[self.pos]
         kind = t[0]
-        if kind == "EOF":
-            raise self.expected("an expression", t)
-        self.pos += 1  # the offending token too: a parse error resumes after it
+        self.pos += 1
         sp = _new(Span, (self.filename, t[2], t[3]))
         if kind == "IDENT":
             return _new(SName, (sp, t[1]))
@@ -555,6 +539,7 @@ class _Parser:
             return _new(SProj, (sp, "fst"))
         if kind == "SND":
             return _new(SProj, (sp, "snd"))
+        self.pos -= 1  # a rejected token stays: it may be the next keyword, or EOF
         raise self.expected("an expression", t)
 
 
@@ -562,7 +547,7 @@ def parse_stream(text: str, filename: str = "<input>") -> Iterator[Declaration |
     """The declarations of ``text`` in source order, each replaced by its
     parse error where it has one, tokenized and parsed one at a time as
     they are asked for."""
-    return _Parser(_scan(text), filename).declarations()
+    return _Parser([], filename).declarations(_scan(text))
 
 
 def parse_file(text: str, filename: str = "<input>") -> tuple[Declaration | ParseError, ...]:
@@ -571,9 +556,7 @@ def parse_file(text: str, filename: str = "<input>") -> tuple[Declaration | Pars
 
 
 def parse_expr(text: str, filename: str = "<expr>") -> SExpr:
-    tokens = tokenize(text, filename)
-    parser = _Parser(iter((tokens,)), filename)
-    parser.refill()
+    parser = _Parser(tokenize(text, filename), filename)
     out = parser.guarded(parser.expr, "expression")
     trailing = parser.tokens[parser.pos]
     if trailing.kind != "EOF":

@@ -165,9 +165,8 @@ class _Parser:
     ``declarations`` trims the buffer at each top-level declaration and,
     while the parser is still shallow, reads chunks until the buffer holds
     the declaration's own chunk and the first token of the next one. Since
-    a chunk holds whole declarations, parsing one reads no further: only
-    ``resume`` reads past it, at top level, after a parse error that
-    consumed the next keyword."""
+    a chunk holds whole declarations, and ``atom`` consumes no declaration
+    keyword or EOF, neither parsing one nor ``resume`` reads further."""
 
     def __init__(
         self,
@@ -423,6 +422,8 @@ class _Parser:
                 return head
 
     def atom(self) -> SExpr:
+        if self.peek().kind in _RESUME_KINDS:
+            raise self.expected("an expression", self.peek())
         t = self.next()
         match t.kind:
             case "IDENT":

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,13 +43,20 @@ def test_check_reports_failures_with_exit_one(tmp_path, capsys):
 
 
 def test_check_reports_a_parse_error_where_it_stands(tmp_path, capsys):
-    f = tmp_path / "order.tel"
-    f.write_text("postulate a : Nat\ncheck : Nat\npostulate b : Nat\n")
-    assert main(["check", "--format", "structured", str(f)]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert [(d["kind"], d["line"]) for d in map(json.loads, lines)] == [
-        ("postulate", 1), ("parse", 2), ("postulate", 3),
-    ]
+    # the second file's `check` stops short at the next keyword, which
+    # still starts its own declaration
+    for text, reports in [
+        ("postulate a : Nat\ncheck : Nat\npostulate b : Nat\n", [("postulate", 1), ("parse", 2), ("postulate", 3)]),
+        (
+            "postulate A : Type\npostulate a : A\ncheck a :\ndef b : A = a\ncheck b : A\n",
+            [("postulate", 1), ("postulate", 2), ("parse", 4), ("def", 4), ("check", 5)],
+        ),
+    ]:
+        f = tmp_path / "order.tel"
+        f.write_text(text)
+        assert main(["check", "--format", "structured", str(f)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [(d["kind"], d["line"]) for d in map(json.loads, lines)] == reports
 
 
 def test_check_structured_output_is_json_lines(tmp_path, capsys):
@@ -407,6 +416,45 @@ def test_output_does_not_depend_on_the_hash_seed(small_lexicon):
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+def _other_interpreters() -> dict[str, Path]:
+    """The pyenv CPython 3.10 to 3.13 interpreters, by version, other than
+    the one running the tests."""
+    roots = {Path(os.environ.get("PYENV_ROOT", "~/.pyenv")).expanduser(), Path.home() / ".pyenv"}
+    return {
+        d.name: d / "bin" / "python3"
+        for root in sorted(roots)
+        for d in sorted((root / "versions").glob("3.1*"))
+        if re.fullmatch(r"3\.1[0-3]\.\d+", d.name)
+        and d.name != platform.python_version()
+        and (d / "bin" / "python3").is_file()
+    }
+
+
+OTHER_INTERPRETERS = _other_interpreters()
+
+
+@pytest.mark.skipif(not OTHER_INTERPRETERS, reason="no other CPython 3.10 to 3.13 under pyenv")
+def test_every_installed_python_gives_the_same_output(small_lexicon):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def outputs(python) -> list[bytes]:
+        out = []
+        for argv in (["selftest"], ["check", str(small_lexicon)]):
+            proc = subprocess.run(
+                [python, "-m", "telic.cli", *argv, "--format", "structured"],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, (python, proc.stderr)
+            out.append(proc.stdout)
+        return out
+
+    expected = outputs(sys.executable)
+    for version, python in OTHER_INTERPRETERS.items():
+        assert outputs(python) == expected, version
 
 
 def test_a_hole_cannot_let_type1_pass_as_type(tmp_path, capsys):

@@ -2,9 +2,15 @@
 a traceback: the parser reports a ParseError, checking a DepthExceeded.
 Checking means every entry point that ``Processor.checked`` guards: a
 declaration, the inner declaration of a `fail`, ``normalize_expression``
-and each audit of ``prelude_self_check``."""
+and each audit of ``prelude_self_check``. A chain of imports nests too:
+each level adds its frames to the next."""
 
 from __future__ import annotations
+
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +173,29 @@ def test_a_fail_reports_where_its_inner_declaration_went_wrong(loaded_processor)
         "expected TypeMismatch but def big was rejected with DepthExceeded: "
         "declaration nests too deeply to check"
     )
+
+
+def test_a_300_file_import_chain_ends_in_reports(tmp_path):
+    # f0.tel imports f1.tel, ..., f299.tel imports f300.tel. Where the
+    # chain runs out of depth depends on the frames a level takes, so the
+    # test only asks that it ends in one report there and one failed
+    # import at each level above it.
+    for i in range(300):
+        (tmp_path / f"f{i}.tel").write_text(f'import "f{i + 1}.tel"\n')
+    (tmp_path / "f300.tel").write_text("postulate A : Type\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "telic.cli", "check", str(tmp_path / "f0.tel")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    reports = [re.fullmatch(r"(.*):1:1: error: (.*)", line) for line in proc.stdout.splitlines()]
+    assert all(reports), proc.stdout
+    (deepest, error), *failed = [(Path(m[1]).name, m[2]) for m in reports]
+    assert deepest == f"f{len(failed)}.tel"
+    assert re.fullmatch(r"\w+ .*\[(ParseError|DepthExceeded)\]: .* nests too deeply to \w+", error)
+    assert failed == [
+        (f"f{i}.tel", f"import f{i + 1}.tel [ParseError]: import of f{i + 1}.tel failed")
+        for i in reversed(range(len(failed)))
+    ]

@@ -27,7 +27,8 @@ from telic.elaborate import Processor, Report
 from telic.errors import ParseError
 from telic.kernel import Kernel
 from telic.prelude import load_prelude
-from telic.surface import _KINDS, _Parser, _scan, parse_file, tokenize
+from telic.surface import _KINDS, _Parser, parse_file, tokenize
+from test_surface import scanned
 
 # A fuel budget well below the default keeps the non-terminating `loop`
 # declarations of the corpus (and whatever mutations make of them) cheap.
@@ -85,8 +86,7 @@ def parsed(items) -> list[tuple]:
 
 def parse_whole(text: str, name: str) -> tuple:
     """``text`` parsed from one chunk of all its tokens."""
-    tokens = [t for chunk in _scan(text) for t in chunk]
-    return tuple(_Parser(iter([tokens]), name).declarations())
+    return tuple(_Parser([], name).declarations(iter([scanned(text)])))
 
 
 def check_reports(proc: Processor, text: str, name: str, base) -> None:

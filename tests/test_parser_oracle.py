@@ -64,7 +64,9 @@ def _scanned(module, text: str, name: str):
         errors: dict[int, ParseError] = {}
         chunks = [list(chunk) for chunk in oracle._scan(text, name, errors)]
     else:
+        # each chunk but the last ends with the keyword that starts the next
         chunks = [list(chunk) for chunk in surface._scan(text)]
+        chunks = [chunk[:-1] for chunk in chunks[:-1]] + chunks[-1:]
         tokens = [t for chunk in chunks for t in chunk]
         errors = {
             k: surface._lexical_error(t, name) for k, t in enumerate(tokens) if t.kind == "ERROR"
@@ -134,6 +136,20 @@ def test_random_short_texts():
     for _ in range(10_000):
         text = random_text(rng)
         assert_same(text, expr=True)
+
+
+def test_chunks_overlap_at_each_top_level_keyword():
+    rng = random.Random(31)
+    texts = [random_text(rng) for _ in range(10_000)]
+    for text in texts + [path.read_text(encoding="utf-8-sig") for path in FILES]:
+        chunks = list(surface._scan(text))
+        for chunk, after in zip(chunks, chunks[1:]):
+            assert chunk[-1] is after[0], repr(text)
+        assert chunks[-1][-1].kind == "EOF", repr(text)
+        for chunk in chunks:
+            for k in range(1, len(chunk) - 1):
+                nested = k > 1 and chunk[k - 2].kind == "FAIL" and chunk[k - 1].kind == "IDENT"
+                assert nested or chunk[k].kind not in surface._DECL_KINDS, repr(text)
 
 
 def test_mutated_files():

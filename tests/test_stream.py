@@ -1,10 +1,11 @@
 """Files are tokenized, parsed and checked one declaration at a time.
 
 The parser's boundaries are where streaming could change a report: a
-parse error that consumes the next declaration's keyword, a `fail` that
-nests one on purpose, lexical errors, nesting too deep to parse and the
-end of the file. Each case pins the rendered reports, which are the same
-as when the whole file was parsed before the first check.
+parse error that stops at the next declaration's keyword without
+consuming it, a `fail` that nests one on purpose, lexical errors, nesting
+too deep to parse and the end of the file. Each case pins the rendered
+reports, which are the same as when the whole file was parsed before the
+first check.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from telic.elaborate import Processor, render_reports
 DEEP = "(" * 3000
 
 BOUNDARIES = {
-    "swallowed-keyword": (
+    "cut-short-at-a-keyword": (
         "postulate A : Type\npostulate a : A\ncheck a :\ndef b : A = a\ncheck b : A\n",
         [
             "s.tel:1:1: ok: postulate A",
             "s.tel:2:1: ok: postulate a",
             "s.tel:4:1: error: parse [ParseError]: expected an expression, found 'def'",
-            "s.tel:5:7: error: check [UnboundVariable]: `b` is not in scope",
+            "s.tel:4:1: ok: def b",
+            "s.tel:5:1: ok: check",
         ],
     ),
     "unknown-code": (
@@ -35,6 +37,15 @@ BOUNDARIES = {
             "s.tel:1:1: ok: postulate A",
             "s.tel:2:6: error: parse [ParseError]: unknown error code `Nope`",
             "s.tel:2:11: ok: check",
+        ],
+    ),
+    "too-deep-after-a-resume": (
+        f"postulate A : Type\nfail Nope check {DEEP}\ncheck A : Type\n",
+        [
+            "s.tel:1:1: ok: postulate A",
+            "s.tel:2:6: error: parse [ParseError]: unknown error code `Nope`",
+            "s.tel:2:11: error: parse [ParseError]: declaration nests too deeply to parse",
+            "s.tel:3:1: ok: check",
         ],
     ),
     "fail-chain": (

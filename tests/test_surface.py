@@ -36,6 +36,15 @@ from telic.surface import (
 )
 
 
+def scanned(text: str) -> list:
+    """The scanner's chunks in one list: each chunk starts with the token
+    that ended the one before, which the list holds once."""
+    tokens: list = []
+    for chunk in _scan(text):
+        tokens[-1:] = chunk
+    return tokens
+
+
 def kinds(text: str) -> list[str]:
     return [t.kind for t in tokenize(text)][:-1]  # drop EOF
 
@@ -110,7 +119,7 @@ LEXER_TABLE = [
 
 @pytest.mark.parametrize("text, expected", LEXER_TABLE, ids=[repr(t) for t, _ in LEXER_TABLE])
 def test_lexer_table(text, expected):
-    tokens = [t for chunk in _scan(text) for t in chunk]
+    tokens = scanned(text)
     assert [(t.kind, t.text, t.line, t.col) for t in tokens] == expected
 
 
@@ -126,7 +135,7 @@ LEXICAL_ERRORS = [
 
 @pytest.mark.parametrize("text, expected", LEXICAL_ERRORS, ids=[repr(t) for t, _ in LEXICAL_ERRORS])
 def test_lexical_errors_are_collected(text, expected):
-    tokens = [t for chunk in _scan(text) for t in chunk]
+    tokens = scanned(text)
     errors = {k: _lexical_error(t, "<t>") for k, t in enumerate(tokens) if t.kind == "ERROR"}
     assert {
         k: (type(e), e.message, e.span.line, e.span.col) for k, e in errors.items()
