@@ -21,7 +21,9 @@ rewrite) are reported and processing continues. A report takes its kind
 and name from the declaration's. Every typing claim arrives as a `DDef`:
 a postulate (no body) is stored as an axiom, a def or entail as a
 definition, and a check (no name) is only checked. ``Processor.checked``
-runs each, and reports nesting too deep for Python as ``DepthExceeded``.
+runs each, reports nesting too deep for Python as ``DepthExceeded``, and
+is the one place that positions a rejection without a span of its own: at
+the declaration being checked, which for a `fail` is its inner one.
 """
 
 from __future__ import annotations
@@ -316,34 +318,31 @@ class Processor:
 
         Both halves come back pretty-printed; the type is shown as inferred
         rather than normalized, so signature heads stay folded. An error
-        without a position of its own gets the expression's.
+        without a position of its own is reported at the expression.
         """
         sexpr = parse_expr(text)
-        try:
-            return self.checked(sexpr.span, "expression", self._normalize, sexpr)
-        except TelicError as e:
-            e.with_span(sexpr.span)
-            raise
+        return self.checked(sexpr.span, "expression", self._normalize, sexpr)
 
     def _normalize(self, sexpr: SExpr) -> tuple[str, str]:
         t = self.elab.elab(sexpr, [])
         ty = self.kernel.infer(EMPTY_CONTEXT, t)
-        t, ty = self.kernel.close(sexpr.span, t, ty)
+        t, ty = self.kernel.close(t, ty)
         sig = self.kernel.sig
         return pretty(self.kernel.normalize(t), sig), pretty(ty, sig)
 
     def _load_file(self, path: Path, reports: list[Report]) -> None:
         """Parse and process one UTF-8 file, skipping a leading byte-order
-        mark, unless it is loaded already; raises ``ParseError``, without a
-        span, when it cannot be read."""
+        mark, unless it is loaded already: only a new file is read. Raises
+        ``ParseError``, without a span, when it cannot be read."""
         try:
             resolved = path.resolve()
+            if str(resolved) in self._loaded:
+                return
             text = resolved.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as e:
             raise ParseError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
-        if str(resolved) not in self._loaded:
-            self._loaded.add(str(resolved))
-            self._run_parsed(parse_stream(text, str(path)), reports, resolved.parent)
+        self._loaded.add(str(resolved))
+        self._run_parsed(parse_stream(text, str(path)), reports, resolved.parent)
 
     def _run_parsed(
         self, items: Iterator[Declaration | ParseError], reports: list[Report], base: Path
@@ -370,12 +369,17 @@ class Processor:
 
     def checked(self, span: Span | None, what: str, fn: Callable[..., Any], *args: Any) -> Any:
         """``fn(*args)`` from no holes and the full fuel, ending in
-        ``DepthExceeded`` at ``span`` if Python's recursion runs out."""
+        ``DepthExceeded`` at ``span`` if Python's recursion runs out. The
+        one place that positions a rejection: a ``TelicError`` without a
+        span of its own leaves here at ``span``."""
         self.kernel.begin()
         try:
             return fn(*args)
         except RecursionError:
             raise DepthExceeded(f"{what} nests too deeply to check", span=span) from None
+        except TelicError as e:
+            e.with_span(span)
+            raise
 
     def run_declaration(
         self, decl: Declaration, reports: list[Report], base: Path
@@ -385,7 +389,6 @@ class Processor:
             report = self.checked(decl.span, "declaration", self._dispatch, decl, reports, base)
             return report, False
         except TelicError as e:
-            e.with_span(decl.span)
             report = Report(e.span, decl.kind, decl.name, e.code, e.message)
             return report, self.binds(decl)
 
@@ -401,48 +404,41 @@ class Processor:
                     body_t = self.elab.elab(body, [])
                     self.kernel.check(EMPTY_CONTEXT, body_t, ty_t)
                 if name is None:  # a check stores nothing
-                    self.kernel.close(sp)
+                    self.kernel.close()
                 elif body is None:
-                    self.kernel.declare_axiom(name, *self.kernel.close(sp, ty_t), mask)
+                    self.kernel.declare_axiom(name, *self.kernel.close(ty_t), mask)
                 else:
-                    self.kernel.declare_definition(name, *self.kernel.close(sp, ty_t, body_t), mask)
+                    self.kernel.declare_definition(name, *self.kernel.close(ty_t, body_t), mask)
             case DNorm(lhs=lhs, rhs=rhs):
-                got, want = self._run_norm(lhs, rhs, sp)
+                got, want = self._run_norm(lhs, rhs)
                 if got != want:
                     raise TypeMismatch(
                         f"normal form is `{pretty(got, self.kernel.sig)}` but the "
-                        f"declaration claims `{pretty(want, self.kernel.sig)}`",
-                        span=sp,
+                        f"declaration claims `{pretty(want, self.kernel.sig)}`"
                     )
                 return Report(sp, decl.kind, name, normal_form=pretty(got, self.kernel.sig))
             case DRewrite(telescope=tele, lhs=lhs, rhs=rhs):
-                self._run_rewrite(tele, lhs, rhs, sp)
+                self._run_rewrite(tele, lhs, rhs)
             case DFail(code=code, inner=inner):
-                return self._run_fail(code, inner, sp, base)
+                return Report(sp, decl.kind, name, message=self._run_fail(code, inner, base))
             case DImport():
                 start = len(reports)
                 self._load_file(base / name, reports)
                 if not all(r.ok for r in reports[start:]):
-                    raise ParseError(f"import of {name} failed", span=sp)
+                    raise ParseError(f"import of {name} failed")
             case _:
                 raise AssertionError(f"unhandled declaration {decl!r}")
         return Report(sp, decl.kind, name)
 
-    def _run_norm(self, lhs: SExpr, rhs: SExpr, sp: Span) -> tuple[Term, Term]:
+    def _run_norm(self, lhs: SExpr, rhs: SExpr) -> tuple[Term, Term]:
         lhs_t = self.elab.elab(lhs, [])
         lhs_ty = self.kernel.infer(EMPTY_CONTEXT, lhs_t)
         rhs_t = self.elab.elab(rhs, [])
         self.kernel.check(EMPTY_CONTEXT, rhs_t, lhs_ty)
-        lhs_t, rhs_t = self.kernel.close(sp, lhs_t, rhs_t)
+        lhs_t, rhs_t = self.kernel.close(lhs_t, rhs_t)
         return self.kernel.normalize(lhs_t), rhs_t
 
-    def _run_rewrite(
-        self,
-        tele: tuple[tuple[str, SExpr], ...],
-        lhs: SExpr,
-        rhs: SExpr,
-        sp: Span,
-    ) -> None:
+    def _run_rewrite(self, tele: tuple[tuple[str, SExpr], ...], lhs: SExpr, rhs: SExpr) -> None:
         env: list[str] = []
         tele_types: list[Term] = []
         ctx: Context = EMPTY_CONTEXT
@@ -478,32 +474,25 @@ class Processor:
                 f"{e.message}",
                 span=e.span,
             ) from None
-        *tele_types, lhs_t, rhs_t = self.kernel.close(sp, *tele_types, lhs_t, rhs_t)
+        *tele_types, lhs_t, rhs_t = self.kernel.close(*tele_types, lhs_t, rhs_t)
         self.kernel.declare_rewrite(tuple(zip(env, tele_types)), lhs_t, rhs_t)
 
-    def _run_fail(
-        self,
-        code: str,
-        inner: Declaration,
-        sp: Span,
-        base: Path,
-    ) -> Report:
+    def _run_fail(self, code: str, inner: Declaration, base: Path) -> str:
+        """The message of a ``fail`` whose ``inner`` is rejected with
+        ``code``; otherwise a ``TypeMismatch`` at the inner declaration, or,
+        when it is accepted, at the ``fail``."""
         label = inner.kind + (f" {inner.name}" if inner.name else "")
         try:
             with self.rollback():
                 self.checked(inner.span, "declaration", self._dispatch, inner, [], base)
         except TelicError as e:
             if e.code == code:
-                return Report(
-                    sp, "fail", inner.name, message=f"{label} rejected with {code} as expected"
-                )
+                return f"{label} rejected with {code} as expected"
             raise TypeMismatch(
                 f"expected {code} but {label} was rejected with {e.code}: {e.message}",
-                span=e.span or sp,
+                span=e.span,
             ) from None
-        raise TypeMismatch(
-            f"expected {code} but {label} was accepted", span=sp
-        )
+        raise TypeMismatch(f"expected {code} but {label} was accepted")
 
 
 def render_reports(reports: list[Report], fmt: str = "plain") -> str:

@@ -638,16 +638,17 @@ class Kernel:
 
         return map_term(t, lambda i, d: None, meta=meta)
 
-    def close(self, span: Span | None, *terms: Term) -> list[Term]:
+    def close(self, *terms: Term) -> list[Term]:
         """End the declaration: ``terms`` with their holes filled in. Raises
-        ``UnsolvedMeta`` at the first pending hole (at ``span`` when that
-        hole has none) unless every hole is solved."""
+        ``UnsolvedMeta`` at the first pending hole's span unless every hole
+        is solved; a hole without one is positioned by the caller
+        (``Processor.checked``)."""
         pending = [e for e in self.metas if e.solution is None]
         if pending:
             e = pending[0]
             raise UnsolvedMeta(
                 f"{len(pending)} unsolved hole(s) remain; first is {self._show_hole(e)}",
-                span=e.span or span,
+                span=e.span,
             )
         if not self.metas:  # nothing to fill in: the zonk would return each term itself
             return list(terms)

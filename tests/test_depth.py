@@ -156,8 +156,8 @@ def test_every_checking_entry_point_ends_in_depth_exceeded(loaded_processor, run
 
 
 def test_a_fail_reports_where_its_inner_declaration_went_wrong(loaded_processor):
-    # an inner error without a span of its own is reported at the `fail`,
-    # one too deep at the inner declaration, an acceptance at the `fail`
+    # an inner error without a span of its own is reported at the inner
+    # declaration, like one too deep; an acceptance at the `fail`
     text = (
         "fail NotAFunction check 1 : Type\n"
         f"fail TypeMismatch def big : Nat = {DEEP_SUM}\n"
@@ -165,7 +165,7 @@ def test_a_fail_reports_where_its_inner_declaration_went_wrong(loaded_processor)
     )
     reports = loaded_processor.process_text(text, "x.tel")
     assert [(str(r.span), r.code) for r in reports] == [
-        ("x.tel:1:1", "TypeMismatch"),
+        ("x.tel:1:19", "TypeMismatch"),
         ("x.tel:2:19", "TypeMismatch"),
         ("x.tel:3:1", "TypeMismatch"),
     ]
@@ -173,6 +173,32 @@ def test_a_fail_reports_where_its_inner_declaration_went_wrong(loaded_processor)
         "expected TypeMismatch but def big was rejected with DepthExceeded: "
         "declaration nests too deeply to check"
     )
+
+
+@pytest.mark.parametrize(
+    "inner, rejected_with",
+    [
+        ("check 1 : Type", "TypeMismatch"),
+        ("norm 1 = 2", "TypeMismatch"),
+        ('import "nope.tel"', "ParseError"),
+        ('import "bad.tel"', "ParseError"),
+        (f"check {DEEP_SUM} : Nat", "DepthExceeded"),
+    ],
+    ids=["check", "norm", "missing-import", "failing-import", "too-deep"],
+)
+def test_a_wrong_code_fail_reports_at_its_inner_declaration(
+    loaded_processor, tmp_path, inner, rejected_with
+):
+    # with or without a span of its own, the inner rejection is reported
+    # at the inner declaration; an accepted inner at the `fail`
+    (tmp_path / "bad.tel").write_text("postulate q : Q\n")
+    text = f"fail NotAFunction {inner}\nfail NotAFunction check 1 : Nat\n"
+    reports = loaded_processor.process_text(text, "x.tel", tmp_path)
+    assert [(str(r.span), r.code) for r in reports] == [
+        ("x.tel:1:19", "TypeMismatch"),
+        ("x.tel:2:1", "TypeMismatch"),
+    ]
+    assert f" was rejected with {rejected_with}: " in reports[0].message
 
 
 def test_a_300_file_import_chain_ends_in_reports(tmp_path):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from telic import kernel, terms
 from telic.elaborate import Processor, Report, render_reports
-from telic.errors import CannotInfer, TelicError, UnsolvedMeta
+from telic.errors import CannotInfer, NotAFunction, Span, TelicError, UnsolvedMeta
 from telic.surface import parse_file
 
 BASE = """
@@ -353,6 +354,37 @@ def test_import_is_idempotent(tmp_path):
     assert [r.kind for r in reports].count("primitive") == 1
 
 
+def test_a_file_imported_twice_is_read_once(tmp_path, monkeypatch):
+    # a.tel imports b.tel and c.tel, and both of them import d.tel
+    (tmp_path / "d.tel").write_text("primitive Nat : Type\n")
+    (tmp_path / "b.tel").write_text('import "d.tel"\npostulate b0 : Nat\n')
+    (tmp_path / "c.tel").write_text('import "d.tel"\npostulate c0 : Nat\n')
+    (tmp_path / "a.tel").write_text('import "b.tel"\nimport "c.tel"\ncheck b0 : Nat\n')
+    read: list[str] = []
+    read_text = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        read.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    reports = Processor().process_path(tmp_path / "a.tel")
+    assert sorted(read) == ["a.tel", "b.tel", "c.tel", "d.tel"]
+    assert [
+        (Path(r.span.file).name, r.span.line, r.span.col, r.kind, r.name, r.status)
+        for r in reports
+    ] == [
+        ("d.tel", 1, 1, "primitive", "Nat", "ok"),
+        ("b.tel", 1, 1, "import", "d.tel", "ok"),
+        ("b.tel", 2, 1, "postulate", "b0", "ok"),
+        ("a.tel", 1, 1, "import", "b.tel", "ok"),
+        ("c.tel", 1, 1, "import", "d.tel", "ok"),
+        ("c.tel", 2, 1, "postulate", "c0", "ok"),
+        ("a.tel", 2, 1, "import", "c.tel", "ok"),
+        ("a.tel", 3, 1, "check", None, "ok"),
+    ]
+
+
 def test_import_missing_file(tmp_path):
     (tmp_path / "main.tel").write_text('import "gone.tel"\n')
     proc = Processor()
@@ -404,6 +436,33 @@ def test_normalize_expression_rejects_open_holes(bare_processor):
         bare_processor.normalize_expression("plus _ 1")
     with pytest.raises(CannotInfer):
         bare_processor.normalize_expression("_")
+
+
+def test_normalize_expression_reports_a_spanless_error_at_the_expression(bare_processor):
+    # the kernel raises NotAFunction without a span of its own
+    with pytest.raises(NotAFunction) as info:
+        bare_processor.normalize_expression("Type Type")
+    assert info.value.span == Span("<expr>", 1, 1)
+
+
+def test_checked_gives_a_spanless_rejection_its_span(bare_processor):
+    kernel, given, own = bare_processor.kernel, Span("a.tel", 3, 7), Span("a.tel", 3, 9)
+
+    def close_over(span):
+        kernel.hole(0, span)
+        return kernel.close()
+
+    with pytest.raises(UnsolvedMeta, match=r"^1 unsolved hole\(s\) remain; first is \?0$") as info:
+        bare_processor.checked(given, "declaration", close_over, None)
+    assert info.value.span == given
+    # a rejection with a span of its own keeps it
+    with pytest.raises(UnsolvedMeta) as info:
+        bare_processor.checked(given, "declaration", close_over, own)
+    assert info.value.span == own
+    # and without a span to give, there is none
+    with pytest.raises(UnsolvedMeta) as info:
+        bare_processor.checked(None, "audit", close_over, None)
+    assert info.value.span is None
 
 
 def test_normalize_expression_parse_errors_propagate(bare_processor):

@@ -602,9 +602,9 @@ def test_meta_solves_by_unification():
     assert k._unify(m, NatLit(3))
     assert k.zonk(m) == NatLit(3)
     # closing returns the terms it is given, holes filled in, and no more
-    assert k.close(None) == []
+    assert k.close() == []
     filled = [Pi(NatLit(3), Const("g", (NatLit(3),))), NAT]
-    assert k.close(None, Pi(m, Const("g", (m,))), NAT) == filled
+    assert k.close(Pi(m, Const("g", (m,))), NAT) == filled
 
 
 def test_meta_occurs_check():
@@ -654,18 +654,19 @@ def test_meta_applied_to_non_variable_does_not_solve():
 
 def test_close_reports_the_first_pending_hole():
     k = nat_kernel()
-    given, own = Span("a.tel", 1, 1), Span("a.tel", 2, 5)
+    own = Span("a.tel", 2, 5)
     first = k.hole(0)
     k.check(EMPTY_CONTEXT, k.hole(0, own), NAT)
-    # the first pending hole has no span, so the error takes the given one
+    # the first pending hole has no span, so neither has the error:
+    # `Processor.checked` gives it the declaration's
     with pytest.raises(UnsolvedMeta, match=r"^2 unsolved hole\(s\) remain; first is \?0$") as info:
-        k.close(given, NAT)
-    assert info.value.span == given
+        k.close(NAT)
+    assert info.value.span is None
     assert k._unify(first, NatLit(1))
     with pytest.raises(
         UnsolvedMeta, match=r"^1 unsolved hole\(s\) remain; first is \?1 : Nat$"
     ) as info:
-        k.close(given)
+        k.close()
     assert info.value.span == own
 
 
@@ -673,13 +674,13 @@ def test_closing_a_declaration_without_holes_returns_its_terms_themselves():
     k = nat_kernel()
     t = Pi(NAT, Const("g", (Var(0),)))
     k.begin()
-    (out,) = k.close(None, t)
+    (out,) = k.close(t)
     assert out is t
     # one with a solved hole still comes back with the solution filled in
     k.begin()
     m = k.hole(0)
     assert k._unify(m, NatLit(3))
-    (out,) = k.close(None, Const("g", (m,)))
+    (out,) = k.close(Const("g", (m,)))
     assert out == Const("g", (NatLit(3),))
 
 
